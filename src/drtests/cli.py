@@ -15,8 +15,6 @@ import sys
 import traceback
 from dataclasses import replace
 
-import numpy as np
-
 from ._version import __version__
 from .errors import InvalidInputError
 from .harness import (
@@ -29,9 +27,13 @@ from .harness import (
     write_results,
 )
 from .io import read_curves_csv, write_curves_csv
-from .preprocess import fpca_smooth
-from .ranking import CurveSet
-from .rank_tests import Alternative, DoublyRankedConfig, Method, doubly_ranked_test
+from .rank_tests import (
+    Alternative,
+    DoublyRankedConfig,
+    Method,
+    _doubly_ranked_scores,
+    _score_test,
+)
 from .simgen import CoeffDist, MeanShape, NoiseKind, SimConfig, generate_dataset
 from .summaries import SummaryKind
 
@@ -68,19 +70,33 @@ def _parse_groups(text: str) -> tuple[tuple[int, ...], ...]:
     return schemes
 
 
-def _parse_xi(text: str) -> tuple[float, ...]:
+def _parse_list(flag: str, text: str, convert) -> list:
     try:
-        if ":" in text:
-            start, stop, step = (float(p) for p in text.split(":"))
-            if step <= 0:
-                raise ValueError
-            count = int(np.floor((stop - start) / step + 1e-9)) + 1
-            return tuple(round(start + i * step, 10) for i in range(count))
-        return tuple(float(p) for p in text.split(","))
+        return [convert(part) for part in text.split(",") if part]
+    except (KeyError, ValueError):
+        raise InvalidInputError(f"{flag} got an invalid list: {text!r}") from None
+
+
+def _parse_xi(text: str) -> dict | list[float]:
+    if ":" not in text:
+        return _parse_list("--xi", text, float)
+    try:
+        start, stop, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise InvalidInputError(
             f"--xi expects 'start:stop:step' or a comma list, got {text!r}"
         ) from None
+    return {"start": start, "stop": stop, "step": step}
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _statistic_name(method: Method) -> str:
@@ -92,24 +108,23 @@ def _cmd_test(args: argparse.Namespace) -> int:
     for warning in info.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
-    pve = _parse_preprocess(args.preprocess)
-    preprocess_desc = "none"
-    if pve is not None:
-        fp = fpca_smooth(curves, pve)
-        curves = CurveSet(values=fp.smoothed, grid=curves.grid, groups=curves.groups)
-        preprocess_desc = (
-            f"pve={pve:g} (kept {fp.components_kept} components, "
-            f"achieved {fp.pve_achieved:.6g})"
-        )
     summary = _SUMMARY_FLAGS[args.summary]
     config = DoublyRankedConfig(
         summary=summary,
-        preprocess_pve=None,
+        preprocess_pve=_parse_preprocess(args.preprocess),
         alternative=Alternative(args.alternative),
         exact_threshold=args.exact_threshold,
         continuity_correction=not args.no_continuity_correction,
     )
-    result = doubly_ranked_test(curves, config)
+    pve = config.preprocess_pve
+    (scores,), fp = _doubly_ranked_scores(curves, (summary,), pve)
+    result = _score_test(scores, curves, config)
+    preprocess_desc = "none"
+    if fp is not None:
+        preprocess_desc = (
+            f"pve={pve:g} (kept {fp.components_kept} components, "
+            f"achieved {fp.pve_achieved:.6g})"
+        )
 
     group_desc = ", ".join(
         f"{label}(->{g}): n={size}"
@@ -151,14 +166,10 @@ def _cmd_test(args: argparse.Namespace) -> int:
         if result.tie_correction_applied:
             print("  note         tie correction applied")
         if args.verbose and result.method is Method.MWW_NORMAL:
-            flipped = doubly_ranked_test(
+            flipped = _score_test(
+                scores,
                 curves,
-                DoublyRankedConfig(
-                    summary=summary,
-                    alternative=config.alternative,
-                    exact_threshold=config.exact_threshold,
-                    continuity_correction=args.no_continuity_correction,
-                ),
+                replace(config, continuity_correction=args.no_continuity_correction),
             )
             which = "without" if not args.no_continuity_correction else "with"
             print(
@@ -208,16 +219,16 @@ def _build_grid(args: argparse.Namespace, default_reps: int) -> ExperimentGrid:
         "noise": args.noise,
         "rho": args.rho,
         "n_basis": args.n_basis,
-        "n_points": [int(v) for v in args.n_points.split(",")],
+        "n_points": _parse_list("--n-points", args.n_points, int),
         "groups": [list(s) for s in _parse_groups(args.groups)],
         "replicates": args.reps if args.reps is not None else default_reps,
         "alpha": args.alpha,
-        "summaries": [
-            _SUMMARY_FLAGS[s].value for s in args.summaries.split(",") if s
-        ],
+        "summaries": _parse_list(
+            "--summaries", args.summaries, lambda s: _SUMMARY_FLAGS[s].value
+        ),
     }
     if hasattr(args, "xi") and args.xi is not None:
-        spec["xi"] = list(_parse_xi(args.xi))
+        spec["xi"] = _parse_xi(args.xi)
     pve = _parse_preprocess(args.preprocess)
     if pve is not None:
         spec["preprocess_pve"] = pve
@@ -274,8 +285,8 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preprocess", default="none", help="'none' or 'pve=<p>'")
     p.add_argument(
         "--workers",
-        type=int,
-        default=int(os.environ.get("DRT_WORKERS", "1")),
+        type=_positive_int,
+        default=os.environ.get("DRT_WORKERS", "1"),
         help="process count (default from DRT_WORKERS, else 1)",
     )
     _add_sim_flags(p)
@@ -336,6 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    try:
+        _positive_int(os.environ.get("DRT_WORKERS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"DRT_WORKERS: {exc}")
     args = parser.parse_args(argv)
     try:
         return args.func(args)

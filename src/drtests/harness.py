@@ -22,7 +22,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import InvalidInputError
-from .rank_tests import DoublyRankedConfig, doubly_ranked_test
+from .rank_tests import DoublyRankedConfig, _doubly_ranked_scores, _score_test
 from .simgen import CoeffDist, MeanShape, NoiseKind, SimConfig, generate_dataset
 from .summaries import SummaryKind
 
@@ -145,16 +145,18 @@ def _count_rejections(
     rep_stop: int,
     preprocess_pve: float | None,
 ) -> np.ndarray:
-    """Rejection counts per summary over a replicate range (reject: p <= alpha)."""
+    """Rejection counts per summary over a replicate range (reject: p <= alpha).
+
+    Each replicate is smoothed (when preprocess_pve is set) and ranked once;
+    every summary is then scored and tested on those ranks.
+    """
     counts = np.zeros(len(summaries), dtype=np.int64)
-    test_configs = [
-        DoublyRankedConfig(summary=s, preprocess_pve=preprocess_pve)
-        for s in summaries
-    ]
+    test_config = DoublyRankedConfig()
     for rep in range(rep_start, rep_stop):
         data = generate_dataset(config, rep)
-        for j, tc in enumerate(test_configs):
-            if doubly_ranked_test(data, tc).p_value <= alpha:
+        scores, _ = _doubly_ranked_scores(data, summaries, preprocess_pve)
+        for j, summary_scores in enumerate(scores):
+            if _score_test(summary_scores, data, test_config).p_value <= alpha:
                 counts[j] += 1
     return counts
 
@@ -213,31 +215,7 @@ def run_type1(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     Rows are ordered by group scheme, then grid size, then summary. All
     summaries in a cell are evaluated on the same simulated datasets.
     """
-    results: list[CellResult] = []
-    for scheme in grid.group_schemes:
-        for n_points in grid.n_points_values:
-            config = replace(
-                grid.base, n_per_group=scheme, n_points=n_points, xi=0.0
-            )
-            counts = _run_cell_config(
-                config,
-                grid.summaries,
-                grid.alpha,
-                grid.replicates,
-                grid.preprocess_pve,
-                workers,
-            )
-            for summary, count in zip(grid.summaries, counts):
-                rate = count / grid.replicates
-                results.append(
-                    CellResult(
-                        cell=_cell_spec(config, summary, grid.alpha),
-                        rejection_rate=float(rate),
-                        replicates_used=grid.replicates,
-                        mc_stderr=_mc_stderr(rate, grid.replicates),
-                    )
-                )
-    return results
+    return run_power(replace(grid, xi_values=(0.0,)), workers)
 
 
 def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
@@ -251,23 +229,21 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     results: list[CellResult] = []
     for scheme in grid.group_schemes:
         for n_points in grid.n_points_values:
-            per_xi: list[np.ndarray] = []
-            configs: list[SimConfig] = []
-            for xi in grid.xi_values:
-                config = replace(
-                    grid.base, n_per_group=scheme, n_points=n_points, xi=xi
+            configs = [
+                replace(grid.base, n_per_group=scheme, n_points=n_points, xi=xi)
+                for xi in grid.xi_values
+            ]
+            per_xi = [
+                _run_cell_config(
+                    config,
+                    grid.summaries,
+                    grid.alpha,
+                    grid.replicates,
+                    grid.preprocess_pve,
+                    workers,
                 )
-                configs.append(config)
-                per_xi.append(
-                    _run_cell_config(
-                        config,
-                        grid.summaries,
-                        grid.alpha,
-                        grid.replicates,
-                        grid.preprocess_pve,
-                        workers,
-                    )
-                )
+                for config in configs
+            ]
             for j, summary in enumerate(grid.summaries):
                 for config, counts in zip(configs, per_xi):
                     rate = counts[j] / grid.replicates

@@ -16,12 +16,12 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2, norm
+from scipy.stats import chi2, norm, rankdata
 
 from .errors import InvalidInputError, UnsupportedSizeError
-from .preprocess import fpca_smooth
-from .ranking import CurveSet, rank_curves, rank_vector
-from .summaries import SummaryKind, average_rank_summary, sufficient_summary
+from .preprocess import FpcaResult, fpca_smooth
+from .ranking import CurveSet
+from .summaries import SummaryKind, _summary_scores
 
 __all__ = [
     "Alternative",
@@ -83,10 +83,23 @@ class TestResult:
                 )
 
 
-def _tie_info(values: np.ndarray) -> tuple[bool, float]:
-    _, counts = np.unique(values, return_counts=True)
+# The exact path's partition counts stay below C(n1+n2, n2), which fits
+# int64 through combined sizes of 60; larger samples use the normal path.
+_EXACT_MAX_TOTAL = 60
+
+
+def _pooled_ranks(samples: Sequence) -> tuple[list[int], np.ndarray, bool, float]:
+    """Sizes, pooled mid-ranks, whether any value ties, and sum(t^3 - t)."""
+    arrays = [np.asarray(a, dtype=float).ravel() for a in samples]
+    sizes = [a.size for a in arrays]
+    if min(sizes) < 1:
+        raise InvalidInputError("every group must be nonempty")
+    combined = np.concatenate(arrays)
+    if not np.all(np.isfinite(combined)):
+        raise InvalidInputError("observations must be finite")
+    _, counts = np.unique(combined, return_counts=True)
     tie_sum = float(np.sum(counts.astype(float) ** 3 - counts))
-    return bool(np.any(counts > 1)), tie_sum
+    return sizes, rankdata(combined), bool(np.any(counts > 1)), tie_sum
 
 
 @lru_cache(maxsize=None)
@@ -97,10 +110,7 @@ def _exact_u_probs(n1: int, n2: int) -> np.ndarray:
     n2 parts each at most n1: G(k, m, u) = G(k-1, m, u) + G(k, m-1, u-k).
     """
     u_max = n1 * n2
-    # partial counts stay below C(n1+n2, n2), which fits int64 through
-    # combined sizes of 60; fall back to arbitrary precision beyond
-    dtype: type | np.dtype = np.int64 if n1 + n2 <= 60 else object
-    old = np.zeros((n2 + 1, u_max + 1), dtype=dtype)
+    old = np.zeros((n2 + 1, u_max + 1), dtype=np.int64)
     old[:, 0] = 1
     for _ in range(n1):
         new = np.zeros_like(old)
@@ -119,96 +129,27 @@ def exact_mww_null_distribution(n1: int, n2: int, max_total: int = 50) -> np.nda
     """Exact null PMF of the U statistic, indexed by U in {0..n1*n2}.
 
     The distribution is symmetric about n1*n2/2 and assumes no ties.
-    Sizes with n1+n2 beyond max_total raise UnsupportedSizeError; use the
-    normal approximation there.
+    Sizes with n1+n2 beyond max_total, or beyond 60 whatever max_total
+    says, raise UnsupportedSizeError; use the normal approximation there.
     """
     for name, v in (("n1", n1), ("n2", n2)):
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
             raise InvalidInputError(f"{name} must be a positive integer, got {v!r}")
-    if n1 + n2 > max_total:
+    limit = min(max_total, _EXACT_MAX_TOTAL)
+    if n1 + n2 > limit:
         raise UnsupportedSizeError(
-            f"exact null distribution supports combined sizes up to {max_total}; "
+            f"exact null distribution supports combined sizes up to {limit}; "
             f"got {n1 + n2}. Use the normal approximation instead."
         )
     return _exact_u_probs(int(n1), int(n2))
 
 
-def _mww_from_ranks(
-    ranks: np.ndarray,
-    n1: int,
-    n2: int,
-    alternative: Alternative,
-    exact_threshold: int,
-    continuity_correction: bool,
-    ties: bool,
-    tie_sum: float,
-) -> TestResult:
-    n = n1 + n2
-    t_sum = float(ranks[n1:].sum())
-    u = t_sum - n2 * (n2 + 1) / 2.0
-    d = u - n1 * n2 / 2.0
-    var0 = n1 * n2 * (n + 1) / 12.0
-    deviate0 = d / np.sqrt(var0) if var0 > 0 else 0.0
-
-    if not ties and n <= exact_threshold:
-        probs = exact_mww_null_distribution(n1, n2, max_total=exact_threshold)
-        u_idx = int(round(u))
-        lower = float(probs[: u_idx + 1].sum())
-        upper = float(probs[u_idx:].sum())
-        if alternative is Alternative.TWO_SIDED:
-            p = min(1.0, 2.0 * min(lower, upper))
-        elif alternative is Alternative.GREATER:
-            p = upper
-        else:
-            p = lower
-        return TestResult(
-            method=Method.MWW_EXACT,
-            statistic=u,
-            z_or_df=float(deviate0),
-            p_value=p,
-            alternative=alternative,
-            group_sizes=(n1, n2),
-            tie_correction_applied=False,
+def _check_exact_threshold(exact_threshold: int) -> None:
+    if not 0 <= exact_threshold <= _EXACT_MAX_TOTAL:
+        raise InvalidInputError(
+            f"exact_threshold must lie in [0, {_EXACT_MAX_TOTAL}], "
+            f"got {exact_threshold}"
         )
-
-    var = n1 * n2 / 12.0 * ((n + 1) - tie_sum / (n * (n - 1)))
-    if var <= 0.0:
-        # every observation tied with every other: no evidence either way
-        p = 1.0 if alternative is Alternative.TWO_SIDED else 0.5
-        return TestResult(
-            method=Method.MWW_NORMAL,
-            statistic=u,
-            z_or_df=0.0,
-            p_value=p,
-            alternative=alternative,
-            group_sizes=(n1, n2),
-            tie_correction_applied=True,
-        )
-    sd = float(np.sqrt(var))
-    shift = 0.0
-    if continuity_correction:
-        if alternative is Alternative.TWO_SIDED:
-            shift = 0.5 * float(np.sign(d))
-        elif alternative is Alternative.GREATER:
-            shift = 0.5
-        else:
-            shift = -0.5
-    z = (d - shift) / sd
-    if alternative is Alternative.TWO_SIDED:
-        p = min(1.0, 2.0 * float(norm.sf(abs(z))))
-    elif alternative is Alternative.GREATER:
-        p = float(norm.sf(z))
-    else:
-        p = float(norm.cdf(z))
-    return TestResult(
-        method=Method.MWW_NORMAL,
-        statistic=u,
-        z_or_df=float(z),
-        p_value=p,
-        alternative=alternative,
-        group_sizes=(n1, n2),
-        tie_correction_applied=ties,
-    )
 
 
 def mww_test(
@@ -223,30 +164,63 @@ def mww_test(
 
     The statistic is U = (rank sum of y) - n2(n2+1)/2, so "greater" means
     y is shifted upward relative to x. Tie-free samples with combined size
-    at most exact_threshold are tested against the exact null distribution;
-    larger or tied samples use the normal approximation with tie-adjusted
-    variance and, by default, a continuity correction of one half toward
-    the mean. Two-sided p-values are min(1, 2 * smaller tail).
+    at most exact_threshold (itself at most 60) are tested against the
+    exact null distribution; larger or tied samples use the normal
+    approximation with tie-adjusted variance and, by default, a continuity
+    correction of one half toward the mean. Two-sided p-values are
+    min(1, 2 * smaller tail).
     """
     alternative = Alternative(alternative)
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size < 1 or y.size < 1:
-        raise InvalidInputError("both groups must be nonempty")
-    combined = np.concatenate([x, y])
-    if not np.all(np.isfinite(combined)):
-        raise InvalidInputError("observations must be finite")
-    ranks = rank_vector(combined)
-    ties, tie_sum = _tie_info(combined)
-    return _mww_from_ranks(
-        ranks,
-        x.size,
-        y.size,
-        alternative,
-        exact_threshold,
-        continuity_correction,
-        ties,
-        tie_sum,
+    _check_exact_threshold(exact_threshold)
+    (n1, n2), ranks, ties, tie_sum = _pooled_ranks((x, y))
+    n = n1 + n2
+    t_sum = float(ranks[n1:].sum())
+    u = t_sum - n2 * (n2 + 1) / 2.0
+    d = u - n1 * n2 / 2.0
+    var = n1 * n2 / 12.0 * ((n + 1) - tie_sum / (n * (n - 1)))
+    method = Method.MWW_NORMAL
+    if not ties and n <= exact_threshold:
+        method = Method.MWW_EXACT
+        # the uncorrected deviate, reported for reference
+        z = float(d / np.sqrt(n1 * n2 * (n + 1) / 12.0))
+        probs = exact_mww_null_distribution(n1, n2, max_total=exact_threshold)
+        u_idx = int(round(u))
+        lower = float(probs[: u_idx + 1].sum())
+        upper = float(probs[u_idx:].sum())
+        if alternative is Alternative.TWO_SIDED:
+            p = min(1.0, 2.0 * min(lower, upper))
+        elif alternative is Alternative.GREATER:
+            p = upper
+        else:
+            p = lower
+    elif var <= 0.0:
+        # every observation tied with every other: no evidence either way
+        z = 0.0
+        p = 1.0 if alternative is Alternative.TWO_SIDED else 0.5
+    else:
+        shift = 0.0
+        if continuity_correction:
+            if alternative is Alternative.TWO_SIDED:
+                shift = 0.5 * float(np.sign(d))
+            elif alternative is Alternative.GREATER:
+                shift = 0.5
+            else:
+                shift = -0.5
+        z = (d - shift) / float(np.sqrt(var))
+        if alternative is Alternative.TWO_SIDED:
+            p = min(1.0, 2.0 * float(norm.sf(abs(z))))
+        elif alternative is Alternative.GREATER:
+            p = float(norm.sf(z))
+        else:
+            p = float(norm.cdf(z))
+    return TestResult(
+        method=method,
+        statistic=u,
+        z_or_df=z,
+        p_value=p,
+        alternative=alternative,
+        group_sizes=(n1, n2),
+        tie_correction_applied=ties,
     )
 
 
@@ -258,20 +232,12 @@ def kruskal_wallis_test(groups: Sequence[np.ndarray]) -> TestResult:
     G-1 degrees of freedom. Samples in which every value is identical give
     H = 0 and p = 1.
     """
-    arrays = [np.asarray(g, dtype=float).ravel() for g in groups]
-    if len(arrays) < 2:
-        raise InvalidInputError(f"need at least 2 groups, got {len(arrays)}")
-    sizes = [a.size for a in arrays]
-    if min(sizes) < 1:
-        raise InvalidInputError("every group must be nonempty")
-    combined = np.concatenate(arrays)
-    if not np.all(np.isfinite(combined)):
-        raise InvalidInputError("observations must be finite")
-    n = combined.size
-    ranks = rank_vector(combined)
-    ties, tie_sum = _tie_info(combined)
+    if len(groups) < 2:
+        raise InvalidInputError(f"need at least 2 groups, got {len(groups)}")
+    sizes, ranks, ties, tie_sum = _pooled_ranks(groups)
+    n = ranks.size
 
-    g_count = len(arrays)
+    g_count = len(sizes)
     bounds = np.cumsum([0] + sizes)
     h = 0.0
     for g in range(g_count):
@@ -321,31 +287,33 @@ class DoublyRankedConfig:
             if not 0.0 < pve <= 1.0:
                 raise InvalidInputError(f"preprocess_pve must lie in (0, 1], got {pve}")
             object.__setattr__(self, "preprocess_pve", pve)
-        if self.exact_threshold < 0:
-            raise InvalidInputError("exact_threshold must be >= 0")
+        _check_exact_threshold(self.exact_threshold)
 
 
-def doubly_ranked_test(
-    curves: CurveSet, config: DoublyRankedConfig | None = None
+def _doubly_ranked_scores(
+    curves: CurveSet, summaries: Sequence[SummaryKind], pve: float | None
+) -> tuple[list[np.ndarray], FpcaResult | None]:
+    """One score vector per summary, plus the smoothing result if pve is set.
+
+    Smooths at most once and ranks once per dataset, whatever the number
+    of summaries. The inputs are trusted: no RankCurves or SummaryScores
+    is built, so the per-replicate loop pays for no validation.
+    """
+    smoothed = None if pve is None else fpca_smooth(curves, pve)
+    values = curves.values if smoothed is None else smoothed.smoothed
+    ranks = rankdata(values, method="average", axis=0)
+    return [_summary_scores(ranks, kind) for kind in summaries], smoothed
+
+
+def _score_test(
+    scores: np.ndarray, curves: CurveSet, config: DoublyRankedConfig
 ) -> TestResult:
-    """Rank curves per occasion, summarize subjects, test the summaries.
+    """Test subject scores across the groups of `curves`.
 
     Two groups route to the rank-sum test, three or more to the
-    Kruskal-Wallis test. With a single measurement occasion and no
-    preprocessing the result is identical to the univariate test on that
-    column, since a subject's summary is then just its rank.
+    Kruskal-Wallis test; config.summary and config.preprocess_pve are not
+    used here.
     """
-    if config is None:
-        config = DoublyRankedConfig()
-    if config.preprocess_pve is not None:
-        smoothed = fpca_smooth(curves, config.preprocess_pve).smoothed
-        curves = CurveSet(values=smoothed, grid=curves.grid, groups=curves.groups)
-    ranks = rank_curves(curves)
-    if config.summary is SummaryKind.SUFFICIENT:
-        scores = sufficient_summary(ranks).scores
-    else:
-        scores = average_rank_summary(ranks).scores
-
     labels = curves.groups
     n_groups = curves.n_groups
     if n_groups == 2:
@@ -360,5 +328,22 @@ def doubly_ranked_test(
         raise InvalidInputError(
             "one-sided alternatives are only defined for two groups"
         )
-    score_groups = [scores[labels == g] for g in range(1, n_groups + 1)]
-    return kruskal_wallis_test(score_groups)
+    return kruskal_wallis_test([scores[labels == g] for g in range(1, n_groups + 1)])
+
+
+def doubly_ranked_test(
+    curves: CurveSet, config: DoublyRankedConfig | None = None
+) -> TestResult:
+    """Rank curves per occasion, summarize subjects, test the summaries.
+
+    Two groups route to the rank-sum test, three or more to the
+    Kruskal-Wallis test. With a single measurement occasion and no
+    preprocessing the result is identical to the univariate test on that
+    column, since a subject's summary is then just its rank.
+    """
+    if config is None:
+        config = DoublyRankedConfig()
+    (scores,), _ = _doubly_ranked_scores(
+        curves, (config.summary,), config.preprocess_pve
+    )
+    return _score_test(scores, curves, config)

@@ -107,12 +107,16 @@ class SimConfig:
         return sum(self.n_per_group)
 
 
+def _basis(n_basis: int, s: np.ndarray) -> np.ndarray:
+    """Basis curves sqrt(2) sin[(k-0.5) pi s] / [(k-0.5) pi], k x len(s)."""
+    freq = (np.arange(1, n_basis + 1) - 0.5) * np.pi
+    return (np.sqrt(2.0) / freq)[:, None] * np.sin(np.outer(freq, s))
+
+
 @lru_cache(maxsize=8)
 def _basis_matrix(n_basis: int, n_points: int) -> np.ndarray:
-    """Basis curves sqrt(2) sin[(k-0.5) pi s] / [(k-0.5) pi], k x S."""
-    s = np.arange(1, n_points + 1) / n_points
-    freq = (np.arange(1, n_basis + 1) - 0.5) * np.pi
-    basis = (np.sqrt(2.0) / freq)[:, None] * np.sin(np.outer(freq, s))
+    """The basis on the grid j/n_points, j = 1..n_points; read-only."""
+    basis = _basis(n_basis, np.arange(1, n_points + 1) / n_points)
     basis.flags.writeable = False
     return basis
 
@@ -128,9 +132,7 @@ def eigen_curve(coeffs: np.ndarray, grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size and (grid.min() < 0.0 or grid.max() > 1.0):
         raise InvalidInputError("grid values must lie in [0, 1]")
-    freq = (np.arange(1, coeffs.size + 1) - 0.5) * np.pi
-    basis = (np.sqrt(2.0) / freq)[:, None] * np.sin(np.outer(freq, grid))
-    return coeffs @ basis
+    return coeffs @ _basis(coeffs.size, grid)
 
 
 def mean_fn(kind: MeanShape | str, s: np.ndarray, xi: float) -> np.ndarray:

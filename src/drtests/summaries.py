@@ -68,32 +68,32 @@ class SummaryScores:
         object.__setattr__(self, "kind", kind)
 
 
-def sufficient_summary(ranks: RankCurves) -> SummaryScores:
-    """Average the rank sufficient statistic over each subject's occasions.
+def _summary_scores(ranks: np.ndarray, kind: SummaryKind) -> np.ndarray:
+    """Per-subject scores of an n x S mid-rank matrix, without validation.
 
-    score_i = (1/S) * sum_k t(z_i(s_k)) with t the log-odds form from
-    `orderstat.suff_stat`, applied elementwise to the rank matrix.
+    sufficient: score_i = (1/S) * sum_k t(z_i(s_k)) with t the log-odds
+    form from `orderstat.suff_stat`, applied elementwise to the ranks.
+    average_rank: the mean of each subject's ranks over occasions.
     """
-    r = ranks.ranks
-    n = ranks.n
+    if kind is SummaryKind.AVERAGE_RANK:
+        return ranks.mean(axis=1)
+    n = ranks.shape[0]
     # vectorized suff_stat; numpy's pairwise-summed mean keeps long grids
     # from accumulating drift
-    t = np.log(2.0 * r - 1.0) - np.log(2.0 * (n - r) + 1.0)
+    t = np.log(2.0 * ranks - 1.0) - np.log(2.0 * (n - ranks) + 1.0)
     # a subject at rank 1 or n on every occasion sits on the interval
     # endpoint; log/mean rounding can overshoot it by an ulp, so snap back
     bound = math.log(2.0 * n - 1.0)
-    scores = np.clip(t.mean(axis=1), -bound, bound)
-    return SummaryScores(
-        scores=scores, kind=SummaryKind.SUFFICIENT, n=n, n_points=ranks.n_points
-    )
+    return np.clip(t.mean(axis=1), -bound, bound)
+
+
+def sufficient_summary(ranks: RankCurves) -> SummaryScores:
+    """Average the rank sufficient statistic over each subject's occasions."""
+    scores = _summary_scores(ranks.ranks, SummaryKind.SUFFICIENT)
+    return SummaryScores(scores, SummaryKind.SUFFICIENT, ranks.n, ranks.n_points)
 
 
 def average_rank_summary(ranks: RankCurves) -> SummaryScores:
     """Average each subject's ranks over occasions."""
-    scores = ranks.ranks.mean(axis=1)
-    return SummaryScores(
-        scores=scores,
-        kind=SummaryKind.AVERAGE_RANK,
-        n=ranks.n,
-        n_points=ranks.n_points,
-    )
+    scores = _summary_scores(ranks.ranks, SummaryKind.AVERAGE_RANK)
+    return SummaryScores(scores, SummaryKind.AVERAGE_RANK, ranks.n, ranks.n_points)

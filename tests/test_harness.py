@@ -18,6 +18,7 @@ from drtests import (
     run_type1,
     write_results,
 )
+from tests.helpers import count_pipeline_calls
 
 
 def small_grid(**overrides):
@@ -80,6 +81,16 @@ class TestRunType1:
         for res in results:
             assert res.cell.xi == 0.0
             assert res.rejection_rate < 0.2
+
+
+class TestPipelineCalls:
+    def test_smooth_and_rank_once_per_replicate(self, monkeypatch):
+        # two summaries share one smoothing and one ranking of each dataset
+        calls = count_pipeline_calls(monkeypatch)
+        grid = small_grid(replicates=6, preprocess_pve=0.9)
+        assert len(grid.summaries) == 2
+        assert len(run_type1(grid)) == 2
+        assert calls == {"fpca_smooth": 6, "rankdata_axis0": 6}
 
 
 class TestRunPower:

@@ -12,7 +12,7 @@ from drtests import (
     write_curves_csv,
 )
 from drtests.cli import build_parser, main
-from tests.helpers import make_curves
+from tests.helpers import count_pipeline_calls, make_curves
 
 
 def write_text(path, text):
@@ -304,6 +304,24 @@ class TestCliTest:
         assert code == 0
         assert "without continuity correction" in out
 
+    def test_verbose_smooths_and_ranks_once(self, tmp_path, capsys, monkeypatch):
+        # the flipped-correction p-value reuses the scores of the main test
+        path = simulate_file(tmp_path, capsys)
+        calls = count_pipeline_calls(monkeypatch)
+        code, out, _ = run_cli(
+            capsys, ["test", str(path), "--exact-threshold", "0", "--verbose"]
+        )
+        assert code == 0
+        assert "pve=0.99 (kept" in out
+        assert "without continuity correction" in out
+        assert calls == {"fpca_smooth": 1, "rankdata_axis0": 1}
+
+    def test_exact_threshold_above_cap_exits_2(self, tmp_path, capsys):
+        path = simulate_file(tmp_path, capsys)
+        code, _, err = run_cli(capsys, ["test", str(path), "--exact-threshold", "1000"])
+        assert code == 2
+        assert "exact_threshold" in err
+
     def test_default_grid_warning_on_stderr(self, tmp_path, capsys):
         path = write_text(
             tmp_path / "w.csv", "id,group,t1,t2\na,x,1,2\nb,x,2,1\nc,y,3,4\nd,y,4,3\n"
@@ -448,6 +466,29 @@ class TestCliGrids:
         )
         assert code == 2
         assert "replciates" in err
+
+    def test_bad_grid_flags_exit_2(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        for flag, value in (("--n-points", "a"), ("--summaries", "foo")):
+            code, _, err = run_cli(
+                capsys, ["type1", "--seed", "1", "--out", out, flag, value]
+            )
+            assert code == 2
+            assert flag in err
+
+    def test_bad_workers_exit_2(self, tmp_path, capsys, monkeypatch):
+        argv = ["type1", "--seed", "1", "--out", str(tmp_path / "x.csv")]
+        for workers in ("0", "-3", "x"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + ["--workers", workers])
+            assert excinfo.value.code == 2
+            assert "--workers" in capsys.readouterr().err
+        monkeypatch.setenv("DRT_WORKERS", "x")
+        for args in (["--version"], argv):
+            with pytest.raises(SystemExit) as excinfo:
+                main(args)
+            assert excinfo.value.code == 2
+            assert "DRT_WORKERS" in capsys.readouterr().err
 
     def test_workers_flag_matches_serial(self, tmp_path, capsys):
         serial = tmp_path / "serial.csv"

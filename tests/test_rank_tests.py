@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import kruskal, mannwhitneyu
 
 from drtests import (
     Alternative,
@@ -58,10 +59,32 @@ class TestExactNullDistribution:
         # the limit is configurable
         probs = exact_mww_null_distribution(26, 25, max_total=60)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        # ... up to the int64 cap of 60, whatever max_total says
+        assert exact_mww_null_distribution(30, 30, max_total=1000).size == 901
+        with pytest.raises(UnsupportedSizeError):
+            exact_mww_null_distribution(31, 30, max_total=1000)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(InvalidInputError):
             exact_mww_null_distribution(0, 5)
+
+    def test_int64_table_matches_big_integers(self):
+        # the same partition recursion in Python integers, which cannot overflow
+        for n1, n2 in ((30, 30), (20, 40), (1, 59)):
+            u_max = n1 * n2
+            old = np.zeros((n2 + 1, u_max + 1), dtype=object)
+            old[:, 0] = 1
+            for _ in range(n1):
+                new = np.zeros_like(old)
+                new[:, 0] = 1
+                for k in range(1, n2 + 1):
+                    new[k] = new[k - 1]
+                    new[k, k:] += old[k, : u_max + 1 - k]
+                old = new
+            assert sum(old[n2]) == math.comb(n1 + n2, n2)
+            expected = old[n2].astype(float) / float(sum(old[n2]))
+            probs = exact_mww_null_distribution(n1, n2, max_total=60)
+            assert np.array_equal(probs, expected), (n1, n2)
 
     def test_read_only(self):
         probs = exact_mww_null_distribution(3, 3)
@@ -170,11 +193,73 @@ class TestMwwTest:
         plain_z = d / math.sqrt(n1 * n2 * (n + 1) / 12)
         assert abs(res.z_or_df) > abs(plain_z)
 
+    def test_exact_threshold_capped_at_60(self):
+        x, y = [1.0, 2.0], [3.0, 4.0]
+        assert mww_test(x, y, exact_threshold=60).method is Method.MWW_EXACT
+        for bad in (61, 1000, -1):
+            with pytest.raises(InvalidInputError):
+                mww_test(x, y, exact_threshold=bad)
+
     def test_rejects_empty_group(self):
         with pytest.raises(InvalidInputError):
             mww_test([], [1.0])
         with pytest.raises(InvalidInputError):
             mww_test([1.0], [np.nan])
+
+
+class TestScipyOracle:
+    """mww_test and kruskal_wallis_test against scipy's implementations.
+
+    scipy's U is that of its first sample, so mww_test(x, y), whose U is
+    the rank sum of y above its minimum, compares with mannwhitneyu(y, x).
+    """
+
+    alternatives = ("two-sided", "less", "greater")
+
+    def test_mww_exact_tie_free(self):
+        rng = np.random.default_rng(211)
+        for i in range(150):
+            x = rng.normal(size=int(rng.integers(1, 21)))
+            y = rng.normal(size=int(rng.integers(1, 21)))
+            alt = self.alternatives[i % 3]
+            res = mww_test(x, y, alternative=alt)
+            ref = mannwhitneyu(y, x, alternative=alt, method="exact")
+            assert res.method is Method.MWW_EXACT
+            assert res.statistic == ref.statistic
+            assert res.p_value == pytest.approx(ref.pvalue, rel=0, abs=1e-12)
+
+    def test_mww_asymptotic_tied(self):
+        rng = np.random.default_rng(223)
+        for i in range(150):
+            x = rng.integers(0, 6, size=int(rng.integers(2, 31))).astype(float)
+            y = rng.integers(0, 6, size=int(rng.integers(2, 31))).astype(float)
+            if np.unique(np.concatenate([x, y])).size == 1:
+                continue
+            alt = self.alternatives[i % 3]
+            res = mww_test(x, y, alternative=alt)
+            ref = mannwhitneyu(
+                y, x, alternative=alt, method="asymptotic", use_continuity=True
+            )
+            assert res.method is Method.MWW_NORMAL
+            assert res.statistic == ref.statistic
+            assert res.p_value == pytest.approx(ref.pvalue, rel=0, abs=1e-12)
+
+    def test_kruskal_tied_and_tie_free(self):
+        rng = np.random.default_rng(227)
+        for i in range(150):
+            sizes = rng.integers(1, 15, size=int(rng.integers(2, 6)))
+            if i % 2:
+                groups = [rng.integers(0, 5, size=k).astype(float) for k in sizes]
+            else:
+                groups = [rng.normal(size=k) for k in sizes]
+            if np.unique(np.concatenate(groups)).size == 1:
+                continue
+            res = kruskal_wallis_test(groups)
+            ref = kruskal(*groups)
+            # H is summed in a different order than scipy's, so compare it
+            # to rounding rather than bit for bit
+            assert res.statistic == pytest.approx(ref.statistic, rel=1e-12)
+            assert res.p_value == pytest.approx(ref.pvalue, rel=0, abs=1e-12)
 
 
 class TestKruskalWallis:
@@ -326,3 +411,5 @@ class TestDoublyRanked:
             DoublyRankedConfig(preprocess_pve=1.5)
         with pytest.raises(InvalidInputError):
             DoublyRankedConfig(exact_threshold=-1)
+        with pytest.raises(InvalidInputError):
+            DoublyRankedConfig(exact_threshold=61)
