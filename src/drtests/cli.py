@@ -199,7 +199,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_grid(args: argparse.Namespace, default_reps: int) -> ExperimentGrid:
+def _build_grid(args: argparse.Namespace) -> ExperimentGrid:
     if args.config is not None:
         grid = load_grid(args.config)
         overrides = {}
@@ -221,7 +221,7 @@ def _build_grid(args: argparse.Namespace, default_reps: int) -> ExperimentGrid:
         "n_basis": args.n_basis,
         "n_points": _parse_list("--n-points", args.n_points, int),
         "groups": [list(s) for s in _parse_groups(args.groups)],
-        "replicates": args.reps if args.reps is not None else default_reps,
+        "replicates": args.reps if args.reps is not None else args.default_reps,
         "alpha": args.alpha,
         "summaries": _parse_list(
             "--summaries", args.summaries, lambda s: _SUMMARY_FLAGS[s].value
@@ -247,18 +247,19 @@ def _print_cells(results) -> None:
         )
 
 
-def _cmd_type1(args: argparse.Namespace) -> int:
-    grid = _build_grid(args, default_reps=2000)
-    results = run_type1(grid, workers=args.workers)
-    write_results(results, args.out, format=args.format)
-    _print_cells(results)
-    print(f"wrote {len(results)} cells to {args.out}")
-    return 0
+def _check_out(path: str) -> None:
+    """Fail before a grid runs if its results could not be written to path."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"--out {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(f"--out {path}: no directory {parent}")
 
 
-def _cmd_power(args: argparse.Namespace) -> int:
-    grid = _build_grid(args, default_reps=300)
-    results = run_power(grid, workers=args.workers)
+def _cmd_grid(args: argparse.Namespace) -> int:
+    grid = _build_grid(args)
+    _check_out(args.out)
+    results = args.runner(grid, workers=args.workers)
     write_results(results, args.out, format=args.format)
     _print_cells(results)
     print(f"wrote {len(results)} cells to {args.out}")
@@ -333,14 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_t1 = sub.add_parser("type1", help="null rejection-rate grid")
     _add_grid_flags(p_t1)
-    p_t1.set_defaults(func=_cmd_type1)
+    p_t1.set_defaults(func=_cmd_grid, runner=run_type1, default_reps=2000, mean="none")
 
     p_pw = sub.add_parser("power", help="power curve grid")
     _add_grid_flags(p_pw)
     p_pw.add_argument("--mean", dest="mean", default="linear")
     p_pw.add_argument("--xi", default="0:3:0.12", help="'start:stop:step' or comma list")
-    p_pw.set_defaults(func=_cmd_power)
-    p_t1.set_defaults(mean="none")
+    p_pw.set_defaults(func=_cmd_grid, runner=run_power, default_reps=300)
 
     return parser
 
@@ -354,10 +354,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

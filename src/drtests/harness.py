@@ -3,9 +3,12 @@
 A grid pairs a simulation template with factor lists (grid sizes, group
 schemes, shift scales, summaries). Each cell simulates its replicates from
 counter-based substreams and records the fraction of doubly ranked tests
-rejecting at level alpha. Replicates can be spread over a process pool;
-because substream i depends only on (seed, i) and the reduction sums
-integer counts, results are identical for any worker count.
+rejecting at level alpha. A run is one list of (cell, replicate block)
+tasks: each cell's replicates are split into min(workers, replicates)
+contiguous blocks, and with more than one worker every task goes through
+one process pool opened for the whole run. Because substream i depends
+only on (seed, i) and each cell sums its blocks' integer counts, results
+are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from ._version import __version__
 from .errors import InvalidInputError
+from .preprocess import _check_pve
 from .rank_tests import DoublyRankedConfig, _doubly_ranked_scores, _score_test
 from .simgen import CoeffDist, MeanShape, NoiseKind, SimConfig, generate_dataset
 from .summaries import SummaryKind
@@ -93,9 +98,7 @@ class ExperimentGrid:
         if not self.summaries:
             raise InvalidInputError("need at least one summary")
         if self.preprocess_pve is not None:
-            pve = float(self.preprocess_pve)
-            if not 0.0 < pve <= 1.0:
-                raise InvalidInputError("preprocess_pve must lie in (0, 1]")
+            pve = _check_pve(self.preprocess_pve, "preprocess_pve")
             object.__setattr__(self, "preprocess_pve", pve)
 
 
@@ -138,59 +141,22 @@ def _mc_stderr(rate: float, reps: int) -> float:
 
 
 def _count_rejections(
-    config: SimConfig,
-    summaries: tuple[SummaryKind, ...],
-    alpha: float,
-    rep_start: int,
-    rep_stop: int,
-    preprocess_pve: float | None,
+    grid: ExperimentGrid, config: SimConfig, rep_start: int, rep_stop: int
 ) -> np.ndarray:
     """Rejection counts per summary over a replicate range (reject: p <= alpha).
 
-    Each replicate is smoothed (when preprocess_pve is set) and ranked once;
-    every summary is then scored and tested on those ranks.
+    Each replicate is smoothed (when grid.preprocess_pve is set) and ranked
+    once; every summary is then scored and tested on those ranks.
     """
-    counts = np.zeros(len(summaries), dtype=np.int64)
+    counts = np.zeros(len(grid.summaries), dtype=np.int64)
     test_config = DoublyRankedConfig()
     for rep in range(rep_start, rep_stop):
         data = generate_dataset(config, rep)
-        scores, _ = _doubly_ranked_scores(data, summaries, preprocess_pve)
+        scores, _ = _doubly_ranked_scores(data, grid.summaries, grid.preprocess_pve)
         for j, summary_scores in enumerate(scores):
-            if _score_test(summary_scores, data, test_config).p_value <= alpha:
+            if _score_test(summary_scores, data, test_config).p_value <= grid.alpha:
                 counts[j] += 1
     return counts
-
-
-def _run_cell_config(
-    config: SimConfig,
-    summaries: tuple[SummaryKind, ...],
-    alpha: float,
-    replicates: int,
-    preprocess_pve: float | None,
-    workers: int,
-) -> np.ndarray:
-    if workers <= 1 or replicates < 2 * workers:
-        return _count_rejections(
-            config, summaries, alpha, 0, replicates, preprocess_pve
-        )
-    bounds = np.linspace(0, replicates, workers + 1).astype(int)
-    total = np.zeros(len(summaries), dtype=np.int64)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(
-                _count_rejections,
-                config,
-                summaries,
-                alpha,
-                int(bounds[i]),
-                int(bounds[i + 1]),
-                preprocess_pve,
-            )
-            for i in range(workers)
-        ]
-        for fut in futures:
-            total += fut.result()
-    return total
 
 
 def _cell_spec(config: SimConfig, summary: SummaryKind, alpha: float) -> CellSpec:
@@ -222,39 +188,49 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     """Rejection rates across the shift grid.
 
     Rows are ordered by group scheme, then grid size, then summary, then
-    shift scale, so each power curve occupies consecutive rows.
+    shift scale, so each power curve occupies consecutive rows. With more
+    than one worker, the whole run shares one process pool.
     """
     if not grid.xi_values:
         raise InvalidInputError("xi_values must be nonempty")
+    if workers < 1:
+        raise InvalidInputError("workers must be >= 1")
+    configs = [
+        replace(grid.base, n_per_group=scheme, n_points=n_points, xi=xi)
+        for scheme in grid.group_schemes
+        for n_points in grid.n_points_values
+        for xi in grid.xi_values
+    ]
+    n_blocks = min(workers, grid.replicates)
+    bounds = np.linspace(0, grid.replicates, n_blocks + 1).astype(int).tolist()
+    tasks = (
+        [config for config in configs for _ in range(n_blocks)],
+        bounds[:-1] * len(configs),
+        bounds[1:] * len(configs),
+    )
+    count = partial(_count_rejections, grid)
+    if workers == 1:
+        block_counts = list(map(count, *tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            block_counts = list(pool.map(count, *tasks))
+    shape = (len(configs), n_blocks, len(grid.summaries))
+    cell_counts = np.reshape(block_counts, shape).sum(axis=1)
+
+    n_xi = len(grid.xi_values)
     results: list[CellResult] = []
-    for scheme in grid.group_schemes:
-        for n_points in grid.n_points_values:
-            configs = [
-                replace(grid.base, n_per_group=scheme, n_points=n_points, xi=xi)
-                for xi in grid.xi_values
-            ]
-            per_xi = [
-                _run_cell_config(
-                    config,
-                    grid.summaries,
-                    grid.alpha,
-                    grid.replicates,
-                    grid.preprocess_pve,
-                    workers,
-                )
-                for config in configs
-            ]
-            for j, summary in enumerate(grid.summaries):
-                for config, counts in zip(configs, per_xi):
-                    rate = counts[j] / grid.replicates
-                    results.append(
-                        CellResult(
-                            cell=_cell_spec(config, summary, grid.alpha),
-                            rejection_rate=float(rate),
-                            replicates_used=grid.replicates,
-                            mc_stderr=_mc_stderr(rate, grid.replicates),
-                        )
+    for first in range(0, len(configs), n_xi):
+        for j, summary in enumerate(grid.summaries):
+            for i in range(first, first + n_xi):
+                rate = cell_counts[i, j] / grid.replicates
+                results.append(
+                    CellResult(
+                        cell=_cell_spec(configs[i], summary, grid.alpha),
+                        rejection_rate=float(rate),
+                        replicates_used=grid.replicates,
+                        mc_stderr=_mc_stderr(rate, grid.replicates),
                     )
+                )
     return results
 
 

@@ -50,6 +50,14 @@ class FpcaResult:
             object.__setattr__(self, name, arr)
 
 
+def _check_pve(pve: float, name: str = "pve") -> float:
+    """pve as a float; InvalidInputError unless it lies in (0, 1]."""
+    pve = float(pve)
+    if not 0.0 < pve <= 1.0:
+        raise InvalidInputError(f"{name} must lie in (0, 1], got {pve}")
+    return pve
+
+
 def fpca_smooth(curves: CurveSet, pve: float) -> FpcaResult:
     """Reconstruct curves from the fewest components reaching `pve`.
 
@@ -58,9 +66,7 @@ def fpca_smooth(curves: CurveSet, pve: float) -> FpcaResult:
     of centered variance, so the squared Frobenius error of the smoothed
     matrix equals that share of the total.
     """
-    pve = float(pve)
-    if not 0.0 < pve <= 1.0:
-        raise InvalidInputError(f"pve must lie in (0, 1], got {pve}")
+    pve = _check_pve(pve)
     x = np.asarray(curves.values, dtype=float)
     if x.shape[0] < 2:
         raise InvalidInputError("need at least 2 curves to smooth")

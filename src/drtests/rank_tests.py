@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import chi2, norm, rankdata
 
 from .errors import InvalidInputError, UnsupportedSizeError
-from .preprocess import FpcaResult, fpca_smooth
+from .preprocess import FpcaResult, _check_pve, fpca_smooth
 from .ranking import CurveSet
 from .summaries import SummaryKind, _summary_scores
 
@@ -283,9 +283,7 @@ class DoublyRankedConfig:
         object.__setattr__(self, "summary", SummaryKind(self.summary))
         object.__setattr__(self, "alternative", Alternative(self.alternative))
         if self.preprocess_pve is not None:
-            pve = float(self.preprocess_pve)
-            if not 0.0 < pve <= 1.0:
-                raise InvalidInputError(f"preprocess_pve must lie in (0, 1], got {pve}")
+            pve = _check_pve(self.preprocess_pve, "preprocess_pve")
             object.__setattr__(self, "preprocess_pve", pve)
         _check_exact_threshold(self.exact_threshold)
 

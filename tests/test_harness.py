@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from drtests import (
     SimConfig,
     SummaryKind,
     grid_from_dict,
+    harness,
     load_grid,
     read_results,
     run_power,
@@ -59,10 +61,12 @@ class TestRunType1:
             assert abs(res.rejection_rate - 0.05) < 0.05
 
     def test_worker_determinism(self):
-        grid = small_grid()
-        serial = run_type1(grid, workers=1)
-        parallel = run_type1(grid, workers=3)
-        assert serial == parallel
+        # also fewer replicates than 2 * workers, and than workers
+        for replicates in (120, 4, 2):
+            grid = small_grid(replicates=replicates)
+            serial = run_type1(grid, workers=1)
+            parallel = run_type1(grid, workers=3)
+            assert serial == parallel
 
     def test_forces_zero_shift(self):
         # even if the template carries a shift, type-1 cells run at xi = 0
@@ -146,11 +150,35 @@ class TestRunPower:
             xi_values=(0.0, 2.0),
             replicates=90,
         )
-        assert run_power(grid, workers=1) == run_power(grid, workers=2)
+        # also fewer replicates than 2 * workers, and than workers
+        for replicates in (90, 3, 1):
+            grid = replace(grid, replicates=replicates)
+            assert run_power(grid, workers=1) == run_power(grid, workers=2)
+
+    def test_one_pool_per_run(self, monkeypatch):
+        opened = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        grid = small_grid(replicates=8)
+        assert len(grid.xi_values) == 2
+        run_power(grid, workers=2)
+        assert len(opened) == 1
+        run_power(grid, workers=1)
+        assert len(opened) == 1
 
     def test_empty_xi_rejected(self):
         with pytest.raises(InvalidInputError):
             run_power(small_grid(xi_values=()))
+
+    def test_workers_positive(self):
+        for workers in (0, -2):
+            with pytest.raises(InvalidInputError, match="workers"):
+                run_power(small_grid(), workers=workers)
 
 
 class TestResultsIo:
@@ -261,6 +289,11 @@ class TestGridValidation:
     def test_replicates_positive(self):
         with pytest.raises(InvalidInputError):
             small_grid(replicates=0)
+
+    def test_preprocess_pve_range(self):
+        for pve in (0.0, 1.5):
+            with pytest.raises(InvalidInputError, match="preprocess_pve"):
+                small_grid(preprocess_pve=pve)
 
     def test_summaries_nonempty(self):
         with pytest.raises(InvalidInputError):

@@ -11,6 +11,7 @@ from drtests import (
     read_results,
     write_curves_csv,
 )
+from drtests import cli
 from drtests.cli import build_parser, main
 from tests.helpers import count_pipeline_calls, make_curves
 
@@ -331,9 +332,10 @@ class TestCliTest:
         assert "warning" in err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
-        code, _, err = run_cli(capsys, ["test", str(tmp_path / "nope.csv")])
-        assert code == 2
-        assert "error" in err
+        for path in (tmp_path / "nope.csv", tmp_path):
+            code, _, err = run_cli(capsys, ["test", str(path)])
+            assert code == 2
+            assert "error" in err
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         path = write_text(tmp_path / "w.csv", "id,group,0,1\na,x,1,oops\nb,y,3,4\n")
@@ -466,15 +468,36 @@ class TestCliGrids:
         )
         assert code == 2
         assert "replciates" in err
+        code, _, err = run_cli(
+            capsys,
+            ["type1", "--config", str(tmp_path), "--out", str(tmp_path / "x.csv")],
+        )
+        assert code == 2
+        assert "error" in err
+
+    def test_bad_out_exits_2_before_running(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_type1", lambda *a, **k: calls.append(a))
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            code, _, err = run_cli(
+                capsys, ["type1", "--out", str(out)] + self.base_flags
+            )
+            assert code == 2
+            assert str(out) in err
+        assert calls == []
 
     def test_bad_grid_flags_exit_2(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
-        for flag, value in (("--n-points", "a"), ("--summaries", "foo")):
+        for flag, value, named in (
+            ("--n-points", "a", "--n-points"),
+            ("--summaries", "foo", "--summaries"),
+            ("--preprocess", "pve=1.5", "preprocess_pve"),
+        ):
             code, _, err = run_cli(
                 capsys, ["type1", "--seed", "1", "--out", out, flag, value]
             )
             assert code == 2
-            assert flag in err
+            assert named in err
 
     def test_bad_workers_exit_2(self, tmp_path, capsys, monkeypatch):
         argv = ["type1", "--seed", "1", "--out", str(tmp_path / "x.csv")]
