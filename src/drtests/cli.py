@@ -117,10 +117,11 @@ def _cmd_test(args: argparse.Namespace) -> int:
         continuity_correction=not args.no_continuity_correction,
     )
     pve = config.preprocess_pve
-    (scores,), fp = _doubly_ranked_scores(curves, (summary,), pve)
+    (scores,), fits = _doubly_ranked_scores([curves.values], (summary,), pve)
     result = _score_test(scores, curves, config)
     preprocess_desc = "none"
-    if fp is not None:
+    if fits:
+        (fp,) = fits
         preprocess_desc = (
             f"pve={pve:g} (kept {fp.components_kept} components, "
             f"achieved {fp.pve_achieved:.6g})"

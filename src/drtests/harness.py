@@ -6,9 +6,15 @@ counter-based substreams and records the fraction of doubly ranked tests
 rejecting at level alpha. A run is one list of (cell, replicate block)
 tasks: each cell's replicates are split into min(workers, replicates)
 contiguous blocks, and with more than one worker every task goes through
-one process pool opened for the whole run. Because substream i depends
-only on (seed, i) and each cell sums its blocks' integer counts, results
-are identical for any worker count.
+one process pool opened for the whole run. Within a task, replicates run
+in blocks of at most 2^15 curve values (a fixed memory budget, not a
+setting): each replicate is drawn from its own substream, then the whole
+block is ranked, summarized and tested in one batched pass, so per-call
+costs are paid per block, not per replicate. A cell whose n·S exceeds
+the budget runs one replicate per block. Because substream i depends
+only on (seed, i), every test treats each replicate on its own, and each
+cell sums its blocks' integer counts, results are identical for any
+worker count and any block size.
 """
 
 from __future__ import annotations
@@ -27,8 +33,9 @@ import numpy as np
 from ._version import __version__
 from .errors import InvalidInputError
 from .preprocess import _check_pve
-from .rank_tests import DoublyRankedConfig, _doubly_ranked_scores, _score_test
-from .simgen import CoeffDist, MeanShape, NoiseKind, SimConfig, generate_dataset
+from .rank_tests import DoublyRankedConfig, _doubly_ranked_scores, _score_block
+from .ranking import _group_labels
+from .simgen import CoeffDist, MeanShape, NoiseKind, SimConfig, _dataset_values
 from .summaries import SummaryKind
 
 __all__ = [
@@ -117,6 +124,7 @@ class CellSpec:
     summary: SummaryKind
     alpha: float
     seed: int
+    preprocess_pve: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeff_dist", CoeffDist(self.coeff_dist))
@@ -126,6 +134,8 @@ class CellSpec:
         object.__setattr__(
             self, "group_sizes", tuple(int(g) for g in self.group_sizes)
         )
+        if self.preprocess_pve is not None:
+            object.__setattr__(self, "preprocess_pve", float(self.preprocess_pve))
 
 
 @dataclass(frozen=True)
@@ -140,26 +150,42 @@ def _mc_stderr(rate: float, reps: int) -> float:
     return float(np.sqrt(rate * (1.0 - rate) / reps))
 
 
+# Curve values a replicate block may hold (2^15 float64, 256 KiB): enough
+# to spread the per-call cost of ranking and testing over many small
+# replicates, and small enough that a cell whose n·S exceeds it runs one
+# replicate per block, with the memory of a single replicate.
+_BUDGET = 1 << 15
+
+
 def _count_rejections(
     grid: ExperimentGrid, config: SimConfig, rep_start: int, rep_stop: int
 ) -> np.ndarray:
     """Rejection counts per summary over a replicate range (reject: p <= alpha).
 
-    Each replicate is smoothed (when grid.preprocess_pve is set) and ranked
-    once; every summary is then scored and tested on those ranks.
+    The range runs in blocks of max(1, _BUDGET // (n·S)) replicates. Each
+    replicate is drawn from its own stream (and smoothed on its own when
+    grid.preprocess_pve is set); a block is then ranked once, scored under
+    every summary, and each summary's scores are tested in one pass. No
+    CurveSet or TestResult is built.
     """
     counts = np.zeros(len(grid.summaries), dtype=np.int64)
+    labels = _group_labels(config.n_per_group)
+    n_groups = len(config.n_per_group)
     test_config = DoublyRankedConfig()
-    for rep in range(rep_start, rep_stop):
-        data = generate_dataset(config, rep)
-        scores, _ = _doubly_ranked_scores(data, grid.summaries, grid.preprocess_pve)
-        for j, summary_scores in enumerate(scores):
-            if _score_test(summary_scores, data, test_config).p_value <= grid.alpha:
-                counts[j] += 1
+    step = max(1, _BUDGET // (config.n_subjects * config.n_points))
+    for start in range(rep_start, rep_stop, step):
+        stop = min(start + step, rep_stop)
+        values = [_dataset_values(config, rep) for rep in range(start, stop)]
+        scores, _ = _doubly_ranked_scores(values, grid.summaries, grid.preprocess_pve)
+        for j, block in enumerate(scores):
+            p = _score_block(block, labels, n_groups, test_config).p_value
+            counts[j] += np.count_nonzero(p <= grid.alpha)
     return counts
 
 
-def _cell_spec(config: SimConfig, summary: SummaryKind, alpha: float) -> CellSpec:
+def _cell_spec(
+    config: SimConfig, summary: SummaryKind, grid: ExperimentGrid
+) -> CellSpec:
     return CellSpec(
         coeff_dist=config.coeff_dist,
         mean_shape=config.mean_shape,
@@ -170,8 +196,9 @@ def _cell_spec(config: SimConfig, summary: SummaryKind, alpha: float) -> CellSpe
         n_basis=config.n_basis,
         group_sizes=config.n_per_group,
         summary=summary,
-        alpha=alpha,
+        alpha=grid.alpha,
         seed=config.seed,
+        preprocess_pve=grid.preprocess_pve,
     )
 
 
@@ -225,7 +252,7 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
                 rate = cell_counts[i, j] / grid.replicates
                 results.append(
                     CellResult(
-                        cell=_cell_spec(configs[i], summary, grid.alpha),
+                        cell=_cell_spec(configs[i], summary, grid),
                         rejection_rate=float(rate),
                         replicates_used=grid.replicates,
                         mc_stderr=_mc_stderr(rate, grid.replicates),
@@ -246,6 +273,7 @@ _COLUMNS = [
     "summary",
     "alpha",
     "seed",
+    "preprocess_pve",
     "replicates",
     "rejection_rate",
     "mc_stderr",
@@ -267,6 +295,7 @@ def _result_record(result: CellResult) -> dict:
         "summary": cell.summary.value,
         "alpha": cell.alpha,
         "seed": cell.seed,
+        "preprocess_pve": cell.preprocess_pve,
         "replicates": result.replicates_used,
         "rejection_rate": result.rejection_rate,
         "mc_stderr": result.mc_stderr,
@@ -278,6 +307,8 @@ def _record_to_result(rec: dict) -> CellResult:
     sizes = rec["group_sizes"]
     if isinstance(sizes, str):
         sizes = [int(part) for part in sizes.split("+")]
+    # None or "" when unset; files written before the column existed lack it
+    pve = rec.get("preprocess_pve")
     cell = CellSpec(
         coeff_dist=CoeffDist(rec["coeff_dist"]),
         mean_shape=MeanShape(rec["mean_shape"]),
@@ -290,6 +321,7 @@ def _record_to_result(rec: dict) -> CellResult:
         summary=SummaryKind(rec["summary"]),
         alpha=float(rec["alpha"]),
         seed=int(rec["seed"]),
+        preprocess_pve=float(pve) if pve not in (None, "") else None,
     )
     return CellResult(
         cell=cell,
@@ -307,6 +339,7 @@ def write_results(
     """Write one row per cell in a stable column order.
 
     CSV encodes group sizes as "n1+n2+..."; JSONL keeps them as a list.
+    An unset preprocess_pve is an empty CSV field or a JSONL null.
     Empty result lists produce a header-only CSV or an empty JSONL file.
     """
     format = ResultFormat(format)
@@ -366,12 +399,21 @@ def _xi_list(value) -> tuple[float, ...]:
     return tuple(float(x) for x in value)
 
 
+def _integer(value) -> int:
+    """value if it is an integer (not a bool); a float is not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def grid_from_dict(spec: dict) -> ExperimentGrid:
     """Build an ExperimentGrid from a declarative mapping.
 
     Recognized keys: seed (required), coeff_dist, mean_shape, noise, rho,
     n_basis, n_points (list), groups (list of group-size lists), xi (list
     or {start, stop, step}), replicates, alpha, summaries, preprocess_pve.
+    A value of the wrong type or form (a float where an integer belongs,
+    a string where a list does) raises InvalidInputError naming its key.
     """
     if "seed" not in spec:
         raise InvalidInputError("grid config must set a seed")
@@ -394,33 +436,46 @@ def grid_from_dict(spec: dict) -> ExperimentGrid:
     if unknown:
         raise InvalidInputError(f"unknown grid config keys: {sorted(unknown)}")
 
+    def value(key, convert, default):
+        if key not in spec:
+            return default
+        try:
+            return convert(spec[key])
+        except InvalidInputError:
+            raise
+        except (TypeError, ValueError, KeyError):
+            raise InvalidInputError(
+                f"grid config {key!r} has an invalid value: {spec[key]!r}"
+            ) from None
+
     defaults = ExperimentGrid(
         base=SimConfig(n_per_group=(2, 2), n_points=1, seed=0)
     )
     base = SimConfig(
         n_per_group=(2, 2),
         n_points=1,
-        n_basis=int(spec.get("n_basis", 1000)),
-        coeff_dist=CoeffDist(spec.get("coeff_dist", "gaussian")),
-        mean_shape=MeanShape(spec.get("mean_shape", "none")),
-        noise=NoiseKind(spec.get("noise", "ar1")),
-        rho=float(spec.get("rho", 0.5)),
-        seed=int(spec["seed"]),
+        n_basis=value("n_basis", _integer, 1000),
+        coeff_dist=value("coeff_dist", CoeffDist, CoeffDist.GAUSSIAN),
+        mean_shape=value("mean_shape", MeanShape, MeanShape.NONE),
+        noise=value("noise", NoiseKind, NoiseKind.AR1),
+        rho=value("rho", float, 0.5),
+        seed=value("seed", _integer, None),
     )
     return ExperimentGrid(
         base=base,
-        n_points_values=tuple(
-            int(v) for v in spec.get("n_points", defaults.n_points_values)
+        n_points_values=value(
+            "n_points", lambda v: tuple(map(_integer, v)), defaults.n_points_values
         ),
-        group_schemes=tuple(
-            tuple(int(g) for g in scheme)
-            for scheme in spec.get("groups", defaults.group_schemes)
+        group_schemes=value(
+            "groups",
+            lambda v: tuple(tuple(map(_integer, scheme)) for scheme in v),
+            defaults.group_schemes,
         ),
-        xi_values=_xi_list(spec.get("xi", _DEFAULT_XI)),
-        replicates=int(spec.get("replicates", defaults.replicates)),
-        alpha=float(spec.get("alpha", defaults.alpha)),
-        summaries=tuple(
-            SummaryKind(s) for s in spec.get("summaries", defaults.summaries)
+        xi_values=value("xi", _xi_list, _DEFAULT_XI),
+        replicates=value("replicates", _integer, defaults.replicates),
+        alpha=value("alpha", float, defaults.alpha),
+        summaries=value(
+            "summaries", lambda v: tuple(SummaryKind(s) for s in v), defaults.summaries
         ),
         preprocess_pve=spec.get("preprocess_pve"),
     )

@@ -52,7 +52,10 @@ class FpcaResult:
 
 def _check_pve(pve: float, name: str = "pve") -> float:
     """pve as a float; InvalidInputError unless it lies in (0, 1]."""
-    pve = float(pve)
+    try:
+        pve = float(pve)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be a number, got {pve!r}") from None
     if not 0.0 < pve <= 1.0:
         raise InvalidInputError(f"{name} must lie in (0, 1], got {pve}")
     return pve
@@ -70,7 +73,11 @@ def fpca_smooth(curves: CurveSet, pve: float) -> FpcaResult:
     x = np.asarray(curves.values, dtype=float)
     if x.shape[0] < 2:
         raise InvalidInputError("need at least 2 curves to smooth")
+    return _fpca(x, pve)
 
+
+def _fpca(x: np.ndarray, pve: float) -> FpcaResult:
+    """`fpca_smooth` of an n x S matrix with n >= 2, trusting its inputs."""
     mean_curve = x.mean(axis=0)
     centered = x - mean_curve
     total_var = float(np.sum(centered**2))

@@ -6,6 +6,10 @@ for small tie-free samples and a tie-adjusted normal approximation
 otherwise. Three or more groups use the Kruskal-Wallis statistic against a
 chi-square reference. The doubly ranked variants chain per-occasion ranking
 and a per-subject summary in front of these univariate tests.
+
+Each test has one implementation, which runs on an (R, n) block of score
+rows at once (the Monte Carlo harness tests a block of replicates per
+call); the public functions validate their input and run it with R = 1.
 """
 
 from __future__ import annotations
@@ -13,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.stats import chi2, norm, rankdata
 
 from .errors import InvalidInputError, UnsupportedSizeError
-from .preprocess import FpcaResult, _check_pve, fpca_smooth
-from .ranking import CurveSet
+from .preprocess import FpcaResult, _check_pve, _fpca
+from .ranking import CurveSet, _group_labels
 from .summaries import SummaryKind, _summary_scores
 
 __all__ = [
@@ -88,8 +92,30 @@ class TestResult:
 _EXACT_MAX_TOTAL = 60
 
 
-def _pooled_ranks(samples: Sequence) -> tuple[list[int], np.ndarray, bool, float]:
-    """Sizes, pooled mid-ranks, whether any value ties, and sum(t^3 - t)."""
+class _Block(NamedTuple):
+    """Per-row outcomes of one rank test over an (R, n) block of scores."""
+
+    statistic: np.ndarray
+    z_or_df: np.ndarray
+    p_value: np.ndarray
+    method: np.ndarray
+    ties: np.ndarray
+
+    def result(self, alternative: Alternative, sizes: Sequence[int]) -> TestResult:
+        """Row 0 as a validated TestResult; one-off tests run with R = 1."""
+        return TestResult(
+            method=Method(self.method[0]),
+            statistic=float(self.statistic[0]),
+            z_or_df=float(self.z_or_df[0]),
+            p_value=float(self.p_value[0]),
+            alternative=alternative,
+            group_sizes=tuple(sizes),
+            tie_correction_applied=bool(self.ties[0]),
+        )
+
+
+def _pooled_samples(samples: Sequence) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Sizes, the (1, n) pooled score row and its group labels 1..G."""
     arrays = [np.asarray(a, dtype=float).ravel() for a in samples]
     sizes = [a.size for a in arrays]
     if min(sizes) < 1:
@@ -97,9 +123,24 @@ def _pooled_ranks(samples: Sequence) -> tuple[list[int], np.ndarray, bool, float
     combined = np.concatenate(arrays)
     if not np.all(np.isfinite(combined)):
         raise InvalidInputError("observations must be finite")
-    _, counts = np.unique(combined, return_counts=True)
-    tie_sum = float(np.sum(counts.astype(float) ** 3 - counts))
-    return sizes, rankdata(combined), bool(np.any(counts > 1)), tie_sum
+    return sizes, combined[None, :], _group_labels(sizes)
+
+
+def _pooled_ranks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mid-ranks within each row of an (R, n) block, and each row's sum(t^3 - t).
+
+    t runs over the sizes of a row's groups of tied values, so the sum is
+    0 exactly when the row has no ties.
+    """
+    ranks = rankdata(scores, method="average", axis=1)
+    ordered = np.sort(scores, axis=1)
+    first = np.ones(ordered.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    starts = np.flatnonzero(first)
+    t = np.diff(starts, append=ordered.size)
+    rows = starts // ordered.shape[1]
+    tie_sum = np.bincount(rows, weights=t**3 - t, minlength=ordered.shape[0])
+    return ranks, tie_sum
 
 
 @lru_cache(maxsize=None)
@@ -123,6 +164,22 @@ def _exact_u_probs(n1: int, n2: int) -> np.ndarray:
     probs = counts.astype(float) / float(counts.sum())
     probs.flags.writeable = False
     return probs
+
+
+@lru_cache(maxsize=None)
+def _exact_u_tails(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(U <= u) and P(U >= u) under the exact null, for u in {0..n1*n2}.
+
+    Each entry is numpy's sum of the slice of `_exact_u_probs` it covers,
+    not a running sum, which would round differently in the last place.
+    """
+    probs = _exact_u_probs(n1, n2)
+    # a slice reaching the end of the table can sum to just above 1
+    lower = np.minimum([probs[: u + 1].sum() for u in range(probs.size)], 1.0)
+    upper = np.minimum([probs[u:].sum() for u in range(probs.size)], 1.0)
+    lower.flags.writeable = False
+    upper.flags.writeable = False
+    return lower, upper
 
 
 def exact_mww_null_distribution(n1: int, n2: int, max_total: int = 50) -> np.ndarray:
@@ -152,6 +209,85 @@ def _check_exact_threshold(exact_threshold: int) -> None:
         )
 
 
+def _mww_block(
+    scores: np.ndarray,
+    labels: np.ndarray,
+    alternative: Alternative,
+    exact_threshold: int,
+    continuity_correction: bool,
+) -> _Block:
+    """The rank-sum test of group 2 against group 1 on every row of scores.
+
+    scores is (R, n), labels the n subjects' groups (1 or 2). The inputs
+    are trusted; `mww_test` documents the statistic and both paths.
+    """
+    ranks, tie_sum = _pooled_ranks(scores)
+    ties = tie_sum > 0.0
+    n = labels.size
+    n2 = int(np.count_nonzero(labels == 2))
+    n1 = n - n2
+    u = ranks[:, labels == 2].sum(axis=1) - n2 * (n2 + 1) / 2.0
+    d = u - n1 * n2 / 2.0
+    var = n1 * n2 / 12.0 * ((n + 1) - tie_sum / (n * (n - 1)))
+    exact = ~ties & (n <= exact_threshold)
+    # every observation tied with every other: no evidence either way, so
+    # both tails stay at 1/2
+    normal = ~exact & (var > 0.0)
+    z = np.zeros(u.size)
+    lower, upper = np.full(u.size, 0.5), np.full(u.size, 0.5)
+    if exact.any():
+        # the uncorrected deviate, reported for reference
+        z[exact] = d[exact] / np.sqrt(n1 * n2 * (n + 1) / 12.0)
+        u_idx = np.rint(u[exact]).astype(np.intp)
+        lower[exact], upper[exact] = (t[u_idx] for t in _exact_u_tails(n1, n2))
+    if normal.any():
+        d_n = d[normal]
+        shift = 0.0
+        if continuity_correction:
+            if alternative is Alternative.TWO_SIDED:
+                shift = 0.5 * np.sign(d_n)
+            else:
+                shift = 0.5 if alternative is Alternative.GREATER else -0.5
+        z[normal] = z_n = (d_n - shift) / np.sqrt(var[normal])
+        # one survival-function call; norm.sf(-z) is norm.cdf(z) bit for bit
+        lower[normal], upper[normal] = norm.sf([-z_n, z_n])
+    if alternative is Alternative.TWO_SIDED:
+        p = np.minimum(1.0, 2.0 * np.minimum(lower, upper))
+    else:
+        p = upper if alternative is Alternative.GREATER else lower
+    method = np.where(exact, Method.MWW_EXACT.value, Method.MWW_NORMAL.value)
+    return _Block(u, z, p, method, ties)
+
+
+def _kw_block(scores: np.ndarray, labels: np.ndarray, n_groups: int) -> _Block:
+    """The Kruskal-Wallis test among groups 1..n_groups on every row of scores.
+
+    scores is (R, n), labels the n subjects' groups. The inputs are
+    trusted; `kruskal_wallis_test` documents the statistic.
+    """
+    ranks, tie_sum = _pooled_ranks(scores)
+    n = labels.size
+    h = np.zeros(len(ranks))
+    for g in range(1, n_groups + 1):
+        member = labels == g
+        rbar = ranks[:, member].mean(axis=1)
+        # libm pow, as Python's float ** takes, so H equals the scalar
+        # formula bit for bit; x * x rounds differently for ~0.1 % of x
+        h += np.count_nonzero(member) * np.float_power(rbar - (n + 1) / 2.0, 2)
+    h *= 12.0 / (n * (n + 1))
+    divisor = 1.0 - tie_sum / (n**3 - n)
+    # all observations identical: H = 0 and p = 1
+    varied = divisor > 0.0
+    h[~varied] = 0.0
+    h[varied] /= divisor[varied]
+    p = np.ones(h.size)
+    if varied.any():
+        p[varied] = chi2.sf(h[varied], n_groups - 1)
+    df = np.full(h.size, float(n_groups - 1))
+    method = np.full(h.size, Method.KW_CHISQ.value)
+    return _Block(h, df, p, method, tie_sum > 0.0)
+
+
 def mww_test(
     x: np.ndarray,
     y: np.ndarray,
@@ -172,56 +308,11 @@ def mww_test(
     """
     alternative = Alternative(alternative)
     _check_exact_threshold(exact_threshold)
-    (n1, n2), ranks, ties, tie_sum = _pooled_ranks((x, y))
-    n = n1 + n2
-    t_sum = float(ranks[n1:].sum())
-    u = t_sum - n2 * (n2 + 1) / 2.0
-    d = u - n1 * n2 / 2.0
-    var = n1 * n2 / 12.0 * ((n + 1) - tie_sum / (n * (n - 1)))
-    method = Method.MWW_NORMAL
-    if not ties and n <= exact_threshold:
-        method = Method.MWW_EXACT
-        # the uncorrected deviate, reported for reference
-        z = float(d / np.sqrt(n1 * n2 * (n + 1) / 12.0))
-        probs = exact_mww_null_distribution(n1, n2, max_total=exact_threshold)
-        u_idx = int(round(u))
-        lower = float(probs[: u_idx + 1].sum())
-        upper = float(probs[u_idx:].sum())
-        if alternative is Alternative.TWO_SIDED:
-            p = min(1.0, 2.0 * min(lower, upper))
-        elif alternative is Alternative.GREATER:
-            p = upper
-        else:
-            p = lower
-    elif var <= 0.0:
-        # every observation tied with every other: no evidence either way
-        z = 0.0
-        p = 1.0 if alternative is Alternative.TWO_SIDED else 0.5
-    else:
-        shift = 0.0
-        if continuity_correction:
-            if alternative is Alternative.TWO_SIDED:
-                shift = 0.5 * float(np.sign(d))
-            elif alternative is Alternative.GREATER:
-                shift = 0.5
-            else:
-                shift = -0.5
-        z = (d - shift) / float(np.sqrt(var))
-        if alternative is Alternative.TWO_SIDED:
-            p = min(1.0, 2.0 * float(norm.sf(abs(z))))
-        elif alternative is Alternative.GREATER:
-            p = float(norm.sf(z))
-        else:
-            p = float(norm.cdf(z))
-    return TestResult(
-        method=method,
-        statistic=u,
-        z_or_df=z,
-        p_value=p,
-        alternative=alternative,
-        group_sizes=(n1, n2),
-        tie_correction_applied=ties,
+    sizes, scores, labels = _pooled_samples((x, y))
+    block = _mww_block(
+        scores, labels, alternative, exact_threshold, continuity_correction
     )
+    return block.result(alternative, sizes)
 
 
 def kruskal_wallis_test(groups: Sequence[np.ndarray]) -> TestResult:
@@ -234,33 +325,9 @@ def kruskal_wallis_test(groups: Sequence[np.ndarray]) -> TestResult:
     """
     if len(groups) < 2:
         raise InvalidInputError(f"need at least 2 groups, got {len(groups)}")
-    sizes, ranks, ties, tie_sum = _pooled_ranks(groups)
-    n = ranks.size
-
-    g_count = len(sizes)
-    bounds = np.cumsum([0] + sizes)
-    h = 0.0
-    for g in range(g_count):
-        rbar = float(ranks[bounds[g] : bounds[g + 1]].mean())
-        h += sizes[g] * (rbar - (n + 1) / 2.0) ** 2
-    h *= 12.0 / (n * (n + 1))
-
-    divisor = 1.0 - tie_sum / (n**3 - n)
-    if divisor <= 0.0:
-        # all observations identical
-        h, p = 0.0, 1.0
-    else:
-        h /= divisor
-        p = float(chi2.sf(h, g_count - 1))
-    return TestResult(
-        method=Method.KW_CHISQ,
-        statistic=h,
-        z_or_df=float(g_count - 1),
-        p_value=p,
-        alternative=Alternative.TWO_SIDED,
-        group_sizes=tuple(sizes),
-        tie_correction_applied=ties,
-    )
+    sizes, scores, labels = _pooled_samples(groups)
+    block = _kw_block(scores, labels, len(sizes))
+    return block.result(Alternative.TWO_SIDED, sizes)
 
 
 @dataclass(frozen=True)
@@ -289,44 +356,55 @@ class DoublyRankedConfig:
 
 
 def _doubly_ranked_scores(
-    curves: CurveSet, summaries: Sequence[SummaryKind], pve: float | None
-) -> tuple[list[np.ndarray], FpcaResult | None]:
-    """One score vector per summary, plus the smoothing result if pve is set.
+    replicates: Sequence[np.ndarray],
+    summaries: Sequence[SummaryKind],
+    pve: float | None,
+) -> tuple[list[np.ndarray], list[FpcaResult]]:
+    """One (R, n) score block per summary for R replicates of n x S values.
 
-    Smooths at most once and ranks once per dataset, whatever the number
-    of summaries. The inputs are trusted: no RankCurves or SummaryScores
-    is built, so the per-replicate loop pays for no validation.
+    When pve is set each replicate is smoothed on its own, and its
+    smoothing result is returned in order. The block is then ranked once
+    per occasion for all summaries. The inputs are trusted: no RankCurves
+    or SummaryScores is built, so a replicate loop pays for no validation.
     """
-    smoothed = None if pve is None else fpca_smooth(curves, pve)
-    values = curves.values if smoothed is None else smoothed.smoothed
-    ranks = rankdata(values, method="average", axis=0)
-    return [_summary_scores(ranks, kind) for kind in summaries], smoothed
+    fits = [] if pve is None else [_fpca(values, pve) for values in replicates]
+    arrays = [fit.smoothed for fit in fits] if fits else replicates
+    # a single replicate (a one-off test) is viewed as a block, not copied
+    values = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+    ranks = rankdata(values, method="average", axis=1)
+    return [_summary_scores(ranks, kind) for kind in summaries], fits
 
 
-def _score_test(
-    scores: np.ndarray, curves: CurveSet, config: DoublyRankedConfig
-) -> TestResult:
-    """Test subject scores across the groups of `curves`.
+def _score_block(
+    scores: np.ndarray, labels: np.ndarray, n_groups: int, config: DoublyRankedConfig
+) -> _Block:
+    """Test every row of an (R, n) score block across the groups in labels.
 
     Two groups route to the rank-sum test, three or more to the
     Kruskal-Wallis test; config.summary and config.preprocess_pve are not
     used here.
     """
-    labels = curves.groups
-    n_groups = curves.n_groups
     if n_groups == 2:
-        return mww_test(
-            scores[labels == 1],
-            scores[labels == 2],
-            alternative=config.alternative,
-            exact_threshold=config.exact_threshold,
-            continuity_correction=config.continuity_correction,
+        return _mww_block(
+            scores,
+            labels,
+            config.alternative,
+            config.exact_threshold,
+            config.continuity_correction,
         )
     if config.alternative is not Alternative.TWO_SIDED:
         raise InvalidInputError(
             "one-sided alternatives are only defined for two groups"
         )
-    return kruskal_wallis_test([scores[labels == g] for g in range(1, n_groups + 1)])
+    return _kw_block(scores, labels, n_groups)
+
+
+def _score_test(
+    scores: np.ndarray, curves: CurveSet, config: DoublyRankedConfig
+) -> TestResult:
+    """The test of one (1, n) score row across the groups of `curves`."""
+    block = _score_block(scores, curves.groups, curves.n_groups, config)
+    return block.result(config.alternative, curves.group_sizes)
 
 
 def doubly_ranked_test(
@@ -342,6 +420,6 @@ def doubly_ranked_test(
     if config is None:
         config = DoublyRankedConfig()
     (scores,), _ = _doubly_ranked_scores(
-        curves, (config.summary,), config.preprocess_pve
+        [curves.values], (config.summary,), config.preprocess_pve
     )
     return _score_test(scores, curves, config)

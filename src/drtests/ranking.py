@@ -138,6 +138,11 @@ class RankCurves:
         object.__setattr__(self, "ranks", _readonly(ranks))
 
 
+def _group_labels(sizes) -> np.ndarray:
+    """Labels 1..G for subjects stored group by group with these sizes."""
+    return np.repeat(np.arange(1, len(sizes) + 1), sizes)
+
+
 def rank_vector(values: np.ndarray) -> np.ndarray:
     """Mid-ranks of a 1-d sample; ties share the average of their ranks.
 

@@ -19,7 +19,7 @@ from numpy.random import Generator, Philox
 from scipy.signal import lfilter
 
 from .errors import InvalidInputError
-from .ranking import CurveSet
+from .ranking import CurveSet, _group_labels
 
 __all__ = [
     "CoeffDist",
@@ -113,10 +113,15 @@ def _basis(n_basis: int, s: np.ndarray) -> np.ndarray:
     return (np.sqrt(2.0) / freq)[:, None] * np.sin(np.outer(freq, s))
 
 
+def _grid(n_points: int) -> np.ndarray:
+    """The measurement locations j/n_points, j = 1..n_points."""
+    return np.arange(1, n_points + 1) / n_points
+
+
 @lru_cache(maxsize=8)
 def _basis_matrix(n_basis: int, n_points: int) -> np.ndarray:
     """The basis on the grid j/n_points, j = 1..n_points; read-only."""
-    basis = _basis(n_basis, np.arange(1, n_points + 1) / n_points)
+    basis = _basis(n_basis, _grid(n_points))
     basis.flags.writeable = False
     return basis
 
@@ -199,17 +204,15 @@ def replicate_stream(seed: int, replicate: int) -> Generator:
     return Generator(Philox(key=seed & _SEED_MASK, counter=replicate << 128))
 
 
-def generate_dataset(config: SimConfig, replicate: int = 0) -> CurveSet:
-    """Deterministically generate one grouped functional dataset.
+def _dataset_values(config: SimConfig, replicate: int) -> np.ndarray:
+    """The n x S values of `generate_dataset(config, replicate)`, no CurveSet.
 
-    Group 1 curves are centered; groups 2..G receive the configured mean
-    shift. Draw order is fixed (one coefficient block, then one noise
-    block) as part of the determinism contract.
+    Draw order is fixed (one coefficient block, then one noise block) as
+    part of the determinism contract.
     """
     rng = replicate_stream(config.seed, replicate)
     n = config.n_subjects
     basis = _basis_matrix(config.n_basis, config.n_points)
-    grid = np.arange(1, config.n_points + 1) / config.n_points
 
     if config.coeff_dist is CoeffDist.GAUSSIAN:
         coeffs = rng.standard_normal((n, config.n_basis))
@@ -218,9 +221,21 @@ def generate_dataset(config: SimConfig, replicate: int = 0) -> CurveSet:
     values = coeffs @ basis
     values += _noise_matrix(config.noise, (n, config.n_points), rng, config.rho)
 
-    labels = np.repeat(
-        np.arange(1, len(config.n_per_group) + 1), config.n_per_group
-    )
     if config.xi > 0.0 and config.mean_shape is not MeanShape.NONE:
-        values[labels > 1] += mean_fn(config.mean_shape, grid, config.xi)
-    return CurveSet(values=values, grid=grid, groups=labels)
+        shift = mean_fn(config.mean_shape, _grid(config.n_points), config.xi)
+        values[config.n_per_group[0] :] += shift
+    return values
+
+
+def generate_dataset(config: SimConfig, replicate: int = 0) -> CurveSet:
+    """Deterministically generate one grouped functional dataset.
+
+    Subjects are stored group by group, labelled 1..G. Group 1 curves are
+    centered; groups 2..G receive the configured mean shift. The dataset
+    depends only on the config and the replicate index.
+    """
+    return CurveSet(
+        values=_dataset_values(config, replicate),
+        grid=_grid(config.n_points),
+        groups=_group_labels(config.n_per_group),
+    )

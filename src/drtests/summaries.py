@@ -69,22 +69,24 @@ class SummaryScores:
 
 
 def _summary_scores(ranks: np.ndarray, kind: SummaryKind) -> np.ndarray:
-    """Per-subject scores of an n x S mid-rank matrix, without validation.
+    """Per-subject scores of ... x n x S mid-ranks, without validation.
 
+    The last two axes are subjects and occasions; any leading axes (a
+    block of replicates) are kept, so an (R, n, S) block gives (R, n).
     sufficient: score_i = (1/S) * sum_k t(z_i(s_k)) with t the log-odds
     form from `orderstat.suff_stat`, applied elementwise to the ranks.
     average_rank: the mean of each subject's ranks over occasions.
     """
     if kind is SummaryKind.AVERAGE_RANK:
-        return ranks.mean(axis=1)
-    n = ranks.shape[0]
+        return ranks.mean(axis=-1)
+    n = ranks.shape[-2]
     # vectorized suff_stat; numpy's pairwise-summed mean keeps long grids
     # from accumulating drift
     t = np.log(2.0 * ranks - 1.0) - np.log(2.0 * (n - ranks) + 1.0)
     # a subject at rank 1 or n on every occasion sits on the interval
     # endpoint; log/mean rounding can overshoot it by an ulp, so snap back
     bound = math.log(2.0 * n - 1.0)
-    return np.clip(t.mean(axis=1), -bound, bound)
+    return np.clip(t.mean(axis=-1), -bound, bound)
 
 
 def sufficient_summary(ranks: RankCurves) -> SummaryScores:

@@ -22,25 +22,32 @@ def ranks_from(matrix):
 
 
 def count_pipeline_calls(monkeypatch):
-    """Count the doubly ranked pipeline's smoothing and per-occasion ranking.
+    """Count the doubly ranked pipeline's smoothings and ranked datasets.
 
-    Returns a dict that fills in as the pipeline runs: calls to
-    fpca_smooth, and calls to rankdata along axis 0 from the modules that
-    rank curves (the pooled ranking of the final rank-sum step is 1-d and
-    not counted).
+    Returns a dict that fills in as the pipeline runs: "smoothings" counts
+    calls to the FPCA smoother, "ranked_datasets" the datasets ranked per
+    occasion by rankdata calls from the modules that rank curves. A 3-d
+    stack of replicates ranked along axis 1 counts its leading size, a
+    2-d curve matrix ranked along axis 0 counts 1. The pooled ranking of
+    the final test step (2-d score rows along axis 1) is not counted.
     """
-    calls = {"fpca_smooth": 0, "rankdata_axis0": 0}
-    smooth = rank_tests.fpca_smooth
+    calls = {"smoothings": 0, "ranked_datasets": 0}
+    smooth = rank_tests._fpca
 
     def counted_smooth(*args, **kwargs):
-        calls["fpca_smooth"] += 1
+        calls["smoothings"] += 1
         return smooth(*args, **kwargs)
 
-    def counted_rank(*args, **kwargs):
-        calls["rankdata_axis0"] += kwargs.get("axis") == 0
-        return rankdata(*args, **kwargs)
+    def counted_rank(a, *args, **kwargs):
+        a = np.asarray(a)
+        axis = kwargs.get("axis")
+        if a.ndim == 3 and axis == 1:
+            calls["ranked_datasets"] += a.shape[0]
+        elif a.ndim == 2 and axis == 0:
+            calls["ranked_datasets"] += 1
+        return rankdata(a, *args, **kwargs)
 
-    monkeypatch.setattr(rank_tests, "fpca_smooth", counted_smooth)
+    monkeypatch.setattr(rank_tests, "_fpca", counted_smooth)
     for module in (ranking, rank_tests):
         monkeypatch.setattr(module, "rankdata", counted_rank, raising=False)
     return calls

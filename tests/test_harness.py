@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 
@@ -7,14 +8,18 @@ import pytest
 from drtests import (
     CellResult,
     CellSpec,
+    CurveSet,
     ExperimentGrid,
     InvalidInputError,
     NoiseKind,
     SimConfig,
     SummaryKind,
+    doubly_ranked_test,
+    generate_dataset,
     grid_from_dict,
     harness,
     load_grid,
+    rank_tests,
     read_results,
     run_power,
     run_type1,
@@ -94,7 +99,47 @@ class TestPipelineCalls:
         grid = small_grid(replicates=6, preprocess_pve=0.9)
         assert len(grid.summaries) == 2
         assert len(run_type1(grid)) == 2
-        assert calls == {"fpca_smooth": 6, "rankdata_axis0": 6}
+        assert calls == {"smoothings": 6, "ranked_datasets": 6}
+
+    def test_no_curveset_or_testresult_per_replicate(self, monkeypatch):
+        built = {"CurveSet": 0, "TestResult": 0}
+        # rank_tests.TestResult, since a bare Test* name would be collected
+        for cls in (CurveSet, rank_tests.TestResult):
+
+            def counted(self, post_init=cls.__post_init__, name=cls.__name__):
+                built[name] += 1
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        grid = small_grid(
+            replicates=6, preprocess_pve=0.9, group_schemes=((5, 5), (3, 3, 4))
+        )
+        for scheme in grid.group_schemes:
+            config = replace(grid.base, n_per_group=scheme)
+            assert harness._count_rejections(grid, config, 0, 6).shape == (2,)
+        assert built == {"CurveSet": 0, "TestResult": 0}
+        # the counters do see the one-off path
+        doubly_ranked_test(generate_dataset(grid.base))
+        assert built == {"CurveSet": 1, "TestResult": 1}
+
+    def test_counts_do_not_depend_on_block_bounds(self, monkeypatch):
+        grid = small_grid(
+            base=replace(small_grid().base, mean_shape="linear"),
+            n_points_values=(120,),
+            group_schemes=((10, 10), (6, 6, 6)),
+            xi_values=(0.0, 0.6),
+            replicates=40,
+        )
+        # a block holds 13 (two groups) or 15 (three groups) replicates, so
+        # 1, 2 and 3 workers cut the replicate range at different points
+        assert 20 * 120 < harness._BUDGET < 40 * 18 * 120
+        reference = run_power(grid)
+        assert 0 < sum(r.rejection_rate for r in reference) < len(reference)
+        for workers in (2, 3):
+            assert run_power(grid, workers=workers) == reference
+        for budget in (1, 2 * 20 * 120, 7 * 20 * 120, 10**9):
+            monkeypatch.setattr(harness, "_BUDGET", budget)
+            assert run_power(grid) == reference
 
 
 class TestRunPower:
@@ -201,6 +246,36 @@ class TestResultsIo:
             lines = [line for line in fh if line.strip()]
         assert len(lines) == len(results)
 
+    def test_preprocess_pve_round_trip(self, tmp_path):
+        for pve in (None, 0.9):
+            results = run_type1(small_grid(replicates=5, preprocess_pve=pve))
+            assert [r.cell.preprocess_pve for r in results] == [pve, pve]
+            for fmt in ("csv", "jsonl"):
+                path = tmp_path / f"out.{fmt}"
+                write_results(results, path, format=fmt)
+                assert read_results(path) == results
+
+    def test_reads_files_without_preprocess_pve(self, tmp_path):
+        results = self.sample_results()
+        for fmt in ("csv", "jsonl"):
+            path = tmp_path / f"out.{fmt}"
+            write_results(results, path, format=fmt)
+            if fmt == "csv":
+                with open(path, newline="") as fh:
+                    rows = list(csv.DictReader(fh))
+                with open(path, "w", newline="") as fh:
+                    fields = [k for k in rows[0] if k != "preprocess_pve"]
+                    writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
+                    writer.writeheader()
+                    writer.writerows(rows)
+            else:
+                records = [json.loads(line) for line in path.read_text().splitlines()]
+                for rec in records:
+                    del rec["preprocess_pve"]
+                path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+            assert "preprocess_pve" not in path.read_text()
+            assert read_results(path) == results
+
     def test_empty_results_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_results([], path, format="csv")
@@ -226,7 +301,8 @@ class TestResultsIo:
         header = path.read_text().splitlines()[0]
         assert header == (
             "coeff_dist,mean_shape,xi,noise,rho,n_points,n_basis,"
-            "group_sizes,summary,alpha,seed,replicates,rejection_rate,"
+            "group_sizes,summary,alpha,seed,preprocess_pve,replicates,"
+            "rejection_rate,"
             "mc_stderr,version"
         )
 
@@ -266,6 +342,23 @@ class TestGridConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidInputError):
             grid_from_dict({"seed": 1, "replciates": 10})
+
+    def test_wrong_typed_values_rejected(self):
+        for key, value in (
+            ("groups", 5),
+            ("groups", [[10, "a"]]),
+            ("groups", [[10.5, 10]]),
+            ("groups", [[True, 10]]),
+            ("replicates", "x"),
+            ("replicates", 2.7),
+            ("seed", 1.5),
+            ("n_points", 40),
+            ("coeff_dist", "normal"),
+            ("xi", {"stop": 1.0}),
+            ("preprocess_pve", "x"),
+        ):
+            with pytest.raises(InvalidInputError, match=key):
+                grid_from_dict({"seed": 1, key: value})
 
     def test_load_grid_file(self, tmp_path):
         path = tmp_path / "grid.json"

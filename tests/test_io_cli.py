@@ -315,7 +315,7 @@ class TestCliTest:
         assert code == 0
         assert "pve=0.99 (kept" in out
         assert "without continuity correction" in out
-        assert calls == {"fpca_smooth": 1, "rankdata_axis0": 1}
+        assert calls == {"smoothings": 1, "ranked_datasets": 1}
 
     def test_exact_threshold_above_cap_exits_2(self, tmp_path, capsys):
         path = simulate_file(tmp_path, capsys)
@@ -468,6 +468,15 @@ class TestCliGrids:
         )
         assert code == 2
         assert "replciates" in err
+        # values of the wrong type or form
+        for key, value in (("groups", 5), ("replicates", "x")):
+            cfg.write_text(json.dumps({"seed": 1, key: value}))
+            code, _, err = run_cli(
+                capsys,
+                ["type1", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
+            )
+            assert code == 2
+            assert key in err and "Traceback" not in err
         code, _, err = run_cli(
             capsys,
             ["type1", "--config", str(tmp_path), "--out", str(tmp_path / "x.csv")],

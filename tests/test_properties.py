@@ -1,0 +1,92 @@
+"""The paper's invariances of the doubly ranked test, as properties.
+
+Values are small integers, so ties are common and every transform below
+maps them to distinct floats in the same order.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from drtests import (
+    Alternative,
+    DoublyRankedConfig,
+    SummaryKind,
+    doubly_ranked_test,
+    kruskal_wallis_test,
+    mww_test,
+)
+from tests.helpers import make_curves
+
+_INCREASING = (
+    lambda c: 2.0 * c + 1.0,
+    lambda c: c**3,
+    np.exp,
+    np.arctan,
+    lambda c: -1.0 / (c + 10.0),
+)
+
+
+@st.composite
+def datasets(draw, n_points=st.integers(1, 6)):
+    """(values, labels, config): 2 or 3 groups of 1..7 subjects, shuffled."""
+    sizes = draw(st.lists(st.integers(1, 7), min_size=2, max_size=3))
+    values = draw(
+        arrays(
+            np.float64,
+            (sum(sizes), draw(n_points)),
+            elements=st.integers(-6, 6).map(float),
+        )
+    )
+    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    labels = np.asarray(draw(st.permutations(labels)))
+    alternative = Alternative.TWO_SIDED
+    if len(sizes) == 2:
+        alternative = draw(st.sampled_from(Alternative))
+    config = DoublyRankedConfig(
+        summary=draw(st.sampled_from(SummaryKind)), alternative=alternative
+    )
+    return values, labels, config
+
+
+def _test(values, labels, config):
+    return doubly_ranked_test(make_curves(values, groups=labels), config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets(), st.data())
+def test_increasing_transform_per_occasion(dataset, data):
+    values, labels, config = dataset
+    picks = data.draw(
+        st.lists(
+            st.sampled_from(_INCREASING),
+            min_size=values.shape[1],
+            max_size=values.shape[1],
+        )
+    )
+    warped = np.column_stack([f(values[:, j]) for j, f in enumerate(picks)])
+    assert _test(warped, labels, config) == _test(values, labels, config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets(), st.randoms(use_true_random=False))
+def test_reordering_subjects_with_labels(dataset, random):
+    values, labels, config = dataset
+    order = list(range(labels.size))
+    random.shuffle(order)
+    reordered = _test(values[order], labels[order], config)
+    assert reordered == _test(values, labels, config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets(n_points=st.just(1)))
+def test_single_occasion_is_the_univariate_test(dataset):
+    values, labels, config = dataset
+    column = values[:, 0]
+    groups = [column[labels == g] for g in range(1, labels.max() + 1)]
+    if len(groups) == 2:
+        univariate = mww_test(*groups, alternative=config.alternative)
+    else:
+        univariate = kruskal_wallis_test(groups)
+    assert _test(values, labels, config) == univariate

@@ -16,6 +16,7 @@ from drtests import (
     exact_mww_null_distribution,
     kruskal_wallis_test,
     mww_test,
+    rank_tests,
 )
 from tests.helpers import make_curves
 
@@ -152,6 +153,13 @@ class TestMwwTest:
             1.0 + probs[u], abs=1e-14
         )
 
+    def test_one_sided_tail_over_whole_table(self):
+        # P(U >= 0) and P(U <= n1*n2) sum the whole table, which rounds to
+        # just above 1 at (2, 4) and must still read as a probability
+        low, high = [10.0, 11.0], [0.0, 1.0, 2.0, 3.0]
+        assert mww_test(low, high, alternative="greater").p_value == 1.0
+        assert mww_test(high, low, alternative="less").p_value == 1.0
+
     def test_normal_path_above_threshold(self):
         rng = np.random.default_rng(53)
         x, y = rng.normal(size=30), rng.normal(size=30)
@@ -260,6 +268,78 @@ class TestScipyOracle:
             # to rounding rather than bit for bit
             assert res.statistic == pytest.approx(ref.statistic, rel=1e-12)
             assert res.p_value == pytest.approx(ref.pvalue, rel=0, abs=1e-12)
+
+
+class TestBatchedCore:
+    """The block kernel behind every rank test, row by row.
+
+    Each row of an (R, n) score block must give the p-value of a one-off
+    mww_test/kruskal_wallis_test call on that row bit for bit, and scipy's
+    to 1e-12. Every block carries tie-free, tied and all-tied rows.
+    """
+
+    @staticmethod
+    def block(rng, sizes, decimals):
+        scores = rng.normal(size=(12, sum(sizes)))
+        scores[4:] = np.round(scores[4:], decimals)
+        scores[-1] = 1.0  # every value tied: the zero-variance path
+        return scores, np.repeat(np.arange(1, len(sizes) + 1), sizes)
+
+    def test_mww_rows_match_single_calls_and_scipy(self):
+        rng = np.random.default_rng(307)
+        paths = set()
+        cases = itertools.product(((4, 6), (9, 12), (30, 25)), (1, 0), (50, 0))
+        for sizes, decimals, threshold in cases:
+            scores, labels = self.block(rng, sizes, decimals)
+            for alt, correct in itertools.product(Alternative, (True, False)):
+                block = rank_tests._mww_block(scores, labels, alt, threshold, correct)
+                for r, row in enumerate(scores):
+                    x, y = row[labels == 1], row[labels == 2]
+                    one = mww_test(
+                        x,
+                        y,
+                        alt,
+                        exact_threshold=threshold,
+                        continuity_correction=correct,
+                    )
+                    assert block.p_value[r].hex() == one.p_value.hex()
+                    assert block.statistic[r].hex() == one.statistic.hex()
+                    assert block.ties[r] == one.tie_correction_applied
+                    assert block.method[r] == one.method.value
+                    if np.ptp(row) == 0.0:
+                        paths.add("all tied")
+                        assert one.p_value == (0.5, 1.0)[alt is Alternative.TWO_SIDED]
+                        continue
+                    paths.add((one.method, alt))
+                    exact = one.method is Method.MWW_EXACT
+                    ref = mannwhitneyu(
+                        y,
+                        x,
+                        alternative=alt.value,
+                        method="exact" if exact else "asymptotic",
+                        use_continuity=correct,
+                    )
+                    assert one.p_value == pytest.approx(ref.pvalue, rel=0, abs=1e-12)
+        expected = {(m, a) for m in (Method.MWW_EXACT, Method.MWW_NORMAL) for a in Alternative}
+        assert paths == expected | {"all tied"}
+
+    def test_kw_rows_match_single_calls_and_scipy(self):
+        rng = np.random.default_rng(311)
+        for sizes in ((3, 4, 5), (10, 10, 10), (2, 7), (4, 1, 6, 3)):
+            for decimals in (1, 0):
+                scores, labels = self.block(rng, sizes, decimals)
+                block = rank_tests._kw_block(scores, labels, len(sizes))
+                for r, row in enumerate(scores):
+                    groups = [row[labels == g] for g in range(1, len(sizes) + 1)]
+                    one = kruskal_wallis_test(groups)
+                    assert block.p_value[r].hex() == one.p_value.hex()
+                    assert block.statistic[r].hex() == one.statistic.hex()
+                    assert block.ties[r] == one.tie_correction_applied
+                    if np.ptp(row) == 0.0:
+                        assert (one.statistic, one.p_value) == (0.0, 1.0)
+                        continue
+                    ref = kruskal(*groups)
+                    assert one.p_value == pytest.approx(ref.pvalue, rel=0, abs=1e-12)
 
 
 class TestKruskalWallis:
