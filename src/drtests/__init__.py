@@ -50,7 +50,6 @@ from .simgen import (
     eigen_curve,
     generate_dataset,
     mean_fn,
-    noise_vector,
     replicate_stream,
 )
 from .summaries import (
@@ -94,7 +93,6 @@ __all__ = [
     "SimConfig",
     "eigen_curve",
     "mean_fn",
-    "noise_vector",
     "replicate_stream",
     "generate_dataset",
     "ExperimentGrid",

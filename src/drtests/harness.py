@@ -23,7 +23,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import partial
 from typing import Sequence
@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _DEFAULT_XI = tuple(round(0.12 * i, 10) for i in range(26))  # 0, 0.12, ..., 3
+_SIM_FIELDS = {f.name for f in fields(SimConfig)}
 
 
 class ResultFormat(str, Enum):
@@ -109,6 +110,37 @@ class ExperimentGrid:
             object.__setattr__(self, "preprocess_pve", pve)
 
 
+def _sizes(value) -> tuple[int, ...]:
+    """Group sizes from a sequence or from the CSV form "n1+n2+..."."""
+    if isinstance(value, str):
+        value = value.split("+")
+    return tuple(int(g) for g in value)
+
+
+def _optional_float(value) -> float | None:
+    # None or "" when unset; files written before the column existed lack
+    # it, and their rows take the CellSpec default
+    return None if value in (None, "") else float(value)
+
+
+# The cell columns of a result row, in file order, each with the converter
+# that reads it from a CellSpec argument, a JSON value or a CSV string.
+_ROW = {
+    "coeff_dist": CoeffDist,
+    "mean_shape": MeanShape,
+    "xi": float,
+    "noise": NoiseKind,
+    "rho": float,
+    "n_points": int,
+    "n_basis": int,
+    "group_sizes": _sizes,
+    "summary": SummaryKind,
+    "alpha": float,
+    "seed": int,
+    "preprocess_pve": _optional_float,
+}
+
+
 @dataclass(frozen=True)
 class CellSpec:
     """Full factor combination behind one result row."""
@@ -127,15 +159,8 @@ class CellSpec:
     preprocess_pve: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff_dist", CoeffDist(self.coeff_dist))
-        object.__setattr__(self, "mean_shape", MeanShape(self.mean_shape))
-        object.__setattr__(self, "noise", NoiseKind(self.noise))
-        object.__setattr__(self, "summary", SummaryKind(self.summary))
-        object.__setattr__(
-            self, "group_sizes", tuple(int(g) for g in self.group_sizes)
-        )
-        if self.preprocess_pve is not None:
-            object.__setattr__(self, "preprocess_pve", float(self.preprocess_pve))
+        for name, convert in _ROW.items():
+            object.__setattr__(self, name, convert(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -186,18 +211,12 @@ def _count_rejections(
 def _cell_spec(
     config: SimConfig, summary: SummaryKind, grid: ExperimentGrid
 ) -> CellSpec:
+    shared = {name: getattr(config, name) for name in _ROW if name in _SIM_FIELDS}
     return CellSpec(
-        coeff_dist=config.coeff_dist,
-        mean_shape=config.mean_shape,
-        xi=config.xi,
-        noise=config.noise,
-        rho=config.rho,
-        n_points=config.n_points,
-        n_basis=config.n_basis,
+        **shared,
         group_sizes=config.n_per_group,
         summary=summary,
         alpha=grid.alpha,
-        seed=config.seed,
         preprocess_pve=grid.preprocess_pve,
     )
 
@@ -261,70 +280,26 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     return results
 
 
-_COLUMNS = [
-    "coeff_dist",
-    "mean_shape",
-    "xi",
-    "noise",
-    "rho",
-    "n_points",
-    "n_basis",
-    "group_sizes",
-    "summary",
-    "alpha",
-    "seed",
-    "preprocess_pve",
-    "replicates",
-    "rejection_rate",
-    "mc_stderr",
-    "version",
-]
+_COLUMNS = [*_ROW, "replicates", "rejection_rate", "mc_stderr", "version"]
+
+
+def _plain(value):
+    """A cell value as written: an enum as its value, a tuple as a list."""
+    if isinstance(value, Enum):
+        return value.value
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _result_record(result: CellResult) -> dict:
-    cell = result.cell
-    return {
-        "coeff_dist": cell.coeff_dist.value,
-        "mean_shape": cell.mean_shape.value,
-        "xi": cell.xi,
-        "noise": cell.noise.value,
-        "rho": cell.rho,
-        "n_points": cell.n_points,
-        "n_basis": cell.n_basis,
-        "group_sizes": list(cell.group_sizes),
-        "summary": cell.summary.value,
-        "alpha": cell.alpha,
-        "seed": cell.seed,
-        "preprocess_pve": cell.preprocess_pve,
-        "replicates": result.replicates_used,
-        "rejection_rate": result.rejection_rate,
-        "mc_stderr": result.mc_stderr,
-        "version": __version__,
-    }
+    """One result row, its values in _COLUMNS order."""
+    values = [_plain(getattr(result.cell, name)) for name in _ROW]
+    values += [result.replicates_used, result.rejection_rate, result.mc_stderr]
+    return dict(zip(_COLUMNS, [*values, __version__], strict=True))
 
 
 def _record_to_result(rec: dict) -> CellResult:
-    sizes = rec["group_sizes"]
-    if isinstance(sizes, str):
-        sizes = [int(part) for part in sizes.split("+")]
-    # None or "" when unset; files written before the column existed lack it
-    pve = rec.get("preprocess_pve")
-    cell = CellSpec(
-        coeff_dist=CoeffDist(rec["coeff_dist"]),
-        mean_shape=MeanShape(rec["mean_shape"]),
-        xi=float(rec["xi"]),
-        noise=NoiseKind(rec["noise"]),
-        rho=float(rec["rho"]),
-        n_points=int(rec["n_points"]),
-        n_basis=int(rec["n_basis"]),
-        group_sizes=tuple(int(g) for g in sizes),
-        summary=SummaryKind(rec["summary"]),
-        alpha=float(rec["alpha"]),
-        seed=int(rec["seed"]),
-        preprocess_pve=float(pve) if pve not in (None, "") else None,
-    )
     return CellResult(
-        cell=cell,
+        cell=CellSpec(**{name: rec[name] for name in _ROW if name in rec}),
         rejection_rate=float(rec["rejection_rate"]),
         replicates_used=int(rec["replicates"]),
         mc_stderr=float(rec["mc_stderr"]),
@@ -349,9 +324,12 @@ def write_results(
             writer = csv.DictWriter(fh, fieldnames=_COLUMNS)
             writer.writeheader()
             for rec in records:
-                rec = dict(rec)
-                rec["group_sizes"] = "+".join(str(g) for g in rec["group_sizes"])
-                writer.writerow(rec)
+                writer.writerow(
+                    {
+                        k: "+".join(map(str, v)) if isinstance(v, list) else v
+                        for k, v in rec.items()
+                    }
+                )
         else:
             for rec in records:
                 fh.write(json.dumps(rec) + "\n")
@@ -384,21 +362,6 @@ def read_results(
     return out
 
 
-def _xi_list(value) -> tuple[float, ...]:
-    if isinstance(value, dict):
-        unknown = set(value) - {"start", "stop", "step"}
-        if unknown:
-            raise InvalidInputError(f"unknown xi range keys: {sorted(unknown)}")
-        start = float(value.get("start", 0.0))
-        stop = float(value["stop"])
-        step = float(value["step"])
-        if step <= 0:
-            raise InvalidInputError("xi step must be > 0")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(round(start + i * step, 10) for i in range(count))
-    return tuple(float(x) for x in value)
-
-
 def _integer(value) -> int:
     """value if it is an integer (not a bool); a float is not truncated."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -406,79 +369,92 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _number(value) -> float:
+    """value as a float if it is a finite real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise TypeError(f"expected a number, got {value!r}")
+    if not np.isfinite(float(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _list(convert):
+    """Converter of a list (not a string) whose items each pass `convert`."""
+
+    def parse(value) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(convert(item) for item in value)
+
+    return parse
+
+
+def _xi_list(value) -> tuple[float, ...]:
+    if not isinstance(value, dict):
+        return _list(_number)(value)
+    unknown = set(value) - {"start", "stop", "step"}
+    if unknown:
+        raise InvalidInputError(f"unknown xi range keys: {sorted(unknown)}")
+    start = _number(value.get("start", 0.0))
+    stop = _number(value["stop"])
+    step = _number(value["step"])
+    if step <= 0:
+        raise InvalidInputError("xi step must be > 0")
+    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    return tuple(round(start + i * step, 10) for i in range(count))
+
+
+# Grid config keys, each with the SimConfig or ExperimentGrid field it sets
+# and the converter of its JSON value. A key left out keeps that field's
+# default, except noise, which a grid draws as AR(1) unless told otherwise.
+_GRID_KEYS = {
+    "seed": ("seed", _integer),
+    "coeff_dist": ("coeff_dist", CoeffDist),
+    "mean_shape": ("mean_shape", MeanShape),
+    "noise": ("noise", NoiseKind),
+    "rho": ("rho", _number),
+    "n_basis": ("n_basis", _integer),
+    "n_points": ("n_points_values", _list(_integer)),
+    "groups": ("group_schemes", _list(_list(_integer))),
+    "xi": ("xi_values", _xi_list),
+    "replicates": ("replicates", _integer),
+    "alpha": ("alpha", _number),
+    "summaries": ("summaries", _list(SummaryKind)),
+    "preprocess_pve": ("preprocess_pve", lambda v: v if v is None else _number(v)),
+}
+
+
 def grid_from_dict(spec: dict) -> ExperimentGrid:
     """Build an ExperimentGrid from a declarative mapping.
 
-    Recognized keys: seed (required), coeff_dist, mean_shape, noise, rho,
-    n_basis, n_points (list), groups (list of group-size lists), xi (list
-    or {start, stop, step}), replicates, alpha, summaries, preprocess_pve.
-    A value of the wrong type or form (a float where an integer belongs,
-    a string where a list does) raises InvalidInputError naming its key.
+    The keys are those of _GRID_KEYS; only the seed is required. A value
+    of the wrong type or form (a float where an integer belongs, a string
+    where a list does, a bool or a non-finite value where a number does)
+    raises InvalidInputError naming its key.
     """
     if "seed" not in spec:
         raise InvalidInputError("grid config must set a seed")
-    known = {
-        "seed",
-        "coeff_dist",
-        "mean_shape",
-        "noise",
-        "rho",
-        "n_basis",
-        "n_points",
-        "groups",
-        "xi",
-        "replicates",
-        "alpha",
-        "summaries",
-        "preprocess_pve",
-    }
-    unknown = set(spec) - known
+    unknown = set(spec) - set(_GRID_KEYS)
     if unknown:
         raise InvalidInputError(f"unknown grid config keys: {sorted(unknown)}")
-
-    def value(key, convert, default):
-        if key not in spec:
-            return default
+    sim: dict = {"noise": NoiseKind.AR1}
+    factors: dict = {}
+    for key, value in spec.items():
+        field, convert = _GRID_KEYS[key]
         try:
-            return convert(spec[key])
+            converted = convert(value)
         except InvalidInputError:
             raise
-        except (TypeError, ValueError, KeyError):
+        except (TypeError, ValueError, KeyError, OverflowError):
             raise InvalidInputError(
-                f"grid config {key!r} has an invalid value: {spec[key]!r}"
+                f"grid config {key!r} has an invalid value: {value!r}"
             ) from None
-
-    defaults = ExperimentGrid(
-        base=SimConfig(n_per_group=(2, 2), n_points=1, seed=0)
-    )
-    base = SimConfig(
-        n_per_group=(2, 2),
-        n_points=1,
-        n_basis=value("n_basis", _integer, 1000),
-        coeff_dist=value("coeff_dist", CoeffDist, CoeffDist.GAUSSIAN),
-        mean_shape=value("mean_shape", MeanShape, MeanShape.NONE),
-        noise=value("noise", NoiseKind, NoiseKind.AR1),
-        rho=value("rho", float, 0.5),
-        seed=value("seed", _integer, None),
-    )
-    return ExperimentGrid(
-        base=base,
-        n_points_values=value(
-            "n_points", lambda v: tuple(map(_integer, v)), defaults.n_points_values
-        ),
-        group_schemes=value(
-            "groups",
-            lambda v: tuple(tuple(map(_integer, scheme)) for scheme in v),
-            defaults.group_schemes,
-        ),
-        xi_values=value("xi", _xi_list, _DEFAULT_XI),
-        replicates=value("replicates", _integer, defaults.replicates),
-        alpha=value("alpha", float, defaults.alpha),
-        summaries=value(
-            "summaries", lambda v: tuple(SummaryKind(s) for s in v), defaults.summaries
-        ),
-        preprocess_pve=spec.get("preprocess_pve"),
-    )
+        (sim if field in _SIM_FIELDS else factors)[field] = converted
+    # every cell sets its own group sizes and grid size
+    base = SimConfig(n_per_group=(2, 2), n_points=1, **sim)
+    return ExperimentGrid(base=base, **factors)
 
 
 def load_grid(path: str | os.PathLike) -> ExperimentGrid:

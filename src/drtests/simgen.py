@@ -28,7 +28,6 @@ __all__ = [
     "SimConfig",
     "eigen_curve",
     "mean_fn",
-    "noise_vector",
     "replicate_stream",
     "generate_dataset",
 ]
@@ -93,9 +92,10 @@ class SimConfig:
         object.__setattr__(self, "coeff_dist", CoeffDist(self.coeff_dist))
         object.__setattr__(self, "mean_shape", MeanShape(self.mean_shape))
         object.__setattr__(self, "noise", NoiseKind(self.noise))
-        if not float(self.xi) >= 0.0:
-            raise InvalidInputError(f"xi must be >= 0, got {self.xi}")
-        object.__setattr__(self, "xi", float(self.xi))
+        xi = float(self.xi)
+        if not 0.0 <= xi < np.inf:
+            raise InvalidInputError(f"xi must be finite and >= 0, got {xi}")
+        object.__setattr__(self, "xi", xi)
         rho = float(self.rho)
         if not -1.0 < rho < 1.0:
             raise InvalidInputError(f"rho must lie in (-1, 1), got {rho}")
@@ -173,23 +173,6 @@ def _noise_matrix(
     # run as an IIR filter along the occasion axis
     draws[:, 1:] *= np.sqrt(1.0 - rho**2)
     return lfilter([1.0], [1.0, -rho], draws, axis=1)
-
-
-def noise_vector(
-    kind: NoiseKind | str, n_points: int, rng: Generator, rho: float = 0.5
-) -> np.ndarray:
-    """One measurement-noise curve with unit marginal variance.
-
-    White noise is iid standard normal; AR(1) has lag-h correlation rho^h
-    via the stationary recursion. kind "none" returns zeros without
-    consuming random numbers.
-    """
-    kind = NoiseKind(kind)
-    if n_points < 1:
-        raise InvalidInputError("n_points must be >= 1")
-    if not -1.0 < rho < 1.0:
-        raise InvalidInputError(f"rho must lie in (-1, 1), got {rho}")
-    return _noise_matrix(kind, (1, n_points), rng, rho)[0]
 
 
 def replicate_stream(seed: int, replicate: int) -> Generator:

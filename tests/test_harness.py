@@ -356,6 +356,16 @@ class TestGridConfig:
             ("coeff_dist", "normal"),
             ("xi", {"stop": 1.0}),
             ("preprocess_pve", "x"),
+            # a string where a list belongs is not read character by character
+            ("xi", "123"),
+            # a bool is not a number
+            ("rho", False),
+            ("preprocess_pve", True),
+            ("xi", [True]),
+            # non-finite shifts and range bounds (json reads Infinity)
+            ("xi", [float("inf")]),
+            ("xi", {"stop": float("inf"), "step": 1}),
+            ("xi", {"stop": 1e300, "step": 1e-300}),
         ):
             with pytest.raises(InvalidInputError, match=key):
                 grid_from_dict({"seed": 1, key: value})

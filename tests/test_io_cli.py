@@ -469,7 +469,11 @@ class TestCliGrids:
         assert code == 2
         assert "replciates" in err
         # values of the wrong type or form
-        for key, value in (("groups", 5), ("replicates", "x")):
+        for key, value in (
+            ("groups", 5),
+            ("replicates", "x"),
+            ("xi", {"stop": float("inf"), "step": 1}),
+        ):
             cfg.write_text(json.dumps({"seed": 1, key: value}))
             code, _, err = run_cli(
                 capsys,
@@ -497,16 +501,18 @@ class TestCliGrids:
 
     def test_bad_grid_flags_exit_2(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
-        for flag, value, named in (
-            ("--n-points", "a", "--n-points"),
-            ("--summaries", "foo", "--summaries"),
-            ("--preprocess", "pve=1.5", "preprocess_pve"),
+        for command, flag, value, named in (
+            ("type1", "--n-points", "a", "--n-points"),
+            ("type1", "--summaries", "foo", "--summaries"),
+            ("type1", "--preprocess", "pve=1.5", "preprocess_pve"),
+            ("power", "--xi", "inf", "xi"),
+            ("power", "--xi", "0:inf:1", "xi"),
         ):
             code, _, err = run_cli(
-                capsys, ["type1", "--seed", "1", "--out", out, flag, value]
+                capsys, [command, "--seed", "1", "--out", out, flag, value]
             )
             assert code == 2
-            assert named in err
+            assert named in err and "Traceback" not in err
 
     def test_bad_workers_exit_2(self, tmp_path, capsys, monkeypatch):
         argv = ["type1", "--seed", "1", "--out", str(tmp_path / "x.csv")]

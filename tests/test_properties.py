@@ -1,10 +1,13 @@
 """The paper's invariances of the doubly ranked test, as properties.
 
-Values are small integers, so ties are common and every transform below
-maps them to distinct floats in the same order.
+Values are small integers, so ties are common and every increasing
+transform below maps them to distinct floats in the same order.
 """
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -13,9 +16,12 @@ from drtests import (
     Alternative,
     DoublyRankedConfig,
     SummaryKind,
+    average_rank_summary,
     doubly_ranked_test,
     kruskal_wallis_test,
     mww_test,
+    rank_curves,
+    sufficient_summary,
 )
 from tests.helpers import make_curves
 
@@ -29,9 +35,10 @@ _INCREASING = (
 
 
 @st.composite
-def datasets(draw, n_points=st.integers(1, 6)):
+def datasets(draw, n_points=st.integers(1, 6), n_groups=st.integers(2, 3)):
     """(values, labels, config): 2 or 3 groups of 1..7 subjects, shuffled."""
-    sizes = draw(st.lists(st.integers(1, 7), min_size=2, max_size=3))
+    k = draw(n_groups)
+    sizes = draw(st.lists(st.integers(1, 7), min_size=k, max_size=k))
     values = draw(
         arrays(
             np.float64,
@@ -90,3 +97,38 @@ def test_single_occasion_is_the_univariate_test(dataset):
     else:
         univariate = kruskal_wallis_test(groups)
     assert _test(values, labels, config) == univariate
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets(n_groups=st.integers(3, 4)), st.randoms(use_true_random=False))
+def test_relabelling_groups(dataset, random):
+    values, labels, config = dataset
+    perm = list(range(1, labels.max() + 1))
+    random.shuffle(perm)
+    relabelled = _test(values, np.asarray(perm)[labels - 1], config)
+    result = _test(values, labels, config)
+    # H sums its group terms in label order, so it may move by a few ulps
+    assert relabelled.statistic == pytest.approx(result.statistic, rel=1e-12)
+    assert relabelled.p_value == pytest.approx(result.p_value, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets(n_groups=st.just(2)))
+def test_negating_values(dataset):
+    values, labels, config = dataset
+    ranks = rank_curves(make_curves(values, groups=labels))
+    flipped = rank_curves(make_curves(-values, groups=labels))
+    # each rank z becomes n+1-z, and t(n+1-z) = -t(z)
+    assert np.array_equal(
+        sufficient_summary(flipped).scores, -sufficient_summary(ranks).scores
+    )
+    assert average_rank_summary(flipped).scores == pytest.approx(
+        ranks.n + 1 - average_rank_summary(ranks).scores, rel=1e-12
+    )
+    for less, greater in (
+        (Alternative.LESS, Alternative.GREATER),
+        (Alternative.GREATER, Alternative.LESS),
+    ):
+        p_flipped = _test(-values, labels, replace(config, alternative=less)).p_value
+        p = _test(values, labels, replace(config, alternative=greater)).p_value
+        assert p_flipped == pytest.approx(p, rel=1e-12)

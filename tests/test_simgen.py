@@ -12,9 +12,9 @@ from drtests import (
     eigen_curve,
     generate_dataset,
     mean_fn,
-    noise_vector,
     replicate_stream,
 )
+from drtests.simgen import _noise_matrix
 
 
 class TestEigenCurve:
@@ -79,37 +79,36 @@ class TestMeanFn:
 
 
 class TestNoiseVector:
+    """Noise curves drawn by `_noise_matrix`, one at a time or k at once."""
+
     def test_none_is_zero_and_consumes_nothing(self):
-        rng = replicate_stream(1, 0)
-        out = noise_vector(NoiseKind.NONE, 5, rng)
-        assert np.all(out == 0.0)
-        # stream untouched: same next draw as a fresh stream
-        assert rng.standard_normal() == replicate_stream(1, 0).standard_normal()
+        for shape in ((1, 5), (3, 5)):
+            rng = replicate_stream(1, 0)
+            out = _noise_matrix(NoiseKind.NONE, shape, rng, 0.5)
+            assert out.shape == shape
+            assert np.all(out == 0.0)
+            # stream untouched: same next draw as a fresh stream
+            assert rng.standard_normal() == replicate_stream(1, 0).standard_normal()
 
     def test_ar1_zero_rho_equals_white(self):
-        a = noise_vector(NoiseKind.AR1, 50, replicate_stream(2, 0), rho=0.0)
-        b = noise_vector(NoiseKind.WHITE, 50, replicate_stream(2, 0))
-        assert np.array_equal(a, b)
+        for shape in ((1, 50), (4, 50)):
+            a = _noise_matrix(NoiseKind.AR1, shape, replicate_stream(2, 0), 0.0)
+            b = _noise_matrix(NoiseKind.WHITE, shape, replicate_stream(2, 0), 0.0)
+            assert np.array_equal(a, b)
 
     def test_ar1_lag_one_correlation(self):
+        # 200 one-curve draws from a stream equal one 200-curve draw from it
         rng = replicate_stream(3, 0)
-        draws = np.array(
-            [noise_vector(NoiseKind.AR1, 360, rng, rho=0.5) for _ in range(200)]
-        )
+        rows = [_noise_matrix(NoiseKind.AR1, (1, 360), rng, 0.5)[0] for _ in range(200)]
+        draws = _noise_matrix(NoiseKind.AR1, (200, 360), replicate_stream(3, 0), 0.5)
+        assert np.array_equal(np.array(rows), draws)
         x, y = draws[:, :-1].ravel(), draws[:, 1:].ravel()
         corr = np.corrcoef(x, y)[0, 1]
         assert corr == pytest.approx(0.5, abs=0.02)
 
     def test_ar1_unit_marginal_variance(self):
-        rng = replicate_stream(4, 0)
-        draws = np.array(
-            [noise_vector(NoiseKind.AR1, 100, rng, rho=0.5) for _ in range(300)]
-        )
+        draws = _noise_matrix(NoiseKind.AR1, (300, 100), replicate_stream(4, 0), 0.5)
         assert draws.var() == pytest.approx(1.0, abs=0.03)
-
-    def test_rho_validation(self):
-        with pytest.raises(InvalidInputError):
-            noise_vector(NoiseKind.AR1, 10, replicate_stream(5, 0), rho=1.0)
 
 
 class TestGenerateDataset:
@@ -226,6 +225,12 @@ class TestGenerateDataset:
             SimConfig(n_per_group=(5, 5), n_points=4, xi=-0.1)
         with pytest.raises(InvalidInputError):
             SimConfig(n_per_group=(5, 5), n_points=4, rho=1.0)
+
+    def test_non_finite_xi_rejected(self):
+        # an infinite shift would put NaN scores into the rank tests
+        for xi in (math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="xi"):
+                SimConfig(n_per_group=(5, 5), n_points=4, xi=xi)
 
 
 class TestReplicateStream:
