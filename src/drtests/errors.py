@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["InvalidInputError", "UnsupportedSizeError"]
+
 
 class InvalidInputError(ValueError):
     """Raised when an argument violates a documented precondition."""

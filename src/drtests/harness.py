@@ -97,6 +97,11 @@ class ExperimentGrid:
         object.__setattr__(
             self, "summaries", tuple(SummaryKind(s) for s in self.summaries)
         )
+        for name, convert in (("replicates", _integer), ("alpha", _number)):
+            try:
+                object.__setattr__(self, name, convert(getattr(self, name)))
+            except (TypeError, ValueError) as exc:
+                raise InvalidInputError(f"{name}: {exc}") from None
         if self.replicates < 1:
             raise InvalidInputError("replicates must be >= 1")
         if not 0.0 < self.alpha < 1.0:
@@ -459,10 +464,10 @@ def grid_from_dict(spec: dict) -> ExperimentGrid:
 
 def load_grid(path: str | os.PathLike) -> ExperimentGrid:
     """Load an ExperimentGrid from a JSON config file."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             spec = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidInputError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(spec, dict):
         raise InvalidInputError(f"grid config {path} must be a JSON object")

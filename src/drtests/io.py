@@ -71,17 +71,22 @@ def _parse_float(text: str, row: int, column: str) -> float:
 
 
 def _read_rows(path: str | os.PathLike) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    with open(path, newline="") as fh:
+    # utf-8-sig drops the byte-order mark that Excel writes before the header
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = [
+                (line_no, row)
+                for line_no, row in enumerate(reader, start=2)
+                if any(field.strip() for field in row)
+            ]
         except StopIteration:
             raise CsvFormatError("file is empty") from None
-        rows = [
-            (line_no, row)
-            for line_no, row in enumerate(reader, start=2)
-            if any(field.strip() for field in row)
-        ]
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"file is not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise CsvFormatError(str(exc), row=reader.line_num) from None
     return [h.strip() for h in header], rows
 
 

@@ -182,20 +182,19 @@ def _exact_u_tails(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def exact_mww_null_distribution(n1: int, n2: int, max_total: int = 50) -> np.ndarray:
+def exact_mww_null_distribution(n1: int, n2: int) -> np.ndarray:
     """Exact null PMF of the U statistic, indexed by U in {0..n1*n2}.
 
     The distribution is symmetric about n1*n2/2 and assumes no ties.
-    Sizes with n1+n2 beyond max_total, or beyond 60 whatever max_total
-    says, raise UnsupportedSizeError; use the normal approximation there.
+    Sizes with n1+n2 beyond 60 raise UnsupportedSizeError; use the normal
+    approximation there.
     """
     for name, v in (("n1", n1), ("n2", n2)):
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
             raise InvalidInputError(f"{name} must be a positive integer, got {v!r}")
-    limit = min(max_total, _EXACT_MAX_TOTAL)
-    if n1 + n2 > limit:
+    if n1 + n2 > _EXACT_MAX_TOTAL:
         raise UnsupportedSizeError(
-            f"exact null distribution supports combined sizes up to {limit}; "
+            f"exact null distribution supports combined sizes up to {_EXACT_MAX_TOTAL}; "
             f"got {n1 + n2}. Use the normal approximation instead."
         )
     return _exact_u_probs(int(n1), int(n2))

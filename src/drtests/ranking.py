@@ -15,7 +15,7 @@ from scipy.stats import rankdata
 
 from .errors import InvalidInputError
 
-__all__ = ["CurveSet", "RankCurves", "rank_vector", "rank_curves"]
+__all__ = ["CurveSet", "RankCurves", "rank_curves"]
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -141,19 +141,6 @@ class RankCurves:
 def _group_labels(sizes) -> np.ndarray:
     """Labels 1..G for subjects stored group by group with these sizes."""
     return np.repeat(np.arange(1, len(sizes) + 1), sizes)
-
-
-def rank_vector(values: np.ndarray) -> np.ndarray:
-    """Mid-ranks of a 1-d sample; ties share the average of their ranks.
-
-    The output always sums to n(n+1)/2.
-    """
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size < 1:
-        raise InvalidInputError("cannot rank an empty vector")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("cannot rank non-finite values")
-    return rankdata(arr, method="average")
 
 
 def rank_curves(curves: CurveSet) -> RankCurves:

@@ -26,7 +26,6 @@ __all__ = [
     "MeanShape",
     "NoiseKind",
     "SimConfig",
-    "eigen_curve",
     "mean_fn",
     "replicate_stream",
     "generate_dataset",
@@ -124,20 +123,6 @@ def _basis_matrix(n_basis: int, n_points: int) -> np.ndarray:
     basis = _basis(n_basis, _grid(n_points))
     basis.flags.writeable = False
     return basis
-
-
-def eigen_curve(coeffs: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Evaluate sum_k coeffs_k * sqrt(2) sin[(k-0.5) pi s] / [(k-0.5) pi].
-
-    The accumulation over k is a single matrix product, which numpy sums
-    pairwise, so long expansions do not drift. Every basis curve vanishes
-    at s=0.
-    """
-    coeffs = np.asarray(coeffs, dtype=float).ravel()
-    grid = np.asarray(grid, dtype=float).ravel()
-    if grid.size and (grid.min() < 0.0 or grid.max() > 1.0):
-        raise InvalidInputError("grid values must lie in [0, 1]")
-    return coeffs @ _basis(coeffs.size, grid)
 
 
 def mean_fn(kind: MeanShape | str, s: np.ndarray, xi: float) -> np.ndarray:

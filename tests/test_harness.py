@@ -372,15 +372,22 @@ class TestGridConfig:
 
     def test_load_grid_file(self, tmp_path):
         path = tmp_path / "grid.json"
-        path.write_text(json.dumps({"seed": 11, "n_points": [6], "replicates": 5}))
+        text = json.dumps({"seed": 11, "n_points": [6], "replicates": 5})
+        path.write_text(text)
         grid = load_grid(path)
         assert grid.base.seed == 11
         assert grid.replicates == 5
+        # the byte-order mark some editors write is skipped
+        path.write_text(text, encoding="utf-8-sig")
+        assert load_grid(path) == grid
 
     def test_load_grid_invalid_json(self, tmp_path):
         path = tmp_path / "grid.json"
         path.write_text("{not json")
         with pytest.raises(InvalidInputError):
+            load_grid(path)
+        path.write_bytes('{"seed": 1, "noise": "wei\u00df"}'.encode("latin-1"))
+        with pytest.raises(InvalidInputError, match="invalid JSON"):
             load_grid(path)
 
 
@@ -392,6 +399,14 @@ class TestGridValidation:
     def test_replicates_positive(self):
         with pytest.raises(InvalidInputError):
             small_grid(replicates=0)
+
+    def test_wrong_typed_values_rejected(self):
+        # neither truncated, nor read as 1, nor left to fail inside a run
+        for key, value in (("replicates", 2.5), ("replicates", True), ("alpha", "0.05")):
+            with pytest.raises(InvalidInputError, match=key):
+                small_grid(**{key: value})
+        grid = small_grid(replicates=np.int64(7), alpha=np.float64(0.1))
+        assert type(grid.replicates) is int and type(grid.alpha) is float
 
     def test_preprocess_pve_range(self):
         for pve in (0.0, 1.5):

@@ -118,6 +118,13 @@ class TestWideCsv:
         with pytest.raises(CsvFormatError, match="empty"):
             read_curves_csv(path)
 
+    def test_overlong_field_rejected(self, tmp_path):
+        path = write_text(
+            tmp_path / "w.csv", "id,group,0\na,x,1\nb,y," + "9" * 200_000 + "\n"
+        )
+        with pytest.raises(CsvFormatError, match="field limit.*row 3"):
+            read_curves_csv(path)
+
     def test_header_only_rejected(self, tmp_path):
         path = write_text(tmp_path / "w.csv", "id,group,0,1\n")
         with pytest.raises(CsvFormatError, match="no data rows"):
@@ -146,6 +153,16 @@ class TestLongCsv:
         assert np.array_equal(long_curves.grid, wide_curves.grid)
         assert np.array_equal(long_curves.groups, wide_curves.groups)
         assert long_info.grid_source == "column"
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark
+        plain = read_curves_csv(write_text(tmp_path / "l.csv", self.long_text()))
+        path = tmp_path / "bom.csv"
+        path.write_text(self.long_text(), encoding="utf-8-sig")
+        curves, info = read_curves_csv(path)
+        assert info == plain[1]
+        for name in ("values", "grid", "groups"):
+            assert np.array_equal(getattr(curves, name), getattr(plain[0], name))
 
     def test_auto_detects_shuffled_header(self, tmp_path):
         path = write_text(
@@ -342,6 +359,16 @@ class TestCliTest:
         code, _, err = run_cli(capsys, ["test", path])
         assert code == 2
         assert "row 2" in err
+        # a file that is not UTF-8, and a field past csv's size limit
+        latin = tmp_path / "latin.csv"
+        latin.write_bytes("id,group,0,1\na,x,1,2\nb,\u00e9,3,4\n".encode("latin-1"))
+        long_field = write_text(
+            tmp_path / "long.csv", "id,group,0\na,x,1\nb,y," + "9" * 200_000 + "\n"
+        )
+        for path, message in ((latin, "not UTF-8"), (long_field, "row 3")):
+            code, _, err = run_cli(capsys, ["test", str(path)])
+            assert code == 2
+            assert message in err and "Traceback" not in err
 
     def test_single_group_exits_2(self, tmp_path, capsys):
         path = write_text(tmp_path / "w.csv", "id,group,0,1\na,x,1,2\nb,x,3,4\n")
@@ -481,6 +508,14 @@ class TestCliGrids:
             )
             assert code == 2
             assert key in err and "Traceback" not in err
+        # a config that is not UTF-8
+        cfg.write_bytes('{"seed": 1, "noise": "wei\u00df"}'.encode("latin-1"))
+        code, _, err = run_cli(
+            capsys,
+            ["type1", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
+        )
+        assert code == 2
+        assert "invalid JSON" in err and "Traceback" not in err
         code, _, err = run_cli(
             capsys,
             ["type1", "--config", str(tmp_path), "--out", str(tmp_path / "x.csv")],

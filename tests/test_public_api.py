@@ -1,0 +1,49 @@
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import drtests
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def module_exports():
+    """Each drtests module's __all__, for the modules that declare one."""
+    out = {}
+    for info in pkgutil.iter_modules(drtests.__path__):
+        module = importlib.import_module(f"drtests.{info.name}")
+        if hasattr(module, "__all__"):
+            out[info.name] = list(module.__all__)
+    return out
+
+
+def perfbench_imports():
+    """Names the benchmark imports from drtests, leaving out submodules."""
+    submodules = {info.name for info in pkgutil.iter_modules(drtests.__path__)}
+    names = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "drtests":
+                names.update(alias.name for alias in node.names)
+    return names - submodules
+
+
+class TestPublicApi:
+    def test_no_duplicates(self):
+        assert len(drtests.__all__) == len(set(drtests.__all__))
+
+    def test_every_name_resolves(self):
+        for name in drtests.__all__:
+            assert hasattr(drtests, name), name
+
+    def test_union_of_module_exports(self):
+        exports = module_exports()
+        assert "errors" in exports and "cli" not in exports
+        union = [name for names in exports.values() for name in names]
+        assert sorted(drtests.__all__) == sorted(["__version__", *union])
+
+    def test_keeps_what_perfbench_imports(self):
+        imported = perfbench_imports()
+        assert imported, "no drtests import found under perfbench/"
+        assert imported <= set(drtests.__all__)

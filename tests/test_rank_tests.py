@@ -55,15 +55,12 @@ class TestExactNullDistribution:
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_size_limit(self):
-        with pytest.raises(UnsupportedSizeError):
-            exact_mww_null_distribution(26, 25)
-        # the limit is configurable
-        probs = exact_mww_null_distribution(26, 25, max_total=60)
+        # exact through the int64 cap of 60 combined, refused above it
+        probs = exact_mww_null_distribution(26, 25)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-        # ... up to the int64 cap of 60, whatever max_total says
-        assert exact_mww_null_distribution(30, 30, max_total=1000).size == 901
+        assert exact_mww_null_distribution(30, 30).size == 901
         with pytest.raises(UnsupportedSizeError):
-            exact_mww_null_distribution(31, 30, max_total=1000)
+            exact_mww_null_distribution(31, 30)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(InvalidInputError):
@@ -84,7 +81,7 @@ class TestExactNullDistribution:
                 old = new
             assert sum(old[n2]) == math.comb(n1 + n2, n2)
             expected = old[n2].astype(float) / float(sum(old[n2]))
-            probs = exact_mww_null_distribution(n1, n2, max_total=60)
+            probs = exact_mww_null_distribution(n1, n2)
             assert np.array_equal(probs, expected), (n1, n2)
 
     def test_read_only(self):

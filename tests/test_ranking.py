@@ -1,36 +1,28 @@
 import numpy as np
 import pytest
 
-from drtests import CurveSet, InvalidInputError, RankCurves, rank_curves, rank_vector
+from drtests import CurveSet, InvalidInputError, RankCurves, rank_curves
 from tests.helpers import make_curves
+
+
+def column_ranks(values):
+    """Mid-ranks of one occasion: rank_curves of a single-column curve set."""
+    return rank_curves(make_curves(np.reshape(values, (-1, 1)))).ranks[:, 0]
 
 
 class TestRankVector:
     def test_distinct_values(self):
-        assert rank_vector([3.0, 1.0, 2.0]).tolist() == [3.0, 1.0, 2.0]
+        assert column_ranks([3.0, 1.0, 2.0]).tolist() == [3.0, 1.0, 2.0]
 
     def test_midrank_tie(self):
-        assert rank_vector([2.0, 1.0, 2.0]).tolist() == [2.5, 1.0, 2.5]
-
-    def test_single_element(self):
-        assert rank_vector([5.0]).tolist() == [1.0]
+        assert column_ranks([2.0, 1.0, 2.0]).tolist() == [2.5, 1.0, 2.5]
 
     def test_sum_invariant(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            n = rng.integers(1, 40)
+            n = rng.integers(2, 40)
             vals = rng.integers(0, 5, size=n).astype(float)  # force ties
-            assert rank_vector(vals).sum() == pytest.approx(n * (n + 1) / 2)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInputError):
-            rank_vector([1.0, np.nan])
-        with pytest.raises(InvalidInputError):
-            rank_vector([np.inf, 0.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(InvalidInputError):
-            rank_vector([])
+            assert column_ranks(vals).sum() == pytest.approx(n * (n + 1) / 2)
 
 
 class TestCurveSet:
@@ -55,6 +47,8 @@ class TestCurveSet:
     def test_rejects_non_finite_values(self):
         with pytest.raises(InvalidInputError):
             make_curves([[1.0], [np.nan]])
+        with pytest.raises(InvalidInputError):
+            make_curves([[np.inf], [0.0]])
 
     def test_rejects_non_increasing_grid(self):
         with pytest.raises(InvalidInputError):
@@ -127,10 +121,9 @@ class TestRankCurves:
         # on {1..n}; chi-square goodness of fit over many replicates
         rng = np.random.default_rng(19)
         n, reps = 6, 3000
-        counts = np.zeros(n)
-        for _ in range(reps):
-            ranks = rank_vector(rng.normal(size=n))
-            counts[int(ranks[0]) - 1] += 1
+        # column r holds replicate r's n draws
+        ranks = rank_curves(make_curves(rng.normal(size=(reps, n)).T)).ranks
+        counts = np.bincount(ranks[0].astype(int) - 1, minlength=n)
         expected = reps / n
         chi2 = np.sum((counts - expected) ** 2 / expected)
         # 99.9% quantile of chi-square with 5 df is 20.5
