@@ -32,7 +32,7 @@ from .rank_tests import (
     DoublyRankedConfig,
     Method,
     _doubly_ranked_scores,
-    _score_test,
+    _score_block,
 )
 from .simgen import CoeffDist, MeanShape, NoiseKind, SimConfig, generate_dataset
 from .summaries import SummaryKind
@@ -112,13 +112,14 @@ def _cmd_test(args: argparse.Namespace) -> int:
     config = DoublyRankedConfig(
         summary=summary,
         preprocess_pve=_parse_preprocess(args.preprocess),
-        alternative=Alternative(args.alternative),
+        alternative=args.alternative,
         exact_threshold=args.exact_threshold,
         continuity_correction=not args.no_continuity_correction,
     )
     pve = config.preprocess_pve
     (scores,), fits = _doubly_ranked_scores([curves.values], (summary,), pve)
-    result = _score_test(scores, curves, config)
+    block = _score_block(scores, curves.groups, curves.n_groups, config)
+    result = block.result(config.alternative, curves.group_sizes)
     preprocess_desc = "none"
     if fits:
         (fp,) = fits
@@ -167,15 +168,16 @@ def _cmd_test(args: argparse.Namespace) -> int:
         if result.tie_correction_applied:
             print("  note         tie correction applied")
         if args.verbose and result.method is Method.MWW_NORMAL:
-            flipped = _score_test(
+            flipped = _score_block(
                 scores,
-                curves,
+                curves.groups,
+                curves.n_groups,
                 replace(config, continuity_correction=args.no_continuity_correction),
             )
             which = "without" if not args.no_continuity_correction else "with"
             print(
                 f"  p-value ({which} continuity correction) "
-                f"{flipped.p_value:.6g}"
+                f"{flipped.p_value[0]:.6g}"
             )
     return 0
 
@@ -185,10 +187,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         n_per_group=_parse_groups(args.groups)[0],
         n_points=args.n_points,
         n_basis=args.n_basis,
-        coeff_dist=CoeffDist(args.dist),
-        mean_shape=MeanShape(args.mean),
+        coeff_dist=args.dist,
+        mean_shape=args.mean,
         xi=args.xi,
-        noise=NoiseKind(args.noise),
+        noise=args.noise,
         rho=args.rho,
         seed=args.seed,
     )

@@ -1,6 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types, and the argument checks shared across the package.
+
+A check takes a value and its argument's name, and returns the value in
+its canonical type or raises InvalidInputError naming that argument.
+"""
 
 from __future__ import annotations
+
+import numbers
+import sys
 
 __all__ = ["InvalidInputError", "UnsupportedSizeError"]
 
@@ -15,3 +22,60 @@ class UnsupportedSizeError(InvalidInputError):
     Callers hitting this should switch to the corresponding asymptotic
     approximation.
     """
+
+
+def _integer(value, name: str) -> int:
+    """value as an int if it is an integer (not a bool); a float is not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _count(value, name: str) -> int:
+    """value as an int if it is an integer >= 1: a size or a count."""
+    if _integer(value, name) < 1:
+        raise InvalidInputError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
+def _number(value, name: str) -> float:
+    """value as a float if it is a finite real number (not a bool or a string)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise InvalidInputError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def _list(check):
+    """Check of a list or tuple (not a string) whose items each pass `check`."""
+
+    def parse(value, name: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise InvalidInputError(f"{name} must be a list, got {value!r}")
+        return tuple(check(item, name) for item in value)
+
+    return parse
+
+
+def _member(kind):
+    """Check of a member of the str enum `kind`, given as itself or its value."""
+    choices = [m.value for m in kind]
+
+    def parse(value, name: str):
+        if value not in choices:
+            raise InvalidInputError(f"{name} must be one of {choices}, got {value!r}")
+        return kind(value)
+
+    return parse
+
+
+def _optional(check):
+    """Check of None or of a value that passes `check`."""
+    return lambda value, name: None if value is None else check(value, name)
+
+
+def _check_fields(obj, **checks) -> None:
+    """Replace each named field of a frozen dataclass by its checked value."""
+    for name, check in checks.items():
+        object.__setattr__(obj, name, check(getattr(obj, name), name))

@@ -5,16 +5,17 @@ schemes, shift scales, summaries). Each cell simulates its replicates from
 counter-based substreams and records the fraction of doubly ranked tests
 rejecting at level alpha. A run is one list of (cell, replicate block)
 tasks: each cell's replicates are split into min(workers, replicates)
-contiguous blocks, and with more than one worker every task goes through
-one process pool opened for the whole run. Within a task, replicates run
-in blocks of at most 2^15 curve values (a fixed memory budget, not a
-setting): each replicate is drawn from its own substream, then the whole
-block is ranked, summarized and tested in one batched pass, so per-call
-costs are paid per block, not per replicate. A cell whose n·S exceeds
-the budget runs one replicate per block. Because substream i depends
-only on (seed, i), every test treats each replicate on its own, and each
-cell sums its blocks' integer counts, results are identical for any
-worker count and any block size.
+contiguous blocks, and with more than one worker and more than one task
+every task goes through one process pool opened for the whole run, with
+at most one process per task. Within a task, replicates run in blocks of
+at most 2^15 curve values (a fixed memory budget, not a setting): each
+replicate is drawn from its own substream, then the whole block is
+ranked, summarized and tested in one batched pass, so per-call costs are
+paid per block, not per replicate. A cell whose n·S exceeds the budget
+runs one replicate per block. Because substream i depends only on
+(seed, i), every test treats each replicate on its own, and each cell
+sums its blocks' integer counts, results are identical for any worker
+count and any block size.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from typing import Sequence
@@ -31,11 +32,15 @@ from typing import Sequence
 import numpy as np
 
 from ._version import __version__
-from .errors import InvalidInputError
+from .errors import (
+    InvalidInputError, _check_fields, _count, _list, _member, _number, _optional
+)
 from .preprocess import _check_pve
 from .rank_tests import DoublyRankedConfig, _doubly_ranked_scores, _score_block
 from .ranking import _group_labels
-from .simgen import CoeffDist, MeanShape, NoiseKind, SimConfig, _dataset_values
+from .simgen import (
+    _SIM_CHECKS, CoeffDist, MeanShape, NoiseKind, SimConfig, _dataset_values
+)
 from .summaries import SummaryKind
 
 __all__ = [
@@ -52,12 +57,23 @@ __all__ = [
 ]
 
 _DEFAULT_XI = tuple(round(0.12 * i, 10) for i in range(26))  # 0, 0.12, ..., 3
-_SIM_FIELDS = {f.name for f in fields(SimConfig)}
 
 
 class ResultFormat(str, Enum):
     CSV = "csv"
     JSONL = "jsonl"
+
+
+# The check of each ExperimentGrid factor (and of the grid config key that sets it)
+_GRID_CHECKS = {
+    "n_points_values": _list(_count),
+    "group_schemes": _list(_list(_count)),
+    "xi_values": _list(_number),
+    "replicates": _count,
+    "alpha": _number,
+    "summaries": _list(_member(SummaryKind)),
+    "preprocess_pve": _optional(_check_pve),
+}
 
 
 @dataclass(frozen=True)
@@ -76,43 +92,15 @@ class ExperimentGrid:
     xi_values: tuple[float, ...] = _DEFAULT_XI
     replicates: int = 2000
     alpha: float = 0.05
-    summaries: tuple[SummaryKind, ...] = (
-        SummaryKind.SUFFICIENT,
-        SummaryKind.AVERAGE_RANK,
-    )
+    summaries: tuple[SummaryKind, ...] = tuple(SummaryKind)
     preprocess_pve: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "n_points_values", tuple(int(v) for v in self.n_points_values)
-        )
-        object.__setattr__(
-            self,
-            "group_schemes",
-            tuple(tuple(int(g) for g in scheme) for scheme in self.group_schemes),
-        )
-        object.__setattr__(
-            self, "xi_values", tuple(float(x) for x in self.xi_values)
-        )
-        object.__setattr__(
-            self, "summaries", tuple(SummaryKind(s) for s in self.summaries)
-        )
-        for name, convert in (("replicates", _integer), ("alpha", _number)):
-            try:
-                object.__setattr__(self, name, convert(getattr(self, name)))
-            except (TypeError, ValueError) as exc:
-                raise InvalidInputError(f"{name}: {exc}") from None
-        if self.replicates < 1:
-            raise InvalidInputError("replicates must be >= 1")
+        _check_fields(self, **_GRID_CHECKS)
         if not 0.0 < self.alpha < 1.0:
             raise InvalidInputError("alpha must lie in (0, 1)")
-        if not self.n_points_values or not self.group_schemes:
-            raise InvalidInputError("factor lists must be nonempty")
-        if not self.summaries:
-            raise InvalidInputError("need at least one summary")
-        if self.preprocess_pve is not None:
-            pve = _check_pve(self.preprocess_pve, "preprocess_pve")
-            object.__setattr__(self, "preprocess_pve", pve)
+        if not (self.n_points_values and self.group_schemes and self.summaries):
+            raise InvalidInputError("factor lists and summaries must be nonempty")
 
 
 def _sizes(value) -> tuple[int, ...]:
@@ -216,7 +204,7 @@ def _count_rejections(
 def _cell_spec(
     config: SimConfig, summary: SummaryKind, grid: ExperimentGrid
 ) -> CellSpec:
-    shared = {name: getattr(config, name) for name in _ROW if name in _SIM_FIELDS}
+    shared = {name: getattr(config, name) for name in _ROW if name in _SIM_CHECKS}
     return CellSpec(
         **shared,
         group_sizes=config.n_per_group,
@@ -240,12 +228,12 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
 
     Rows are ordered by group scheme, then grid size, then summary, then
     shift scale, so each power curve occupies consecutive rows. With more
-    than one worker, the whole run shares one process pool.
+    than one worker, the whole run shares one process pool, of at most
+    one process per task.
     """
     if not grid.xi_values:
         raise InvalidInputError("xi_values must be nonempty")
-    if workers < 1:
-        raise InvalidInputError("workers must be >= 1")
+    workers = _count(workers, "workers")
     configs = [
         replace(grid.base, n_per_group=scheme, n_points=n_points, xi=xi)
         for scheme in grid.group_schemes
@@ -260,10 +248,12 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
         bounds[1:] * len(configs),
     )
     count = partial(_count_rejections, grid)
-    if workers == 1:
+    # a forked pool starts all its processes at once: open none to sit idle
+    processes = min(workers, len(tasks[0]))
+    if processes == 1:
         block_counts = list(map(count, *tasks))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             block_counts = list(pool.map(count, *tasks))
     shape = (len(configs), n_blocks, len(grid.summaries))
     cell_counts = np.reshape(block_counts, shape).sum(axis=1)
@@ -322,7 +312,7 @@ def write_results(
     An unset preprocess_pve is an empty CSV field or a JSONL null.
     Empty result lists produce a header-only CSV or an empty JSONL file.
     """
-    format = ResultFormat(format)
+    format = _member(ResultFormat)(format, "format")
     records = [_result_record(r) for r in results]
     with open(path, "w", newline="") as fh:
         if format is ResultFormat.CSV:
@@ -348,12 +338,8 @@ def read_results(
     The format is inferred from the extension when not given.
     """
     if format is None:
-        format = (
-            ResultFormat.JSONL
-            if str(path).endswith((".jsonl", ".ndjson"))
-            else ResultFormat.CSV
-        )
-    format = ResultFormat(format)
+        format = "jsonl" if str(path).endswith((".jsonl", ".ndjson")) else "csv"
+    format = _member(ResultFormat)(format, "format")
     out: list[CellResult] = []
     with open(path, newline="") as fh:
         if format is ResultFormat.CSV:
@@ -367,77 +353,40 @@ def read_results(
     return out
 
 
-def _integer(value) -> int:
-    """value if it is an integer (not a bool); a float is not truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _number(value) -> float:
-    """value as a float if it is a finite real number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(
-        value, (int, float, np.integer, np.floating)
-    ):
-        raise TypeError(f"expected a number, got {value!r}")
-    if not np.isfinite(float(value)):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _list(convert):
-    """Converter of a list (not a string) whose items each pass `convert`."""
-
-    def parse(value) -> tuple:
-        if not isinstance(value, (list, tuple)):
-            raise TypeError(f"expected a list, got {value!r}")
-        return tuple(convert(item) for item in value)
-
-    return parse
-
-
-def _xi_list(value) -> tuple[float, ...]:
-    if not isinstance(value, dict):
-        return _list(_number)(value)
-    unknown = set(value) - {"start", "stop", "step"}
-    if unknown:
-        raise InvalidInputError(f"unknown xi range keys: {sorted(unknown)}")
-    start = _number(value.get("start", 0.0))
-    stop = _number(value["stop"])
-    step = _number(value["step"])
+def _xi_range(spec: dict, name: str) -> tuple[float, ...]:
+    """The shifts start, start + step, ... up to stop of a config range."""
+    if not {"stop", "step"} <= set(spec) <= {"start", "stop", "step"}:
+        raise InvalidInputError(f"{name} range needs stop and step, got {sorted(spec)}")
+    start = _number(spec.get("start", 0.0), name)
+    stop, step = _number(spec["stop"], name), _number(spec["step"], name)
     if step <= 0:
-        raise InvalidInputError("xi step must be > 0")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+        raise InvalidInputError(f"{name} range step must be > 0")
+    span = (stop - start) / step
+    if not np.isfinite(span):
+        raise InvalidInputError(f"{name} range is too long")
+    count = int(np.floor(span + 1e-9)) + 1
     return tuple(round(start + i * step, 10) for i in range(count))
 
 
-# Grid config keys, each with the SimConfig or ExperimentGrid field it sets
-# and the converter of its JSON value. A key left out keeps that field's
-# default, except noise, which a grid draws as AR(1) unless told otherwise.
+# Grid config keys, each with the SimConfig or ExperimentGrid field it sets;
+# most keys name their field. A key left out keeps that field's default,
+# except noise, which a grid draws as AR(1) unless told otherwise.
 _GRID_KEYS = {
-    "seed": ("seed", _integer),
-    "coeff_dist": ("coeff_dist", CoeffDist),
-    "mean_shape": ("mean_shape", MeanShape),
-    "noise": ("noise", NoiseKind),
-    "rho": ("rho", _number),
-    "n_basis": ("n_basis", _integer),
-    "n_points": ("n_points_values", _list(_integer)),
-    "groups": ("group_schemes", _list(_list(_integer))),
-    "xi": ("xi_values", _xi_list),
-    "replicates": ("replicates", _integer),
-    "alpha": ("alpha", _number),
-    "summaries": ("summaries", _list(SummaryKind)),
-    "preprocess_pve": ("preprocess_pve", lambda v: v if v is None else _number(v)),
+    **{k: k for k in ("seed", "coeff_dist", "mean_shape", "noise", "rho", "n_basis")},
+    "n_points": "n_points_values",
+    "groups": "group_schemes",
+    "xi": "xi_values",
+    **{k: k for k in ("replicates", "alpha", "summaries", "preprocess_pve")},
 }
 
 
 def grid_from_dict(spec: dict) -> ExperimentGrid:
     """Build an ExperimentGrid from a declarative mapping.
 
-    The keys are those of _GRID_KEYS; only the seed is required. A value
-    of the wrong type or form (a float where an integer belongs, a string
-    where a list does, a bool or a non-finite value where a number does)
-    raises InvalidInputError naming its key.
+    The keys are those of _GRID_KEYS; only the seed is required, and "xi"
+    may also be a range {"start", "stop", "step"}. Each value goes through
+    its field's check, so a value of the wrong type or form raises
+    InvalidInputError naming its key.
     """
     if "seed" not in spec:
         raise InvalidInputError("grid config must set a seed")
@@ -447,16 +396,13 @@ def grid_from_dict(spec: dict) -> ExperimentGrid:
     sim: dict = {"noise": NoiseKind.AR1}
     factors: dict = {}
     for key, value in spec.items():
-        field, convert = _GRID_KEYS[key]
-        try:
-            converted = convert(value)
-        except InvalidInputError:
-            raise
-        except (TypeError, ValueError, KeyError, OverflowError):
-            raise InvalidInputError(
-                f"grid config {key!r} has an invalid value: {value!r}"
-            ) from None
-        (sim if field in _SIM_FIELDS else factors)[field] = converted
+        field, name = _GRID_KEYS[key], f"grid config {key!r}"
+        if key == "xi" and isinstance(value, dict):
+            value = _xi_range(value, name)
+        if field in _SIM_CHECKS:
+            sim[field] = _SIM_CHECKS[field](value, name)
+        else:
+            factors[field] = _GRID_CHECKS[field](value, name)
     # every cell sets its own group sizes and grid size
     base = SimConfig(n_per_group=(2, 2), n_points=1, **sim)
     return ExperimentGrid(base=base, **factors)

@@ -15,10 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import betainc, gammaln
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _count, _integer, _number
 
 __all__ = [
     "ExpFamParts",
@@ -30,22 +29,12 @@ __all__ = [
 ]
 
 
-def _check_n(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise InvalidInputError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
-    return int(n)
-
-
 def _check_params(n: int, r: int, z: int) -> tuple[int, int, int]:
-    n = _check_n(n)
+    n, r, z = _count(n, "n"), _integer(r, "r"), _integer(z, "z")
     for name, v in (("r", r), ("z", z)):
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-            raise InvalidInputError(f"{name} must be an integer, got {v!r}")
         if not 1 <= v <= n:
             raise InvalidInputError(f"{name} must lie in [1, {n}], got {v}")
-    return n, int(r), int(z)
+    return n, r, z
 
 
 def _log_halfcell(z: float, n: int) -> tuple[float, float]:
@@ -98,9 +87,8 @@ def suff_stat(z: float, n: int) -> float:
     mid-ranks from tied data flow through (an extension beyond the integer
     ranks the derivation assumes).
     """
-    n = _check_n(n)
-    z = float(z)
-    if not math.isfinite(z) or not 1.0 <= z <= n:
+    n, z = _count(n, "n"), _number(z, "rank")
+    if not 1.0 <= z <= n:
         raise InvalidInputError(f"rank must lie in [1, {n}], got {z}")
     # the common 1/(2n) scale cancels in the ratio
     return math.log(2.0 * z - 1.0) - math.log(2.0 * (n - z) + 1.0)
@@ -150,5 +138,5 @@ def mean_suff_under_null(n: int) -> float:
     equally likely, and the log terms cancel pairwise (with the middle
     term vanishing for odd n).
     """
-    n = _check_n(n)
+    n = _count(n, "n")
     return math.fsum(suff_stat(z, n) for z in range(1, n + 1)) / n

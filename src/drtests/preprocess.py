@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _number
 from .ranking import CurveSet
 
 __all__ = ["FpcaResult", "fpca_smooth"]
@@ -51,11 +51,8 @@ class FpcaResult:
 
 
 def _check_pve(pve: float, name: str = "pve") -> float:
-    """pve as a float; InvalidInputError unless it lies in (0, 1]."""
-    try:
-        pve = float(pve)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"{name} must be a number, got {pve!r}") from None
+    """pve as a float; InvalidInputError unless it is a number in (0, 1]."""
+    pve = _number(pve, name)
     if not 0.0 < pve <= 1.0:
         raise InvalidInputError(f"{name} must lie in (0, 1], got {pve}")
     return pve

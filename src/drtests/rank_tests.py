@@ -22,7 +22,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.stats import chi2, norm, rankdata
 
-from .errors import InvalidInputError, UnsupportedSizeError
+from .errors import (
+    InvalidInputError,
+    UnsupportedSizeError,
+    _check_fields,
+    _count,
+    _integer,
+    _list,
+    _member,
+    _optional,
+)
 from .preprocess import FpcaResult, _check_pve, _fpca
 from .ranking import CurveSet, _group_labels
 from .summaries import SummaryKind, _summary_scores
@@ -71,9 +80,8 @@ class TestResult:
     tie_correction_applied: bool
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "method", Method(self.method))
-        object.__setattr__(self, "alternative", Alternative(self.alternative))
-        object.__setattr__(self, "group_sizes", tuple(int(g) for g in self.group_sizes))
+        checks = {"method": _member(Method), "alternative": _member(Alternative)}
+        _check_fields(self, **checks, group_sizes=_list(_count))
         if not 0.0 <= self.p_value <= 1.0:
             raise InvalidInputError(f"p_value out of [0, 1]: {self.p_value}")
         if self.method is Method.KW_CHISQ:
@@ -104,7 +112,7 @@ class _Block(NamedTuple):
     def result(self, alternative: Alternative, sizes: Sequence[int]) -> TestResult:
         """Row 0 as a validated TestResult; one-off tests run with R = 1."""
         return TestResult(
-            method=Method(self.method[0]),
+            method=self.method[0],
             statistic=float(self.statistic[0]),
             z_or_df=float(self.z_or_df[0]),
             p_value=float(self.p_value[0]),
@@ -130,16 +138,13 @@ def _pooled_ranks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mid-ranks within each row of an (R, n) block, and each row's sum(t^3 - t).
 
     t runs over the sizes of a row's groups of tied values, so the sum is
-    0 exactly when the row has no ties.
+    0 exactly when the row has no ties. Mid-ranks give
+    sum(t^3 - t) = n^3 - n - 12 sum((r - (n+1)/2)^2).
     """
     ranks = rankdata(scores, method="average", axis=1)
-    ordered = np.sort(scores, axis=1)
-    first = np.ones(ordered.shape, dtype=bool)
-    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    starts = np.flatnonzero(first)
-    t = np.diff(starts, append=ordered.size)
-    rows = starts // ordered.shape[1]
-    tie_sum = np.bincount(rows, weights=t**3 - t, minlength=ordered.shape[0])
+    n = ranks.shape[1]
+    # every term is a multiple of 1/4, so the sum is exact while n^3 < 2^53
+    tie_sum = n**3 - n - 12.0 * np.sum((ranks - (n + 1) / 2.0) ** 2, axis=1)
     return ranks, tie_sum
 
 
@@ -189,23 +194,22 @@ def exact_mww_null_distribution(n1: int, n2: int) -> np.ndarray:
     Sizes with n1+n2 beyond 60 raise UnsupportedSizeError; use the normal
     approximation there.
     """
-    for name, v in (("n1", n1), ("n2", n2)):
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
-            raise InvalidInputError(f"{name} must be a positive integer, got {v!r}")
+    n1, n2 = _count(n1, "n1"), _count(n2, "n2")
     if n1 + n2 > _EXACT_MAX_TOTAL:
         raise UnsupportedSizeError(
             f"exact null distribution supports combined sizes up to {_EXACT_MAX_TOTAL}; "
             f"got {n1 + n2}. Use the normal approximation instead."
         )
-    return _exact_u_probs(int(n1), int(n2))
+    return _exact_u_probs(n1, n2)
 
 
-def _check_exact_threshold(exact_threshold: int) -> None:
-    if not 0 <= exact_threshold <= _EXACT_MAX_TOTAL:
+def _check_exact_threshold(value: int, name: str = "exact_threshold") -> int:
+    value = _integer(value, name)
+    if not 0 <= value <= _EXACT_MAX_TOTAL:
         raise InvalidInputError(
-            f"exact_threshold must lie in [0, {_EXACT_MAX_TOTAL}], "
-            f"got {exact_threshold}"
+            f"{name} must lie in [0, {_EXACT_MAX_TOTAL}], got {value}"
         )
+    return value
 
 
 def _mww_block(
@@ -305,8 +309,8 @@ def mww_test(
     correction of one half toward the mean. Two-sided p-values are
     min(1, 2 * smaller tail).
     """
-    alternative = Alternative(alternative)
-    _check_exact_threshold(exact_threshold)
+    alternative = _member(Alternative)(alternative, "alternative")
+    exact_threshold = _check_exact_threshold(exact_threshold)
     sizes, scores, labels = _pooled_samples((x, y))
     block = _mww_block(
         scores, labels, alternative, exact_threshold, continuity_correction
@@ -346,12 +350,13 @@ class DoublyRankedConfig:
     continuity_correction: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "summary", SummaryKind(self.summary))
-        object.__setattr__(self, "alternative", Alternative(self.alternative))
-        if self.preprocess_pve is not None:
-            pve = _check_pve(self.preprocess_pve, "preprocess_pve")
-            object.__setattr__(self, "preprocess_pve", pve)
-        _check_exact_threshold(self.exact_threshold)
+        _check_fields(
+            self,
+            summary=_member(SummaryKind),
+            preprocess_pve=_optional(_check_pve),
+            alternative=_member(Alternative),
+            exact_threshold=_check_exact_threshold,
+        )
 
 
 def _doubly_ranked_scores(
@@ -398,14 +403,6 @@ def _score_block(
     return _kw_block(scores, labels, n_groups)
 
 
-def _score_test(
-    scores: np.ndarray, curves: CurveSet, config: DoublyRankedConfig
-) -> TestResult:
-    """The test of one (1, n) score row across the groups of `curves`."""
-    block = _score_block(scores, curves.groups, curves.n_groups, config)
-    return block.result(config.alternative, curves.group_sizes)
-
-
 def doubly_ranked_test(
     curves: CurveSet, config: DoublyRankedConfig | None = None
 ) -> TestResult:
@@ -421,4 +418,5 @@ def doubly_ranked_test(
     (scores,), _ = _doubly_ranked_scores(
         [curves.values], (config.summary,), config.preprocess_pve
     )
-    return _score_test(scores, curves, config)
+    block = _score_block(scores, curves.groups, curves.n_groups, config)
+    return block.result(config.alternative, curves.group_sizes)

@@ -18,7 +18,9 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.signal import lfilter
 
-from .errors import InvalidInputError
+from .errors import (
+    InvalidInputError, _check_fields, _count, _integer, _list, _member, _number
+)
 from .ranking import CurveSet, _group_labels
 
 __all__ = [
@@ -56,6 +58,20 @@ class NoiseKind(str, Enum):
     AR1 = "ar1"
 
 
+# The check of each SimConfig field (and of the grid config key that sets it)
+_SIM_CHECKS = {
+    "n_per_group": _list(_count),
+    "n_points": _count,
+    "n_basis": _count,
+    "coeff_dist": _member(CoeffDist),
+    "mean_shape": _member(MeanShape),
+    "xi": _number,
+    "noise": _member(NoiseKind),
+    "rho": _number,
+    "seed": _integer,
+}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation cell.
@@ -78,28 +94,13 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(v) for v in self.n_per_group)
-        if len(sizes) < 2:
+        _check_fields(self, **_SIM_CHECKS)
+        if len(self.n_per_group) < 2:
             raise InvalidInputError("need at least 2 groups")
-        if min(sizes) < 1:
-            raise InvalidInputError("every group size must be >= 1")
-        object.__setattr__(self, "n_per_group", sizes)
-        if self.n_points < 1:
-            raise InvalidInputError("n_points must be >= 1")
-        if self.n_basis < 1:
-            raise InvalidInputError("n_basis must be >= 1")
-        object.__setattr__(self, "coeff_dist", CoeffDist(self.coeff_dist))
-        object.__setattr__(self, "mean_shape", MeanShape(self.mean_shape))
-        object.__setattr__(self, "noise", NoiseKind(self.noise))
-        xi = float(self.xi)
-        if not 0.0 <= xi < np.inf:
-            raise InvalidInputError(f"xi must be finite and >= 0, got {xi}")
-        object.__setattr__(self, "xi", xi)
-        rho = float(self.rho)
-        if not -1.0 < rho < 1.0:
-            raise InvalidInputError(f"rho must lie in (-1, 1), got {rho}")
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "seed", int(self.seed))
+        if self.xi < 0.0:
+            raise InvalidInputError(f"xi must be >= 0, got {self.xi}")
+        if not -1.0 < self.rho < 1.0:
+            raise InvalidInputError(f"rho must lie in (-1, 1), got {self.rho}")
 
     @property
     def n_subjects(self) -> int:
@@ -131,7 +132,7 @@ def mean_fn(kind: MeanShape | str, s: np.ndarray, xi: float) -> np.ndarray:
     linear: xi*s; parabola: xi*4s(1-s); beta-bump: xi*s(1-s)^5 normalized
     by its maximum, which sits at s = 1/6. Scalar input returns a scalar.
     """
-    kind = MeanShape(kind)
+    kind = _member(MeanShape)(kind, "kind")
     arr = np.asarray(s, dtype=float)
     if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
         raise InvalidInputError("s must lie in [0, 1]")
@@ -167,8 +168,8 @@ def replicate_stream(seed: int, replicate: int) -> Generator:
     how many replicates ran before, so serial and parallel execution see
     identical draws.
     """
-    if replicate < 0:
-        raise InvalidInputError("replicate index must be >= 0")
+    if not 0 <= replicate < 1 << 128:  # the top half of a 256-bit counter
+        raise InvalidInputError("replicate index must lie in [0, 2^128)")
     return Generator(Philox(key=seed & _SEED_MASK, counter=replicate << 128))
 
 

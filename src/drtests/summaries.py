@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _member
 from .ranking import RankCurves
 
 __all__ = [
@@ -52,7 +52,7 @@ class SummaryScores:
             )
         if not np.all(np.isfinite(scores)):
             raise InvalidInputError("scores must be finite")
-        kind = SummaryKind(self.kind)
+        kind = _member(SummaryKind)(self.kind, "kind")
         if kind is SummaryKind.SUFFICIENT:
             bound = math.log(2.0 * self.n - 1.0)
             if np.any(np.abs(scores) > bound):

@@ -213,7 +213,12 @@ class TestRunPower:
         assert len(grid.xi_values) == 2
         run_power(grid, workers=2)
         assert len(opened) == 1
+        # 2 shifts x 2 blocks are 4 tasks, run by no more than 2 processes
+        assert opened[0]["max_workers"] == 2
         run_power(grid, workers=1)
+        assert len(opened) == 1
+        # a single task opens no pool
+        run_power(small_grid(replicates=1, xi_values=(0.0,)), workers=2)
         assert len(opened) == 1
 
     def test_empty_xi_rejected(self):
@@ -221,7 +226,7 @@ class TestRunPower:
             run_power(small_grid(xi_values=()))
 
     def test_workers_positive(self):
-        for workers in (0, -2):
+        for workers in (0, -2, 2.5):
             with pytest.raises(InvalidInputError, match="workers"):
                 run_power(small_grid(), workers=workers)
 
@@ -402,7 +407,14 @@ class TestGridValidation:
 
     def test_wrong_typed_values_rejected(self):
         # neither truncated, nor read as 1, nor left to fail inside a run
-        for key, value in (("replicates", 2.5), ("replicates", True), ("alpha", "0.05")):
+        for key, value in (
+            ("replicates", 2.5),
+            ("replicates", True),
+            ("alpha", "0.05"),
+            ("n_points_values", (8.7,)),
+            ("group_schemes", ((5.5, 5),)),
+            ("xi_values", ("0.5",)),
+        ):
             with pytest.raises(InvalidInputError, match=key):
                 small_grid(**{key: value})
         grid = small_grid(replicates=np.int64(7), alpha=np.float64(0.1))

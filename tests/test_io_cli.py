@@ -406,6 +406,14 @@ class TestCliSimulate:
         g2 = curves.values[curves.groups == 2].mean()
         assert g2 > g1  # parabola shift is nonnegative on [0, 1]
 
+    def test_replicate_out_of_range_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--seed", "1", "--out", str(out)]
+        for replicate in ("-1", str(2**128)):
+            code, _, err = run_cli(capsys, argv + ["--replicate", replicate])
+            assert code == 2
+            assert "replicate" in err and "Traceback" not in err
+
 
 class TestCliGrids:
     base_flags = [

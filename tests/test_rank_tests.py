@@ -14,6 +14,7 @@ from drtests import (
     UnsupportedSizeError,
     doubly_ranked_test,
     exact_mww_null_distribution,
+    fpca_smooth,
     kruskal_wallis_test,
     mww_test,
     rank_tests,
@@ -201,7 +202,7 @@ class TestMwwTest:
     def test_exact_threshold_capped_at_60(self):
         x, y = [1.0, 2.0], [3.0, 4.0]
         assert mww_test(x, y, exact_threshold=60).method is Method.MWW_EXACT
-        for bad in (61, 1000, -1):
+        for bad in (61, 1000, -1, 2.5, True):
             with pytest.raises(InvalidInputError):
                 mww_test(x, y, exact_threshold=bad)
 
@@ -490,3 +491,9 @@ class TestDoublyRanked:
             DoublyRankedConfig(exact_threshold=-1)
         with pytest.raises(InvalidInputError):
             DoublyRankedConfig(exact_threshold=61)
+        # a string is not read as a number
+        with pytest.raises(InvalidInputError, match="preprocess_pve"):
+            DoublyRankedConfig(preprocess_pve="0.9")
+        curves = make_curves(np.arange(12.0).reshape(4, 3), groups=[1, 1, 2, 2])
+        with pytest.raises(InvalidInputError, match="pve"):
+            fpca_smooth(curves, "0.9")

@@ -226,6 +226,10 @@ class TestGenerateDataset:
             SimConfig(n_per_group=(5, 5), n_points=4, xi=-0.1)
         with pytest.raises(InvalidInputError):
             SimConfig(n_per_group=(5, 5), n_points=4, rho=1.0)
+        # neither truncated, nor left to fail inside generate_dataset
+        for key, value in (("seed", 1.5), ("n_points", 2.5), ("coeff_dist", "normal")):
+            with pytest.raises(InvalidInputError, match=key):
+                SimConfig(**{"n_per_group": (5, 5), "n_points": 4, key: value})
 
     def test_non_finite_xi_rejected(self):
         # an infinite shift would put NaN scores into the rank tests
@@ -248,5 +252,7 @@ class TestReplicateStream:
         assert np.array_equal(fresh, replicate_stream(9, 1).standard_normal(3))
 
     def test_negative_replicate_rejected(self):
-        with pytest.raises(InvalidInputError):
-            replicate_stream(1, -1)
+        # the index fills the upper 128 bits of a 256-bit counter
+        for replicate in (-1, 2**128):
+            with pytest.raises(InvalidInputError):
+                replicate_stream(1, replicate)
