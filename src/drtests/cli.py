@@ -104,7 +104,7 @@ def _statistic_name(method: Method) -> str:
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
-    curves, info = read_curves_csv(args.input, form=args.form)
+    curves, info = read_curves_csv(args.input)
     for warning in info.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
@@ -120,12 +120,12 @@ def _cmd_test(args: argparse.Namespace) -> int:
     (scores,), fits = _doubly_ranked_scores([curves.values], (summary,), pve)
     block = _score_block(scores, curves.groups, curves.n_groups, config)
     result = block.result(config.alternative, curves.group_sizes)
-    preprocess_desc = "none"
+    preprocess_desc, fit = "none", None
     if fits:
-        (fp,) = fits
+        (fit,) = fits
         preprocess_desc = (
-            f"pve={pve:g} (kept {fp.components_kept} components, "
-            f"achieved {fp.pve_achieved:.6g})"
+            f"pve={pve:g} (kept {fit.components_kept} components, "
+            f"achieved {fit.pve_achieved:.6g})"
         )
 
     group_desc = ", ".join(
@@ -149,6 +149,8 @@ def _cmd_test(args: argparse.Namespace) -> int:
             "tie_correction_applied": result.tie_correction_applied,
             "summary": summary.value,
             "preprocess_pve": pve,
+            "components_kept": fit and fit.components_kept,
+            "pve_achieved": fit and fit.pve_achieved,
             "n_subjects": curves.n_subjects,
             "n_points": curves.n_points,
             "version": __version__,
@@ -183,8 +185,13 @@ def _cmd_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    schemes = _parse_groups(args.groups)
+    if len(schemes) > 1:
+        raise InvalidInputError(
+            f"drt simulate --groups takes one scheme like '10,10', got {args.groups!r}"
+        )
     config = SimConfig(
-        n_per_group=_parse_groups(args.groups)[0],
+        n_per_group=schemes[0],
         n_points=args.n_points,
         n_basis=args.n_basis,
         coeff_dist=args.dist,
@@ -306,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="test grouped curves from a CSV file")
     p_test.add_argument("input", help="curve CSV (wide or long layout)")
-    p_test.add_argument("--form", choices=["auto", "wide", "long"], default="auto")
     p_test.add_argument("--summary", choices=["suff", "avg"], default="suff")
     p_test.add_argument(
         "--preprocess",

@@ -20,6 +20,9 @@ from .ranking import CurveSet
 
 __all__ = ["CsvFormatError", "CurveTableInfo", "read_curves_csv", "write_curves_csv"]
 
+# (line number, fields) of each data row
+_Rows = list[tuple[int, list[str]]]
+
 
 class CsvFormatError(InvalidInputError):
     """Malformed curve CSV, with row/column context when known."""
@@ -47,20 +50,6 @@ class CurveTableInfo:
     warnings: tuple[str, ...]
 
 
-def _map_groups(raw_labels: list[str], rows: list[int]) -> tuple[np.ndarray, tuple[str, ...]]:
-    distinct = sorted(set(raw_labels))
-    try:
-        distinct.sort(key=float)
-    except ValueError:
-        pass  # non-numeric labels stay lexicographic
-    if len(distinct) < 2:
-        raise CsvFormatError(
-            f"need at least 2 distinct groups, saw {distinct}", row=rows[0]
-        )
-    index = {label: g for g, label in enumerate(distinct, start=1)}
-    return np.array([index[lab] for lab in raw_labels]), tuple(distinct)
-
-
 def _parse_float(text: str, row: int, column: str) -> float:
     try:
         return float(text)
@@ -70,16 +59,17 @@ def _parse_float(text: str, row: int, column: str) -> float:
         ) from None
 
 
-def _read_rows(path: str | os.PathLike) -> tuple[list[str], list[tuple[int, list[str]]]]:
+def _read_rows(path: str | os.PathLike) -> tuple[list[str], _Rows]:
+    """The stripped header, and (line number, stripped fields) of each nonblank row."""
     # utf-8-sig drops the byte-order mark that Excel writes before the header
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
             rows = [
-                (line_no, row)
+                (line_no, fields)
                 for line_no, row in enumerate(reader, start=2)
-                if any(field.strip() for field in row)
+                if any(fields := [field.strip() for field in row])
             ]
         except StopIteration:
             raise CsvFormatError("file is empty") from None
@@ -87,157 +77,137 @@ def _read_rows(path: str | os.PathLike) -> tuple[list[str], list[tuple[int, list
             raise CsvFormatError(f"file is not UTF-8 text: {exc.reason}") from None
         except csv.Error as exc:
             raise CsvFormatError(str(exc), row=reader.line_num) from None
-    return [h.strip() for h in header], rows
-
-
-def _parse_wide(
-    header: list[str], rows: list[tuple[int, list[str]]]
-) -> tuple[CurveSet, CurveTableInfo]:
-    if len(header) < 3:
-        raise CsvFormatError(
-            "wide layout needs id, group and at least one value column"
-        )
-    value_cols = header[2:]
-    warnings: list[str] = []
-    grid = None
-    try:
-        candidate = np.array([float(h) for h in value_cols])
-    except ValueError:
-        candidate = None
-    if candidate is not None and (
-        candidate.size == 1 or np.all(np.diff(candidate) > 0)
-    ):
-        grid = candidate
-        grid_source = "header"
-    else:
-        grid = np.linspace(0.0, 1.0, num=len(value_cols))
-        grid_source = "default"
-        warnings.append(
-            "value-column headers are not strictly increasing numbers; "
-            "grid defaulted to equally spaced on [0, 1] (the tests never "
-            "consult grid spacing)"
-        )
-
-    ids: list[str] = []
-    raw_groups: list[str] = []
-    group_rows: list[int] = []
-    values = np.empty((len(rows), len(value_cols)))
-    seen = set()
-    for i, (line_no, row) in enumerate(rows):
-        if len(row) != len(header):
+    for line_no, fields in rows:
+        if len(fields) != len(header):
             raise CsvFormatError(
-                f"expected {len(header)} fields, saw {len(row)}", row=line_no
+                f"expected {len(header)} fields, saw {len(fields)}", row=line_no
             )
-        subject = row[0].strip()
-        if subject in seen:
-            raise CsvFormatError(f"duplicate subject id {subject!r}", row=line_no)
-        seen.add(subject)
-        ids.append(subject)
-        raw_groups.append(row[1].strip())
-        group_rows.append(line_no)
-        for j, col in enumerate(value_cols):
-            values[i, j] = _parse_float(row[2 + j].strip(), line_no, col)
-    if not ids:
+    if not rows:
         raise CsvFormatError("no data rows")
-    groups, labels = _map_groups(raw_groups, group_rows)
+    return header, rows
+
+
+def _curve_table(
+    first_row: int,
+    ids: list[str],
+    raw_groups: list[str],
+    values: np.ndarray,
+    grid: np.ndarray,
+    grid_source: str,
+    warnings: tuple[str, ...] = (),
+) -> tuple[CurveSet, CurveTableInfo]:
+    """The curve set and table info of the subjects parsed from either layout."""
+    distinct = sorted(set(raw_groups))
+    try:
+        distinct.sort(key=float)
+    except ValueError:
+        pass  # non-numeric labels stay lexicographic
+    if len(distinct) < 2:
+        raise CsvFormatError(
+            f"need at least 2 distinct groups, saw {distinct}", row=first_row
+        )
+    index = {label: g for g, label in enumerate(distinct, start=1)}
+    groups = np.array([index[label] for label in raw_groups])
     try:
         curves = CurveSet(values=values, grid=grid, groups=groups)
     except InvalidInputError as exc:
         raise CsvFormatError(str(exc)) from exc
     return curves, CurveTableInfo(
-        group_labels=labels,
+        group_labels=tuple(distinct),
         subject_ids=tuple(ids),
         grid_source=grid_source,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 
-def _parse_long(
-    header: list[str], rows: list[tuple[int, list[str]]]
-) -> tuple[CurveSet, CurveTableInfo]:
-    cols = [h.lower() for h in header]
-    idx = {name: cols.index(name) for name in ("id", "group", "s", "value")}
+def _parse_wide(header: list[str], rows: _Rows) -> tuple[CurveSet, CurveTableInfo]:
+    if len(header) < 3:
+        raise CsvFormatError(
+            "wide layout needs id, group and at least one value column"
+        )
+    value_cols = header[2:]
+    warnings: tuple[str, ...] = ()
+    try:
+        grid = np.array([float(h) for h in value_cols])
+    except ValueError:
+        grid = None
+    if grid is not None and np.all(np.diff(grid) > 0):
+        grid_source = "header"
+    else:
+        grid = np.linspace(0.0, 1.0, num=len(value_cols))
+        grid_source = "default"
+        warnings = (
+            "value-column headers are not strictly increasing numbers; "
+            "grid defaulted to equally spaced on [0, 1] (the tests never "
+            "consult grid spacing)",
+        )
 
-    per_subject: dict[str, dict[float, float]] = {}
-    subject_group: dict[str, str] = {}
-    first_row: dict[str, int] = {}
-    order: list[str] = []
+    seen = set()
     for line_no, row in rows:
-        if len(row) != len(header):
+        if row[0] in seen:
+            raise CsvFormatError(f"duplicate subject id {row[0]!r}", row=line_no)
+        seen.add(row[0])
+    values = np.array(
+        [
+            [_parse_float(text, line_no, col) for text, col in zip(row[2:], value_cols)]
+            for line_no, row in rows
+        ]
+    )
+    ids = [row[0] for _, row in rows]
+    groups = [row[1] for _, row in rows]
+    return _curve_table(rows[0][0], ids, groups, values, grid, grid_source, warnings)
+
+
+def _parse_long(header: list[str], rows: _Rows) -> tuple[CurveSet, CurveTableInfo]:
+    cols = [h.lower() for h in header]
+    id_col, group_col, s_col, value_col = (
+        cols.index(name) for name in ("id", "group", "s", "value")
+    )
+    # subject id -> (group, first row, {s: value}), in order of first appearance
+    subjects: dict[str, tuple[str, int, dict[float, float]]] = {}
+    for line_no, row in rows:
+        subject, group = row[id_col], row[group_col]
+        s = _parse_float(row[s_col], line_no, "s")
+        value = _parse_float(row[value_col], line_no, "value")
+        first_group, _, curve = subjects.setdefault(subject, (group, line_no, {}))
+        if first_group != group:
             raise CsvFormatError(
-                f"expected {len(header)} fields, saw {len(row)}", row=line_no
-            )
-        subject = row[idx["id"]].strip()
-        group = row[idx["group"]].strip()
-        s = _parse_float(row[idx["s"]].strip(), line_no, "s")
-        value = _parse_float(row[idx["value"]].strip(), line_no, "value")
-        if subject not in per_subject:
-            per_subject[subject] = {}
-            subject_group[subject] = group
-            first_row[subject] = line_no
-            order.append(subject)
-        elif subject_group[subject] != group:
-            raise CsvFormatError(
-                f"subject {subject!r} appears in groups "
-                f"{subject_group[subject]!r} and {group!r}",
+                f"subject {subject!r} appears in groups {first_group!r} and {group!r}",
                 row=line_no,
             )
-        if s in per_subject[subject]:
+        if s in curve:
             raise CsvFormatError(
                 f"duplicate measurement for subject {subject!r} at s={s}",
                 row=line_no,
                 column="s",
             )
-        per_subject[subject][s] = value
-    if not order:
-        raise CsvFormatError("no data rows")
+        curve[s] = value
 
-    grid_values = sorted(set().union(*per_subject.values()))
-    for subject in order:
-        missing = [s for s in grid_values if s not in per_subject[subject]]
+    grid = sorted(set().union(*(curve for _, _, curve in subjects.values())))
+    for subject, (_, first_row, curve) in subjects.items():
+        missing = [s for s in grid if s not in curve]
         if missing:
             raise CsvFormatError(
                 f"subject {subject!r} is missing {len(missing)} of "
-                f"{len(grid_values)} measurement locations "
+                f"{len(grid)} measurement locations "
                 f"(first missing s={missing[0]}); curves must be complete",
-                row=first_row[subject],
+                row=first_row,
             )
-    values = np.array(
-        [[per_subject[subj][s] for s in grid_values] for subj in order]
-    )
-    groups, labels = _map_groups(
-        [subject_group[s] for s in order], [first_row[s] for s in order]
-    )
-    try:
-        curves = CurveSet(values=values, grid=np.array(grid_values), groups=groups)
-    except InvalidInputError as exc:
-        raise CsvFormatError(str(exc)) from exc
-    return curves, CurveTableInfo(
-        group_labels=labels,
-        subject_ids=tuple(order),
-        grid_source="column",
-        warnings=(),
+    values = np.array([[curve[s] for s in grid] for _, _, curve in subjects.values()])
+    groups = [group for group, _, _ in subjects.values()]
+    return _curve_table(
+        rows[0][0], list(subjects), groups, values, np.array(grid), "column"
     )
 
 
-def read_curves_csv(
-    path: str | os.PathLike, form: str = "auto"
-) -> tuple[CurveSet, CurveTableInfo]:
-    """Parse a curve table; layout is detected from the header when "auto".
+def read_curves_csv(path: str | os.PathLike) -> tuple[CurveSet, CurveTableInfo]:
+    """Parse a curve table in the layout its header names.
 
     A header consisting of exactly id, group, s, value (any order, any
     case) is read as long form; anything else as wide form.
     """
-    if form not in ("auto", "wide", "long"):
-        raise InvalidInputError(f"form must be auto, wide or long; got {form!r}")
     header, rows = _read_rows(path)
-    lowered = sorted(h.lower() for h in header)
-    if form == "long" or (form == "auto" and lowered == ["group", "id", "s", "value"]):
-        if lowered != ["group", "id", "s", "value"]:
-            raise CsvFormatError(
-                "long layout needs exactly the columns id, group, s, value; "
-                f"saw {header}"
-            )
+    if sorted(h.lower() for h in header) == ["group", "id", "s", "value"]:
         return _parse_long(header, rows)
     return _parse_wide(header, rows)
 

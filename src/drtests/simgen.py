@@ -33,8 +33,6 @@ __all__ = [
     "generate_dataset",
 ]
 
-_SEED_MASK = (1 << 128) - 1
-
 # peak of s(1-s)^5 over [0,1], attained at s = 1/6; dividing by it makes
 # the bump shape reach exactly xi at its mode
 _BUMP_PEAK = (1.0 / 6.0) * (5.0 / 6.0) ** 5
@@ -58,6 +56,13 @@ class NoiseKind(str, Enum):
     AR1 = "ar1"
 
 
+def _uint128(value, name: str) -> int:
+    """value as an int if it is an integer in [0, 2^128): a Philox key or counter half."""
+    if not 0 <= _integer(value, name) < 1 << 128:
+        raise InvalidInputError(f"{name} must lie in [0, 2^128), got {value}")
+    return int(value)
+
+
 # The check of each SimConfig field (and of the grid config key that sets it)
 _SIM_CHECKS = {
     "n_per_group": _list(_count),
@@ -68,7 +73,7 @@ _SIM_CHECKS = {
     "xi": _number,
     "noise": _member(NoiseKind),
     "rho": _number,
-    "seed": _integer,
+    "seed": _uint128,
 }
 
 
@@ -168,9 +173,10 @@ def replicate_stream(seed: int, replicate: int) -> Generator:
     how many replicates ran before, so serial and parallel execution see
     identical draws.
     """
-    if not 0 <= replicate < 1 << 128:  # the top half of a 256-bit counter
-        raise InvalidInputError("replicate index must lie in [0, 2^128)")
-    return Generator(Philox(key=seed & _SEED_MASK, counter=replicate << 128))
+    seed = _uint128(seed, "seed")
+    # the replicate index is the top half of a 256-bit counter
+    replicate = _uint128(replicate, "replicate index")
+    return Generator(Philox(key=seed, counter=replicate << 128))
 
 
 def _dataset_values(config: SimConfig, replicate: int) -> np.ndarray:

@@ -357,6 +357,9 @@ class TestGridConfig:
             ("replicates", "x"),
             ("replicates", 2.7),
             ("seed", 1.5),
+            # a Philox key has 128 bits; a seed outside them would alias another
+            ("seed", -1),
+            ("seed", 2**128),
             ("n_points", 40),
             ("coeff_dist", "normal"),
             ("xi", {"stop": 1.0}),

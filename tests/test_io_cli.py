@@ -5,7 +5,6 @@ import pytest
 
 from drtests import (
     CsvFormatError,
-    InvalidInputError,
     mww_test,
     read_curves_csv,
     read_results,
@@ -109,9 +108,13 @@ class TestWideCsv:
             read_curves_csv(path)
 
     def test_ragged_row_rejected(self, tmp_path):
-        path = write_text(tmp_path / "w.csv", "id,group,0,1\na,x,1\nb,y,3,4\n")
-        with pytest.raises(CsvFormatError, match="expected 4 fields"):
-            read_curves_csv(path)
+        for name, text in (
+            ("w.csv", "id,group,0,1\na,x,1\nb,y,3,4\n"),
+            ("l.csv", "id,group,s,value\na,x,0\nb,y,0,4\n"),
+        ):
+            path = write_text(tmp_path / name, text)
+            with pytest.raises(CsvFormatError, match="expected 4 fields"):
+                read_curves_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = write_text(tmp_path / "w.csv", "")
@@ -126,9 +129,10 @@ class TestWideCsv:
             read_curves_csv(path)
 
     def test_header_only_rejected(self, tmp_path):
-        path = write_text(tmp_path / "w.csv", "id,group,0,1\n")
-        with pytest.raises(CsvFormatError, match="no data rows"):
-            read_curves_csv(path)
+        for name, text in (("w.csv", "id,group,0,1\n"), ("l.csv", "id,group,s,value\n")):
+            path = write_text(tmp_path / name, text)
+            with pytest.raises(CsvFormatError, match="no data rows"):
+                read_curves_csv(path)
 
 
 class TestLongCsv:
@@ -201,15 +205,18 @@ class TestLongCsv:
         with pytest.raises(CsvFormatError, match="appears in groups"):
             read_curves_csv(path)
 
-    def test_forced_long_needs_exact_columns(self, tmp_path):
-        path = write_text(tmp_path / "w.csv", "id,group,0,1\na,x,1,2\nb,y,3,4\n")
-        with pytest.raises(CsvFormatError, match="long layout"):
-            read_curves_csv(path, form="long")
-
-    def test_unknown_form_rejected(self, tmp_path):
-        path = write_text(tmp_path / "w.csv", "id,group,0\na,x,1\nb,y,2\n")
-        with pytest.raises(InvalidInputError, match="form must be"):
-            read_curves_csv(path, form="tall")
+    def test_padded_fields_read_as_unpadded(self, tmp_path):
+        wide = "id,group,0.0,0.5,1.0\na,x,1,2,3\nb,x,4,5,6\nc,y,7,9,8\nd,y,2.5,0.5,1.5\n"
+        for name, text in (("l.csv", self.long_text()), ("w.csv", wide)):
+            plain = read_curves_csv(write_text(tmp_path / name, text))
+            padded = "\n".join(
+                ", ".join(f" {field} " for field in line.split(","))
+                for line in text.splitlines()
+            )
+            curves, info = read_curves_csv(write_text(tmp_path / f"pad-{name}", padded))
+            assert info == plain[1]
+            for attr in ("values", "grid", "groups"):
+                assert np.array_equal(getattr(curves, attr), getattr(plain[0], attr))
 
 
 def run_cli(capsys, argv):
@@ -250,6 +257,8 @@ class TestCliTest:
         assert payload["group_labels"] == ["1", "2"]
         assert 0.0 <= payload["p_value"] <= 1.0
         assert payload["preprocess_pve"] is None
+        assert payload["components_kept"] is None
+        assert payload["pve_achieved"] is None
         assert payload["n_subjects"] == 12
         assert payload["n_points"] == 5
 
@@ -311,7 +320,11 @@ class TestCliTest:
             ["test", str(path), "--format", "json", "--summary", "avg"],
         )
         assert code == 0
-        assert json.loads(out)["summary"] == "average_rank"
+        payload = json.loads(out)
+        assert payload["summary"] == "average_rank"
+        # the default smoothing, pve=0.99, reports what it kept
+        assert payload["components_kept"] >= 1
+        assert payload["pve_achieved"] >= 0.99
 
     def test_verbose_reports_other_correction(self, tmp_path, capsys):
         path = simulate_file(tmp_path, capsys)
@@ -413,6 +426,18 @@ class TestCliSimulate:
             code, _, err = run_cli(capsys, argv + ["--replicate", replicate])
             assert code == 2
             assert "replicate" in err and "Traceback" not in err
+
+    def test_bad_flags_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        for flags, message in (
+            # one dataset has one group scheme; a second is not dropped silently
+            (["--seed", "1", "--groups", "4,4;5,5"], "--groups"),
+            (["--seed", "-1"], "seed"),
+        ):
+            code, _, err = run_cli(capsys, ["simulate", "--out", str(out)] + flags)
+            assert code == 2
+            assert message in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestCliGrids:

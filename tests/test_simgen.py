@@ -227,7 +227,13 @@ class TestGenerateDataset:
         with pytest.raises(InvalidInputError):
             SimConfig(n_per_group=(5, 5), n_points=4, rho=1.0)
         # neither truncated, nor left to fail inside generate_dataset
-        for key, value in (("seed", 1.5), ("n_points", 2.5), ("coeff_dist", "normal")):
+        for key, value in (
+            ("seed", 1.5),
+            ("seed", -1),
+            ("seed", 2**128),
+            ("n_points", 2.5),
+            ("coeff_dist", "normal"),
+        ):
             with pytest.raises(InvalidInputError, match=key):
                 SimConfig(**{"n_per_group": (5, 5), "n_points": 4, key: value})
 
@@ -256,3 +262,7 @@ class TestReplicateStream:
         for replicate in (-1, 2**128):
             with pytest.raises(InvalidInputError):
                 replicate_stream(1, replicate)
+        # the seed is the 128-bit key; one outside it would alias another seed
+        for seed in (-1, 2**128):
+            with pytest.raises(InvalidInputError, match="seed"):
+                replicate_stream(seed, 0)
