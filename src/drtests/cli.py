@@ -13,15 +13,17 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 
 from ._version import __version__
 from .errors import InvalidInputError
 from .harness import (
+    _GRID_KEYS,
     ExperimentGrid,
     ResultFormat,
+    _read_config,
     grid_from_dict,
-    load_grid,
     run_power,
     run_type1,
     write_results,
@@ -70,7 +72,7 @@ def _parse_groups(text: str) -> tuple[tuple[int, ...], ...]:
     return schemes
 
 
-def _parse_list(flag: str, text: str, convert) -> list:
+def _parse_list(flag: str, convert, text: str) -> list:
     try:
         return [convert(part) for part in text.split(",") if part]
     except (KeyError, ValueError):
@@ -79,7 +81,7 @@ def _parse_list(flag: str, text: str, convert) -> list:
 
 def _parse_xi(text: str) -> dict | list[float]:
     if ":" not in text:
-        return _parse_list("--xi", text, float)
+        return _parse_list("--xi", float, text)
     try:
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError:
@@ -87,6 +89,16 @@ def _parse_xi(text: str) -> dict | list[float]:
             f"--xi expects 'start:stop:step' or a comma list, got {text!r}"
         ) from None
     return {"start": start, "stop": stop, "step": step}
+
+
+# The reader of each grid flag given as text; argparse types the others
+_GRID_TEXT = {
+    "n_points": partial(_parse_list, "--n-points", int),
+    "groups": _parse_groups,
+    "xi": _parse_xi,
+    "summaries": partial(_parse_list, "--summaries", _SUMMARY_FLAGS.__getitem__),
+    "preprocess_pve": _parse_preprocess,
+}
 
 
 def _positive_int(text: str) -> int:
@@ -185,23 +197,14 @@ def _cmd_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    schemes = _parse_groups(args.groups)
-    if len(schemes) > 1:
+    sim = {f.name: getattr(args, f.name) for f in fields(SimConfig) if f.name in args}
+    sim["n_per_group"], *others = _parse_groups(args.n_per_group)
+    if others:
         raise InvalidInputError(
-            f"drt simulate --groups takes one scheme like '10,10', got {args.groups!r}"
+            "drt simulate --groups takes one scheme like '10,10', "
+            f"got {args.n_per_group!r}"
         )
-    config = SimConfig(
-        n_per_group=schemes[0],
-        n_points=args.n_points,
-        n_basis=args.n_basis,
-        coeff_dist=args.dist,
-        mean_shape=args.mean,
-        xi=args.xi,
-        noise=args.noise,
-        rho=args.rho,
-        seed=args.seed,
-    )
-    curves = generate_dataset(config, replicate=args.replicate)
+    curves = generate_dataset(SimConfig(**sim), replicate=args.replicate)
     write_curves_csv(curves, args.out)
     print(
         f"wrote {curves.n_subjects} curves on {curves.n_points} points to {args.out}"
@@ -210,38 +213,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _build_grid(args: argparse.Namespace) -> ExperimentGrid:
+    """The --config file's keys, else the command's defaults, under each flag given."""
     if args.config is not None:
-        grid = load_grid(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["base"] = replace(grid.base, seed=args.seed)
-        if args.reps is not None:
-            overrides["replicates"] = args.reps
-        if overrides:
-            grid = replace(grid, **overrides)
-        return grid
-    if args.seed is None:
+        spec = _read_config(args.config)
+    elif "seed" in args:
+        spec = dict(args.grid_defaults)
+    else:
         raise InvalidInputError("--seed is required (or provide --config)")
-    spec: dict = {
-        "seed": args.seed,
-        "coeff_dist": args.dist,
-        "mean_shape": args.mean,
-        "noise": args.noise,
-        "rho": args.rho,
-        "n_basis": args.n_basis,
-        "n_points": _parse_list("--n-points", args.n_points, int),
-        "groups": [list(s) for s in _parse_groups(args.groups)],
-        "replicates": args.reps if args.reps is not None else args.default_reps,
-        "alpha": args.alpha,
-        "summaries": _parse_list(
-            "--summaries", args.summaries, lambda s: _SUMMARY_FLAGS[s].value
-        ),
-    }
-    if hasattr(args, "xi") and args.xi is not None:
-        spec["xi"] = _parse_xi(args.xi)
-    pve = _parse_preprocess(args.preprocess)
-    if pve is not None:
-        spec["preprocess_pve"] = pve
+    for key, value in vars(args).items():
+        if key in _GRID_KEYS:
+            spec[key] = _GRID_TEXT[key](value) if key in _GRID_TEXT else value
     return grid_from_dict(spec)
 
 
@@ -277,23 +258,25 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dist", choices=[d.value for d in CoeffDist], default="gaussian")
-    p.add_argument("--noise", choices=[n.value for n in NoiseKind], default="ar1")
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--n-basis", type=int, default=1000)
+    p.add_argument("--dist", dest="coeff_dist", choices=[d.value for d in CoeffDist])
+    p.add_argument("--noise", choices=[n.value for n in NoiseKind])
+    p.add_argument("--rho", type=float)
+    p.add_argument("--n-basis", type=int)
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON grid config (overrides inline flags)")
+    p.add_argument("--config", default=None,
+                   help="JSON grid config; each grid flag given overrides its key")
     p.add_argument("--seed", type=int, help="master seed (required without --config)")
     p.add_argument("--out", required=True, help="result table path")
-    p.add_argument("--format", choices=[f.value for f in ResultFormat], default="csv")
-    p.add_argument("--reps", type=int, help="replicates per cell")
-    p.add_argument("--n-points", default="40", help="comma list of grid sizes")
-    p.add_argument("--groups", default="10,10", help="schemes like '10,10;25,25'")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--summaries", default="suff,avg")
-    p.add_argument("--preprocess", default="none", help="'none' or 'pve=<p>'")
+    p.add_argument("--format", choices=[f.value for f in ResultFormat], default=None,
+                   help="default: jsonl for a .jsonl or .ndjson --out, else csv")
+    p.add_argument("--reps", dest="replicates", type=int, help="replicates per cell")
+    p.add_argument("--n-points", help="comma list of grid sizes")
+    p.add_argument("--groups", help="schemes like '10,10;25,25'")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--summaries")
+    p.add_argument("--preprocess", dest="preprocess_pve", help="'none' or 'pve=<p>'")
     p.add_argument(
         "--workers",
         type=_positive_int,
@@ -307,9 +290,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drt",
         description="Doubly ranked rank-sum tests for grouped curves",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"drt {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
+    # simulate, type1 and power store a flag only when given, under the SimConfig
+    # field or grid config key it sets, so the library's defaults fill the rest
+    given_only = {"argument_default": argparse.SUPPRESS}
 
     p_test = sub.add_parser("test", help="test grouped curves from a CSV file")
     p_test.add_argument("input", help="curve CSV (wide or long layout)")
@@ -330,26 +321,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--verbose", action="store_true")
     p_test.set_defaults(func=_cmd_test)
 
-    p_sim = sub.add_parser("simulate", help="write one synthetic dataset")
+    p_sim = sub.add_parser("simulate", help="write one synthetic dataset", **given_only)
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--groups", default="10,10", help="one scheme like '10,10'")
-    p_sim.add_argument("--n-points", type=int, default=40)
-    p_sim.add_argument("--mean", choices=[m.value for m in MeanShape], default="none")
-    p_sim.add_argument("--xi", type=float, default=0.0)
+    p_sim.add_argument("--groups", dest="n_per_group", help="one scheme like '10,10'")
+    p_sim.add_argument("--n-points", type=int)
+    p_sim.add_argument("--mean", dest="mean_shape",
+                       choices=[m.value for m in MeanShape])
+    p_sim.add_argument("--xi", type=float)
     p_sim.add_argument("--replicate", type=int, default=0)
     _add_sim_flags(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
+    p_sim.set_defaults(func=_cmd_simulate,
+                       noise="ar1", n_points=40, n_per_group="10,10")
 
-    p_t1 = sub.add_parser("type1", help="null rejection-rate grid")
+    spec = {"n_points": [40], "groups": [[10, 10]]}
+    p_t1 = sub.add_parser("type1", help="null rejection-rate grid", **given_only)
     _add_grid_flags(p_t1)
-    p_t1.set_defaults(func=_cmd_grid, runner=run_type1, default_reps=2000, mean="none")
+    p_t1.set_defaults(func=_cmd_grid, runner=run_type1, grid_defaults=spec)
 
-    p_pw = sub.add_parser("power", help="power curve grid")
+    p_pw = sub.add_parser("power", help="power curve grid", **given_only)
     _add_grid_flags(p_pw)
-    p_pw.add_argument("--mean", dest="mean", default="linear")
-    p_pw.add_argument("--xi", default="0:3:0.12", help="'start:stop:step' or comma list")
-    p_pw.set_defaults(func=_cmd_grid, runner=run_power, default_reps=300)
+    p_pw.add_argument("--mean", dest="mean_shape")
+    p_pw.add_argument("--xi", help="'start:stop:step' or comma list")
+    power_spec = {**spec, "replicates": 300, "mean_shape": "linear"}
+    p_pw.set_defaults(func=_cmd_grid, runner=run_power, grid_defaults=power_spec)
 
     return parser
 

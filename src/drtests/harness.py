@@ -301,18 +301,26 @@ def _record_to_result(rec: dict) -> CellResult:
     )
 
 
+def _results_format(path, format) -> ResultFormat:
+    """format if given, else JSONL for a .jsonl or .ndjson path and CSV otherwise."""
+    if format is None:
+        format = "jsonl" if str(path).endswith((".jsonl", ".ndjson")) else "csv"
+    return _member(ResultFormat)(format, "format")
+
+
 def write_results(
     results: Sequence[CellResult],
     path: str | os.PathLike,
-    format: ResultFormat | str = ResultFormat.CSV,
+    format: ResultFormat | str | None = None,
 ) -> None:
     """Write one row per cell in a stable column order.
 
-    CSV encodes group sizes as "n1+n2+..."; JSONL keeps them as a list.
-    An unset preprocess_pve is an empty CSV field or a JSONL null.
-    Empty result lists produce a header-only CSV or an empty JSONL file.
+    The format is inferred from the extension when not given. CSV encodes
+    group sizes as "n1+n2+..."; JSONL keeps them as a list. An unset
+    preprocess_pve is an empty CSV field or a JSONL null. Empty result
+    lists produce a header-only CSV or an empty JSONL file.
     """
-    format = _member(ResultFormat)(format, "format")
+    format = _results_format(path, format)
     records = [_result_record(r) for r in results]
     with open(path, "w", newline="") as fh:
         if format is ResultFormat.CSV:
@@ -326,8 +334,7 @@ def write_results(
                     }
                 )
         else:
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
+            fh.writelines(json.dumps(rec) + "\n" for rec in records)
 
 
 def read_results(
@@ -337,20 +344,13 @@ def read_results(
 
     The format is inferred from the extension when not given.
     """
-    if format is None:
-        format = "jsonl" if str(path).endswith((".jsonl", ".ndjson")) else "csv"
-    format = _member(ResultFormat)(format, "format")
-    out: list[CellResult] = []
+    format = _results_format(path, format)
     with open(path, newline="") as fh:
         if format is ResultFormat.CSV:
-            for rec in csv.DictReader(fh):
-                out.append(_record_to_result(rec))
+            records = list(csv.DictReader(fh))
         else:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    out.append(_record_to_result(json.loads(line)))
-    return out
+            records = [json.loads(line) for line in fh if line.strip()]
+    return [_record_to_result(rec) for rec in records]
 
 
 def _xi_range(spec: dict, name: str) -> tuple[float, ...]:
@@ -408,8 +408,8 @@ def grid_from_dict(spec: dict) -> ExperimentGrid:
     return ExperimentGrid(base=base, **factors)
 
 
-def load_grid(path: str | os.PathLike) -> ExperimentGrid:
-    """Load an ExperimentGrid from a JSON config file."""
+def _read_config(path: str | os.PathLike) -> dict:
+    """The JSON object of a grid config file, its values not yet checked."""
     with open(path, encoding="utf-8-sig") as fh:
         try:
             spec = json.load(fh)
@@ -417,4 +417,9 @@ def load_grid(path: str | os.PathLike) -> ExperimentGrid:
             raise InvalidInputError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(spec, dict):
         raise InvalidInputError(f"grid config {path} must be a JSON object")
-    return grid_from_dict(spec)
+    return spec
+
+
+def load_grid(path: str | os.PathLike) -> ExperimentGrid:
+    """Load an ExperimentGrid from a JSON config file."""
+    return grid_from_dict(_read_config(path))

@@ -281,6 +281,14 @@ class TestResultsIo:
             assert "preprocess_pve" not in path.read_text()
             assert read_results(path) == results
 
+    def test_format_follows_extension(self, tmp_path):
+        results = self.sample_results()
+        for name, start in (("out.csv", "coeff_dist,"), ("out.jsonl", "{")):
+            path = tmp_path / name
+            write_results(results, path)
+            assert path.read_text().startswith(start)
+            assert read_results(path) == results
+
     def test_empty_results_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_results([], path, format="csv")

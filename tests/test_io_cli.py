@@ -5,6 +5,8 @@ import pytest
 
 from drtests import (
     CsvFormatError,
+    MeanShape,
+    grid_from_dict,
     mww_test,
     read_curves_csv,
     read_results,
@@ -12,6 +14,7 @@ from drtests import (
 )
 from drtests import cli
 from drtests.cli import build_parser, main
+from drtests.harness import _GRID_KEYS
 from tests.helpers import count_pipeline_calls, make_curves
 
 
@@ -476,6 +479,12 @@ class TestCliGrids:
         )
         assert code == 0
         assert len(read_results(out)) == 2
+        # without --format, the --out extension picks the format
+        inferred = tmp_path / "t1b.jsonl"
+        code, _, _ = run_cli(capsys, ["type1", "--out", str(inferred)] + self.base_flags)
+        assert code == 0
+        assert inferred.read_bytes() == out.read_bytes()
+        assert read_results(inferred) == read_results(out)
 
     def test_power_curve_rows(self, tmp_path, capsys):
         out = tmp_path / "pw.csv"
@@ -513,6 +522,71 @@ class TestCliGrids:
         assert len(results) == 1
         assert results[0].replicates_used == 30  # flag overrides the file
         assert results[0].cell.seed == 4
+        # every grid flag given wins over the file, also for keys it leaves out
+        out = tmp_path / "pw.csv"
+        code, _, _ = run_cli(
+            capsys,
+            ["power", "--config", str(cfg), "--out", str(out), "--reps", "200"]
+            + ["--mean", "linear", "--alpha", "0.2", "--xi", "0,3"],
+        )
+        assert code == 0
+        results = read_results(out)
+        assert [r.cell.xi for r in results] == [0.0, 3.0]
+        for res in results:
+            assert res.cell.mean_shape is MeanShape.LINEAR
+            assert res.cell.alpha == 0.2
+            assert res.replicates_used == 200
+        assert results[1].rejection_rate > results[0].rejection_rate
+
+    def test_every_grid_flag_reaches_the_grid(self, tmp_path):
+        # grid config key: (flag, non-default text, the value it sets)
+        flags = {
+            "seed": ("--seed", "12", 12),
+            "coeff_dist": ("--dist", "t2", "t2"),
+            "noise": ("--noise", "white", "white"),
+            "rho": ("--rho", "0.3", 0.3),
+            "n_basis": ("--n-basis", "30", 30),
+            "n_points": ("--n-points", "6,8", [6, 8]),
+            "groups": ("--groups", "3,3;4,5", [[3, 3], [4, 5]]),
+            "replicates": ("--reps", "7", 7),
+            "alpha": ("--alpha", "0.1", 0.1),
+            "summaries": ("--summaries", "avg", ["average_rank"]),
+            "preprocess_pve": ("--preprocess", "pve=0.9", 0.9),
+            "mean_shape": ("--mean", "parabola", "parabola"),
+            "xi": ("--xi", "0:1:0.5", {"start": 0.0, "stop": 1.0, "step": 0.5}),
+        }
+        # a config in which every key differs from its flag's value
+        config = {
+            "seed": 3,
+            "coeff_dist": "gaussian",
+            "noise": "none",
+            "rho": -0.2,
+            "n_basis": 9,
+            "n_points": [5],
+            "groups": [[2, 2, 2]],
+            "replicates": 4,
+            "alpha": 0.2,
+            "summaries": ["sufficient", "average_rank"],
+            "preprocess_pve": 0.5,
+            "mean_shape": "beta-bump",
+            "xi": [0.5],
+        }
+        assert set(flags) == set(config) == set(_GRID_KEYS)
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(config))
+        other = {"command", "config", "out", "format", "workers", "func", "runner"}
+        for command, keys in (
+            ("type1", [k for k in flags if k not in ("mean_shape", "xi")]),
+            ("power", list(flags)),
+        ):
+            argv = [command, "--out", "x.csv"]
+            argv += [text for key in keys for text in flags[key][:2]]
+            given = {key: flags[key][2] for key in keys}
+            for extra, base in (([], {}), (["--config", str(cfg)], config)):
+                args = build_parser().parse_args(argv + extra)
+                # every flag is stored under its grid config key
+                assert set(vars(args)) - other == {*keys, "grid_defaults"}
+                assert cli._build_grid(args) == grid_from_dict({**base, **given})
 
     def test_missing_seed_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, ["type1", "--out", str(tmp_path / "x.csv")])
@@ -621,6 +695,20 @@ class TestCliTopLevel:
             main(["--version"])
         assert excinfo.value.code == 0
         assert "drt" in capsys.readouterr().out
+
+    def test_flag_prefixes_rejected(self, tmp_path, capsys):
+        path = tmp_path / "c.csv"
+        write_curves_csv(make_curves(np.arange(12.0).reshape(4, 3)), path)
+        out = str(tmp_path / "x.csv")
+        for argv in (
+            ["test", str(path), "--form", "json"],
+            ["simulate", "--seed", "1", "--out", out, "--rep", "3"],
+            ["type1", "--seed", "1", "--out", out, "--n-basis", "20", "--rep", "30"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_no_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
