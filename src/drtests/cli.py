@@ -120,15 +120,14 @@ def _cmd_test(args: argparse.Namespace) -> int:
     for warning in info.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
-    summary = _SUMMARY_FLAGS[args.summary]
-    config = DoublyRankedConfig(
-        summary=summary,
-        preprocess_pve=_parse_preprocess(args.preprocess),
-        alternative=args.alternative,
-        exact_threshold=args.exact_threshold,
-        continuity_correction=not args.no_continuity_correction,
-    )
-    pve = config.preprocess_pve
+    given = {
+        f.name: getattr(args, f.name) for f in fields(DoublyRankedConfig) if f.name in args
+    }
+    given["preprocess_pve"] = _parse_preprocess(given["preprocess_pve"])
+    if "summary" in given:
+        given["summary"] = _SUMMARY_FLAGS[given["summary"]]
+    config = DoublyRankedConfig(**given)
+    summary, pve = config.summary, config.preprocess_pve
     (scores,), fits = _doubly_ranked_scores([curves.values], (summary,), pve)
     block = _score_block(scores, curves.groups, curves.n_groups, config)
     result = block.result(config.alternative, curves.group_sizes)
@@ -182,13 +181,14 @@ def _cmd_test(args: argparse.Namespace) -> int:
         if result.tie_correction_applied:
             print("  note         tie correction applied")
         if args.verbose and result.method is Method.MWW_NORMAL:
+            correction = config.continuity_correction
             flipped = _score_block(
                 scores,
                 curves.groups,
                 curves.n_groups,
-                replace(config, continuity_correction=args.no_continuity_correction),
+                replace(config, continuity_correction=not correction),
             )
-            which = "without" if not args.no_continuity_correction else "with"
+            which = "without" if correction else "with"
             print(
                 f"  p-value ({which} continuity correction) "
                 f"{flipped.p_value[0]:.6g}"
@@ -298,28 +298,28 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         parser_class=partial(argparse.ArgumentParser, allow_abbrev=False),
     )
-    # simulate, type1 and power store a flag only when given, under the SimConfig
-    # field or grid config key it sets, so the library's defaults fill the rest
+    # each command stores a flag only when given, under the DoublyRankedConfig
+    # field, SimConfig field or grid config key it sets, so the library's
+    # defaults fill the rest
     given_only = {"argument_default": argparse.SUPPRESS}
 
-    p_test = sub.add_parser("test", help="test grouped curves from a CSV file")
+    p_test = sub.add_parser("test", help="test grouped curves from a CSV file", **given_only)
     p_test.add_argument("input", help="curve CSV (wide or long layout)")
-    p_test.add_argument("--summary", choices=["suff", "avg"], default="suff")
+    p_test.add_argument("--summary", choices=list(_SUMMARY_FLAGS))
     p_test.add_argument(
         "--preprocess",
-        default="pve=0.99",
+        dest="preprocess_pve",
         help="'none' or 'pve=<p>' (default pve=0.99)",
     )
-    p_test.add_argument(
-        "--alternative",
-        choices=[a.value for a in Alternative],
-        default="two-sided",
-    )
+    p_test.add_argument("--alternative", choices=[a.value for a in Alternative])
     p_test.add_argument("--format", choices=["text", "json"], default="text")
-    p_test.add_argument("--exact-threshold", type=int, default=50)
-    p_test.add_argument("--no-continuity-correction", action="store_true")
-    p_test.add_argument("--verbose", action="store_true")
-    p_test.set_defaults(func=_cmd_test)
+    p_test.add_argument("--exact-threshold", type=int)
+    p_test.add_argument(
+        "--no-continuity-correction", dest="continuity_correction", action="store_false"
+    )
+    p_test.add_argument("--verbose", action="store_true", default=False)
+    # the one default of drt test's own: it smooths unless told not to
+    p_test.set_defaults(func=_cmd_test, preprocess_pve="pve=0.99")
 
     p_sim = sub.add_parser("simulate", help="write one synthetic dataset", **given_only)
     p_sim.add_argument("--seed", type=int, required=True)

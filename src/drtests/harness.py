@@ -292,7 +292,14 @@ def _result_record(result: CellResult) -> dict:
     return dict(zip(_COLUMNS, [*values, __version__], strict=True))
 
 
-def _record_to_result(rec: dict) -> CellResult:
+def _record_to_result(rec) -> CellResult:
+    if not isinstance(rec, dict):
+        raise InvalidInputError(f"expected an object of columns, got {rec!r}")
+    # preprocess_pve may be absent (files written before it existed lack
+    # it); the version is written for provenance and not read back
+    missing = [c for c in _COLUMNS[:-1] if c != "preprocess_pve" and rec.get(c) is None]
+    if missing:
+        raise InvalidInputError(f"missing columns {missing}")
     return CellResult(
         cell=CellSpec(**{name: rec[name] for name in _ROW if name in rec}),
         rejection_rate=float(rec["rejection_rate"]),
@@ -342,15 +349,30 @@ def read_results(
 ) -> list[CellResult]:
     """Parse a results file back into CellResult records.
 
-    The format is inferred from the extension when not given.
+    The format is inferred from the extension when not given. A row that
+    is not a result row raises InvalidInputError naming the file and line.
     """
     format = _results_format(path, format)
+    results: list[CellResult] = []
+    line_no = 1  # a CSV header that fails to parse is line 1
     with open(path, newline="") as fh:
-        if format is ResultFormat.CSV:
-            records = list(csv.DictReader(fh))
-        else:
-            records = [json.loads(line) for line in fh if line.strip()]
-    return [_record_to_result(rec) for rec in records]
+        try:
+            if format is ResultFormat.CSV:
+                reader = csv.DictReader(fh)
+                for rec in reader:
+                    line_no = reader.line_num
+                    results.append(_record_to_result(rec))
+            else:
+                for line_no, line in enumerate(fh, start=1):
+                    if line.strip():
+                        results.append(_record_to_result(json.loads(line)))
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        except (ValueError, TypeError, csv.Error) as exc:
+            raise InvalidInputError(
+                f"{path} line {line_no}: not a {format.value} result row: {exc}"
+            ) from None
+    return results
 
 
 def _xi_range(spec: dict, name: str) -> tuple[float, ...]:

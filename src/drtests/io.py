@@ -55,21 +55,54 @@ def _parse_float(text: str, row: int, column: str) -> float:
         return float(text)
     except ValueError:
         raise CsvFormatError(
-            f"expected a number, saw {text!r}", row=row, column=column
+            f"expected a number, saw {text.strip()!r}", row=row, column=column
         ) from None
 
 
+def _parse_floats(
+    cells: list[list[str]], line_nos: list[int], columns: list[str]
+) -> np.ndarray:
+    """The cells as a finite float matrix, one row per data row.
+
+    numpy converts each cell as float() does, padding included; only when
+    that fails does the per-cell loop run, to name the bad cell. A cell
+    that parses to nan or inf raises too, naming the first such cell.
+    """
+    try:
+        values = np.array(cells, dtype=float)
+    except ValueError:
+        values = np.array(
+            [
+                [_parse_float(text, line_no, col) for text, col in zip(row, columns)]
+                for line_no, row in zip(line_nos, cells)
+            ]
+        )
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise CsvFormatError(
+            f"expected a finite number, saw {cells[i][j].strip()!r}",
+            row=line_nos[i],
+            column=columns[j],
+        )
+    return values
+
+
 def _read_rows(path: str | os.PathLike) -> tuple[list[str], _Rows]:
-    """The stripped header, and (line number, stripped fields) of each nonblank row."""
+    """The stripped header, and (line number, fields) of each nonblank row.
+
+    Only the header is stripped here; each layout strips its id and group
+    fields, and the number conversion accepts padded cells as they are.
+    """
     # utf-8-sig drops the byte-order mark that Excel writes before the header
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
             rows = [
-                (line_no, fields)
+                (line_no, row)
                 for line_no, row in enumerate(reader, start=2)
-                if any(fields := [field.strip() for field in row])
+                if any(field.strip() for field in row)
             ]
         except StopIteration:
             raise CsvFormatError("file is empty") from None
@@ -142,19 +175,15 @@ def _parse_wide(header: list[str], rows: _Rows) -> tuple[CurveSet, CurveTableInf
             "consult grid spacing)",
         )
 
+    line_nos = [line_no for line_no, _ in rows]
+    ids = [row[0].strip() for _, row in rows]
     seen = set()
-    for line_no, row in rows:
-        if row[0] in seen:
-            raise CsvFormatError(f"duplicate subject id {row[0]!r}", row=line_no)
-        seen.add(row[0])
-    values = np.array(
-        [
-            [_parse_float(text, line_no, col) for text, col in zip(row[2:], value_cols)]
-            for line_no, row in rows
-        ]
-    )
-    ids = [row[0] for _, row in rows]
-    groups = [row[1] for _, row in rows]
+    for line_no, subject in zip(line_nos, ids):
+        if subject in seen:
+            raise CsvFormatError(f"duplicate subject id {subject!r}", row=line_no)
+        seen.add(subject)
+    values = _parse_floats([row[2:] for _, row in rows], line_nos, value_cols)
+    groups = [row[1].strip() for _, row in rows]
     return _curve_table(rows[0][0], ids, groups, values, grid, grid_source, warnings)
 
 
@@ -163,12 +192,14 @@ def _parse_long(header: list[str], rows: _Rows) -> tuple[CurveSet, CurveTableInf
     id_col, group_col, s_col, value_col = (
         cols.index(name) for name in ("id", "group", "s", "value")
     )
+    line_nos = [line_no for line_no, _ in rows]
+    measured = _parse_floats(
+        [[row[s_col], row[value_col]] for _, row in rows], line_nos, ["s", "value"]
+    ).tolist()
     # subject id -> (group, first row, {s: value}), in order of first appearance
     subjects: dict[str, tuple[str, int, dict[float, float]]] = {}
-    for line_no, row in rows:
-        subject, group = row[id_col], row[group_col]
-        s = _parse_float(row[s_col], line_no, "s")
-        value = _parse_float(row[value_col], line_no, "value")
+    for (line_no, row), (s, value) in zip(rows, measured):
+        subject, group = row[id_col].strip(), row[group_col].strip()
         first_group, _, curve = subjects.setdefault(subject, (group, line_no, {}))
         if first_group != group:
             raise CsvFormatError(

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import chi2, norm, rankdata
+from scipy.stats import chi2, norm
 
 from .errors import (
     InvalidInputError,
@@ -33,7 +33,7 @@ from .errors import (
     _optional,
 )
 from .preprocess import FpcaResult, _check_pve, _fpca
-from .ranking import CurveSet, _group_labels
+from .ranking import CurveSet, _group_labels, _midranks
 from .summaries import SummaryKind, _summary_scores
 
 __all__ = [
@@ -141,7 +141,7 @@ def _pooled_ranks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     0 exactly when the row has no ties. Mid-ranks give
     sum(t^3 - t) = n^3 - n - 12 sum((r - (n+1)/2)^2).
     """
-    ranks = rankdata(scores, method="average", axis=1)
+    ranks = _midranks(scores, axis=1)
     n = ranks.shape[1]
     # every term is a multiple of 1/4, so the sum is exact while n^3 < 2^53
     tie_sum = n**3 - n - 12.0 * np.sum((ranks - (n + 1) / 2.0) ** 2, axis=1)
@@ -375,7 +375,7 @@ def _doubly_ranked_scores(
     arrays = [fit.smoothed for fit in fits] if fits else replicates
     # a single replicate (a one-off test) is viewed as a block, not copied
     values = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-    ranks = rankdata(values, method="average", axis=1)
+    ranks = _midranks(values, axis=1)
     return [_summary_scores(ranks, kind) for kind in summaries], fits
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import InvalidInputError
 
@@ -143,7 +142,39 @@ def _group_labels(sizes) -> np.ndarray:
     return np.repeat(np.arange(1, len(sizes) + 1), sizes)
 
 
+def _midranks(values: np.ndarray, axis: int) -> np.ndarray:
+    """Mid-ranks of values along axis: tied values share their mean rank.
+
+    The ranked axis is swapped last, sorted once, and each sorted position
+    gets its rank: k + 1 when no row has equal neighbours, else one plus
+    the mean of the first and last positions of its run of equal values.
+    Mid-ranks are exact half-integers, so any correct algorithm gives the
+    same bits as scipy's average-method ranking. The result is a view in
+    the memory layout scipy returns too (the ranked axis innermost), so
+    reductions over it round the same way. The values are trusted to be
+    finite.
+    """
+    a = np.swapaxes(values, axis, -1)
+    n = a.shape[-1]
+    order = np.argsort(a, axis=-1)
+    ordered = np.take_along_axis(a, order, axis=-1)
+    first = np.ones(a.shape, dtype=bool)  # starts a run of equal values
+    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=first[..., 1:])
+    pos = np.arange(n)
+    if first.all():
+        sorted_ranks = np.broadcast_to(pos + 1.0, a.shape)
+    else:
+        last = np.ones(a.shape, dtype=bool)  # ends a run
+        last[..., :-1] = first[..., 1:]
+        start = np.maximum.accumulate(np.where(first, pos, 0), axis=-1)
+        end = np.minimum.accumulate(np.where(last, pos, n - 1)[..., ::-1], axis=-1)
+        sorted_ranks = (start + end[..., ::-1]) / 2.0 + 1.0
+    ranks = np.empty(a.shape)
+    np.put_along_axis(ranks, order, sorted_ranks, axis=-1)
+    return np.swapaxes(ranks, axis, -1)
+
+
 def rank_curves(curves: CurveSet) -> RankCurves:
     """Rank subjects within each occasion, ignoring group labels."""
-    ranks = rankdata(curves.values, method="average", axis=0)
+    ranks = _midranks(curves.values, axis=0)
     return RankCurves(ranks=ranks, n=curves.n_subjects, n_points=curves.n_points)

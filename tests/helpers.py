@@ -1,7 +1,6 @@
 """Shared construction helpers for the test suite."""
 
 import numpy as np
-from scipy.stats import rankdata
 
 from drtests import CurveSet, RankCurves, rank_tests, ranking
 
@@ -26,28 +25,26 @@ def count_pipeline_calls(monkeypatch):
 
     Returns a dict that fills in as the pipeline runs: "smoothings" counts
     calls to the FPCA smoother, "ranked_datasets" the datasets ranked per
-    occasion by rankdata calls from the modules that rank curves. A 3-d
+    occasion by the package's one ranker, `ranking._midranks`. A 3-d
     stack of replicates ranked along axis 1 counts its leading size, a
     2-d curve matrix ranked along axis 0 counts 1. The pooled ranking of
     the final test step (2-d score rows along axis 1) is not counted.
     """
     calls = {"smoothings": 0, "ranked_datasets": 0}
-    smooth = rank_tests._fpca
+    smooth, rank = rank_tests._fpca, ranking._midranks
 
     def counted_smooth(*args, **kwargs):
         calls["smoothings"] += 1
         return smooth(*args, **kwargs)
 
-    def counted_rank(a, *args, **kwargs):
-        a = np.asarray(a)
-        axis = kwargs.get("axis")
-        if a.ndim == 3 and axis == 1:
-            calls["ranked_datasets"] += a.shape[0]
-        elif a.ndim == 2 and axis == 0:
+    def counted_rank(values, axis):
+        if values.ndim == 3 and axis == 1:
+            calls["ranked_datasets"] += values.shape[0]
+        elif values.ndim == 2 and axis == 0:
             calls["ranked_datasets"] += 1
-        return rankdata(a, *args, **kwargs)
+        return rank(values, axis)
 
     monkeypatch.setattr(rank_tests, "_fpca", counted_smooth)
     for module in (ranking, rank_tests):
-        monkeypatch.setattr(module, "rankdata", counted_rank, raising=False)
+        monkeypatch.setattr(module, "_midranks", counted_rank)
     return calls

@@ -319,6 +319,28 @@ class TestResultsIo:
             "mc_stderr,version"
         )
 
+    def test_csv_content_in_jsonl_file_rejected(self, tmp_path):
+        results = self.sample_results()
+        csv_path, path = tmp_path / "out.csv", tmp_path / "out.jsonl"
+        write_results(results, csv_path)
+        path.write_text(csv_path.read_text())
+        with pytest.raises(InvalidInputError, match=r"out\.jsonl line 1: "):
+            read_results(path)
+
+    def test_csv_lacking_columns_rejected(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_results(self.sample_results(), path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=["coeff_dist", "xi"], extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+        with pytest.raises(
+            InvalidInputError, match=r"out\.csv line 2: .*missing columns \['mean_shape'"
+        ):
+            read_results(path)
+
 
 class TestGridConfig:
     def test_from_dict_minimal(self):

@@ -5,7 +5,9 @@ import pytest
 
 from drtests import (
     CsvFormatError,
+    DoublyRankedConfig,
     MeanShape,
+    doubly_ranked_test,
     grid_from_dict,
     mww_test,
     read_curves_csv,
@@ -95,6 +97,20 @@ class TestWideCsv:
         )
         with pytest.raises(CsvFormatError, match=r"row 3.*column '0'"):
             read_curves_csv(path)
+
+    def test_non_finite_value_reports_row_and_column(self, tmp_path):
+        for name, text, cell in (
+            ("w.csv", "id,group,0,1\na,x,1,2\nb,y,3, nan\nc,y,inf,4\n",
+             "'nan' (row 3, column '1')"),
+            ("l.csv", "id,group,s,value\na,x,0,1\na,x,1,2\nb,y,0,-inf\nb,y,1,4\n",
+             "'-inf' (row 4, column 'value')"),
+            ("s.csv", "id,group,s,value\na,x,0,1\na,x,nan,2\nb,y,0,3\nb,y,1,4\n",
+             "'nan' (row 3, column 's')"),
+        ):
+            path = write_text(tmp_path / name, text)
+            with pytest.raises(CsvFormatError) as info:
+                read_curves_csv(path)
+            assert str(info.value) == f"expected a finite number, saw {cell}"
 
     def test_duplicate_subject_rejected(self, tmp_path):
         path = write_text(
@@ -329,6 +345,38 @@ class TestCliTest:
         assert payload["components_kept"] >= 1
         assert payload["pve_achieved"] >= 0.99
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            # the library's defaults, under drt test's own pve=0.99
+            ([], DoublyRankedConfig(preprocess_pve=0.99)),
+            (
+                [
+                    "--summary", "avg", "--preprocess", "none", "--alternative",
+                    "greater", "--exact-threshold", "0", "--no-continuity-correction",
+                ],
+                DoublyRankedConfig(
+                    summary="average_rank",
+                    alternative="greater",
+                    exact_threshold=0,
+                    continuity_correction=False,
+                ),
+            ),
+        ],
+    )
+    def test_flags_build_the_library_config(self, tmp_path, capsys, flags, config):
+        path = simulate_file(tmp_path, capsys)
+        code, out, _ = run_cli(capsys, ["test", str(path), "--format", "json"] + flags)
+        assert code == 0
+        payload = json.loads(out)
+        expected = doubly_ranked_test(read_curves_csv(path)[0], config)
+        assert payload["method"] == expected.method.value
+        assert payload["alternative"] == expected.alternative.value
+        assert payload["summary"] == config.summary.value
+        assert payload["preprocess_pve"] == config.preprocess_pve
+        for key in ("statistic", "z_or_df", "p_value", "tie_correction_applied"):
+            assert payload[key] == getattr(expected, key)
+
     def test_verbose_reports_other_correction(self, tmp_path, capsys):
         path = simulate_file(tmp_path, capsys)
         code, out, _ = run_cli(
@@ -337,6 +385,13 @@ class TestCliTest:
         )
         assert code == 0
         assert "without continuity correction" in out
+        flag = "--no-continuity-correction"
+        code, out, _ = run_cli(
+            capsys,
+            ["test", str(path), "--exact-threshold", "0", "--verbose", flag],
+        )
+        assert code == 0
+        assert "with continuity correction" in out
 
     def test_verbose_smooths_and_ranks_once(self, tmp_path, capsys, monkeypatch):
         # the flipped-correction p-value reuses the scores of the main test

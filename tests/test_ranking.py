@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.stats import rankdata
 
 from drtests import CurveSet, InvalidInputError, RankCurves, rank_curves
+from drtests.ranking import _midranks
 from tests.helpers import make_curves
 
 
@@ -134,3 +139,40 @@ class TestRankCurves:
             RankCurves(ranks=[[1.0, 1.0], [2.0, 3.0]], n=2, n_points=2)
         with pytest.raises(InvalidInputError):
             RankCurves(ranks=[[0.5], [2.0]], n=2, n_points=1)
+
+
+class TestMidranks:
+    """The package's one ranker against scipy's average-method rankdata."""
+
+    @staticmethod
+    def check(values, axis):
+        ranks = _midranks(values, axis)
+        assert np.array_equal(ranks, rankdata(values, method="average", axis=axis))
+        assert ranks.shape == values.shape
+
+    @pytest.mark.parametrize(
+        "shape, axis",
+        [((6, 7), 0), ((6, 7), 1), ((4, 9, 5), 1), ((1, 30, 40), 1)],
+    )
+    def test_tie_free_tied_and_all_equal(self, shape, axis):
+        values = np.random.default_rng(23).normal(size=shape)
+        self.check(values, axis)
+        self.check(np.round(values, 1), axis)
+        self.check(np.full(shape, 2.5), axis)
+
+    @pytest.mark.parametrize("shape", [(3, 1, 5), (3, 6, 1), (1, 1, 1)])
+    def test_single_subject_or_occasion(self, shape):
+        values = np.random.default_rng(29).integers(0, 3, size=shape).astype(float)
+        self.check(values, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=2, max_dims=3, max_side=8),
+            elements=st.integers(-3, 3).map(float),
+        ),
+        st.data(),
+    )
+    def test_matches_rankdata_on_dense_ties(self, values, data):
+        self.check(values, data.draw(st.integers(0, values.ndim - 1)))
