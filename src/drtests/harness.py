@@ -3,19 +3,20 @@
 A grid pairs a simulation template with factor lists (grid sizes, group
 schemes, shift scales, summaries). Each cell simulates its replicates from
 counter-based substreams and records the fraction of doubly ranked tests
-rejecting at level alpha. A run is one list of (cell, replicate block)
-tasks: each cell's replicates are split into min(workers, replicates)
-contiguous blocks, and with more than one worker and more than one task
-every task goes through one process pool opened for the whole run, with
-at most one process per task. Within a task, replicates run in blocks of
-at most 2^15 curve values (a fixed memory budget, not a setting): each
-replicate is drawn from its own substream, then the whole block is
-ranked, summarized and tested in one batched pass, so per-call costs are
-paid per block, not per replicate. A cell whose n·S exceeds the budget
-runs one replicate per block. Because substream i depends only on
-(seed, i), every test treats each replicate on its own, and each cell
-sums its blocks' integer counts, results are identical for any worker
-count and any block size.
+rejecting at level alpha. A run is one sequence of positions (position k
+is replicate k % R of cell k // R) cut into min(workers, positions)
+contiguous shares, one per process: one process pool opened for the run
+takes one share per process, and one worker maps its single share
+in-process. A share runs in blocks of at most 2^15 curve values (a fixed
+memory budget, not a setting) that may span consecutive cells of one shape,
+cells that differ only in the shift. Each replicate is drawn from its own
+substream, then the whole block is ranked, summarized and tested in one
+batched pass, and each row's rejection is credited to its cell, so per-call
+costs are paid per block, not per replicate. A cell whose n·S exceeds the
+budget runs one replicate per block. Because substream i depends only on
+(seed, i), every test treats each replicate on its own, and a run sums its
+shares' integer counts, results are identical for any worker count and any
+block size.
 """
 
 from __future__ import annotations
@@ -164,10 +165,6 @@ class CellResult:
     mc_stderr: float
 
 
-def _mc_stderr(rate: float, reps: int) -> float:
-    return float(np.sqrt(rate * (1.0 - rate) / reps))
-
-
 # Curve values a replicate block may hold (2^15 float64, 256 KiB): enough
 # to spread the per-call cost of ranking and testing over many small
 # replicates, and small enough that a cell whose n·S exceeds it runs one
@@ -176,28 +173,33 @@ _BUDGET = 1 << 15
 
 
 def _count_rejections(
-    grid: ExperimentGrid, config: SimConfig, rep_start: int, rep_stop: int
+    grid: ExperimentGrid, configs: Sequence[SimConfig], start: int, stop: int
 ) -> np.ndarray:
-    """Rejection counts per summary over a replicate range (reject: p <= alpha).
+    """Rejection counts per (cell, summary) over run positions start..stop.
 
-    The range runs in blocks of max(1, _BUDGET // (n·S)) replicates. Each
-    replicate is drawn from its own stream (and smoothed on its own when
-    grid.preprocess_pve is set); a block is then ranked once, scored under
-    every summary, and each summary's scores are tested in one pass. No
-    CurveSet or TestResult is built.
+    Position k is replicate k % R of cell configs[k // R]; a row rejects
+    when p <= alpha. Positions run in blocks of at most
+    max(1, _BUDGET // (n·S)) that may span consecutive cells of one shape
+    (group scheme and grid size, which the cell order keeps together).
+    Each replicate is drawn from its own stream (and smoothed on its own
+    when grid.preprocess_pve is set); a block is then ranked once, scored
+    under every summary, and each summary's scores are tested in one pass.
+    No CurveSet or TestResult is built.
     """
-    counts = np.zeros(len(grid.summaries), dtype=np.int64)
-    labels = _group_labels(config.n_per_group)
-    n_groups = len(config.n_per_group)
+    reps, shape_positions = grid.replicates, grid.replicates * len(grid.xi_values)
+    counts = np.zeros((len(configs), len(grid.summaries)), dtype=np.int64)
     test_config = DoublyRankedConfig()
-    step = max(1, _BUDGET // (config.n_subjects * config.n_points))
-    for start in range(rep_start, rep_stop, step):
-        stop = min(start + step, rep_stop)
-        values = [_dataset_values(config, rep) for rep in range(start, stop)]
+    while start < stop:
+        config = configs[start // reps]
+        step = max(1, _BUDGET // (config.n_subjects * config.n_points))
+        end = min(start + step, stop, (start // shape_positions + 1) * shape_positions)
+        values = [_dataset_values(configs[k // reps], k % reps) for k in range(start, end)]
         scores, _ = _doubly_ranked_scores(values, grid.summaries, grid.preprocess_pve)
+        cells, labels = np.arange(start, end) // reps, _group_labels(config.n_per_group)
         for j, block in enumerate(scores):
-            p = _score_block(block, labels, n_groups, test_config).p_value
-            counts[j] += np.count_nonzero(p <= grid.alpha)
+            p = _score_block(block, labels, len(config.n_per_group), test_config).p_value
+            counts[:, j] += np.bincount(cells[p <= grid.alpha], minlength=len(configs))
+        start = end
     return counts
 
 
@@ -227,9 +229,9 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     """Rejection rates across the shift grid.
 
     Rows are ordered by group scheme, then grid size, then summary, then
-    shift scale, so each power curve occupies consecutive rows. With more
-    than one worker, the whole run shares one process pool, of at most
-    one process per task.
+    shift scale, so each power curve occupies consecutive rows. The run is
+    cut into one contiguous share of (cell, replicate) positions per
+    process, and with more than one worker the shares go to one pool.
     """
     if not grid.xi_values:
         raise InvalidInputError("xi_values must be nonempty")
@@ -240,39 +242,31 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
         for n_points in grid.n_points_values
         for xi in grid.xi_values
     ]
-    n_blocks = min(workers, grid.replicates)
-    bounds = np.linspace(0, grid.replicates, n_blocks + 1).astype(int).tolist()
-    tasks = (
-        [config for config in configs for _ in range(n_blocks)],
-        bounds[:-1] * len(configs),
-        bounds[1:] * len(configs),
-    )
-    count = partial(_count_rejections, grid)
+    positions = len(configs) * grid.replicates
     # a forked pool starts all its processes at once: open none to sit idle
-    processes = min(workers, len(tasks[0]))
+    processes = min(workers, positions)
+    bounds = [i * positions // processes for i in range(processes + 1)]
+    count = partial(_count_rejections, grid, configs)
     if processes == 1:
-        block_counts = list(map(count, *tasks))
+        cell_counts = count(0, positions)
     else:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            block_counts = list(pool.map(count, *tasks))
-    shape = (len(configs), n_blocks, len(grid.summaries))
-    cell_counts = np.reshape(block_counts, shape).sum(axis=1)
+            cell_counts = sum(pool.map(count, bounds[:-1], bounds[1:]))
 
+    rates = cell_counts / grid.replicates
+    stderrs = np.sqrt(rates * (1.0 - rates) / grid.replicates)
     n_xi = len(grid.xi_values)
-    results: list[CellResult] = []
-    for first in range(0, len(configs), n_xi):
-        for j, summary in enumerate(grid.summaries):
-            for i in range(first, first + n_xi):
-                rate = cell_counts[i, j] / grid.replicates
-                results.append(
-                    CellResult(
-                        cell=_cell_spec(configs[i], summary, grid),
-                        rejection_rate=float(rate),
-                        replicates_used=grid.replicates,
-                        mc_stderr=_mc_stderr(rate, grid.replicates),
-                    )
-                )
-    return results
+    return [
+        CellResult(
+            cell=_cell_spec(configs[i], summary, grid),
+            rejection_rate=float(rates[i, j]),
+            replicates_used=grid.replicates,
+            mc_stderr=float(stderrs[i, j]),
+        )
+        for first in range(0, len(configs), n_xi)
+        for j, summary in enumerate(grid.summaries)
+        for i in range(first, first + n_xi)
+    ]
 
 
 _COLUMNS = [*_ROW, "replicates", "rejection_rate", "mc_stderr", "version"]
@@ -292,14 +286,18 @@ def _result_record(result: CellResult) -> dict:
     return dict(zip(_COLUMNS, [*values, __version__], strict=True))
 
 
+def _check_columns(present) -> None:
+    # preprocess_pve may be absent (files written before it existed lack
+    # it); the version is written for provenance and not read back
+    missing = [c for c in _COLUMNS[:-1] if c != "preprocess_pve" and c not in present]
+    if missing:
+        raise InvalidInputError(f"missing columns {missing}")
+
+
 def _record_to_result(rec) -> CellResult:
     if not isinstance(rec, dict):
         raise InvalidInputError(f"expected an object of columns, got {rec!r}")
-    # preprocess_pve may be absent (files written before it existed lack
-    # it); the version is written for provenance and not read back
-    missing = [c for c in _COLUMNS[:-1] if c != "preprocess_pve" and rec.get(c) is None]
-    if missing:
-        raise InvalidInputError(f"missing columns {missing}")
+    _check_columns([c for c, value in rec.items() if value is not None])
     return CellResult(
         cell=CellSpec(**{name: rec[name] for name in _ROW if name in rec}),
         rejection_rate=float(rec["rejection_rate"]),
@@ -350,7 +348,8 @@ def read_results(
     """Parse a results file back into CellResult records.
 
     The format is inferred from the extension when not given. A row that
-    is not a result row raises InvalidInputError naming the file and line.
+    is not a result row, or a CSV header lacking result columns (even with
+    no rows), raises InvalidInputError naming the file and line.
     """
     format = _results_format(path, format)
     results: list[CellResult] = []
@@ -359,6 +358,7 @@ def read_results(
         try:
             if format is ResultFormat.CSV:
                 reader = csv.DictReader(fh)
+                _check_columns(reader.fieldnames or ())
                 for rec in reader:
                     line_no = reader.line_num
                     results.append(_record_to_result(rec))

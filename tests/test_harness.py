@@ -112,11 +112,15 @@ class TestPipelineCalls:
 
             monkeypatch.setattr(cls, "__post_init__", counted)
         grid = small_grid(
-            replicates=6, preprocess_pve=0.9, group_schemes=((5, 5), (3, 3, 4))
+            replicates=6,
+            preprocess_pve=0.9,
+            group_schemes=((5, 5), (3, 3, 4)),
+            xi_values=(0.0,),
         )
-        for scheme in grid.group_schemes:
-            config = replace(grid.base, n_per_group=scheme)
-            assert harness._count_rejections(grid, config, 0, 6).shape == (2,)
+        configs = [replace(grid.base, n_per_group=s) for s in grid.group_schemes]
+        # one share of both cells' 12 replicates: (cells, summaries) counts
+        counts = harness._count_rejections(grid, configs, 0, 12)
+        assert counts.shape == (2, 2) and counts.dtype == np.int64
         assert built == {"CurveSet": 0, "TestResult": 0}
         # the counters do see the one-off path
         doubly_ranked_test(generate_dataset(grid.base))
@@ -140,6 +144,24 @@ class TestPipelineCalls:
         for budget in (1, 2 * 20 * 120, 7 * 20 * 120, 10**9):
             monkeypatch.setattr(harness, "_BUDGET", budget)
             assert run_power(grid) == reference
+
+    def test_counts_go_to_their_cell(self, monkeypatch):
+        grid = small_grid(
+            base=replace(small_grid().base, mean_shape="linear"),
+            xi_values=(0.0, 0.5, 1.0, 2.0, 4.0),
+            replicates=5,
+        )
+        # blocks of 3 replicates (n·S = 80) span cells; 25 positions leave a
+        # remainder for every worker count below
+        monkeypatch.setattr(harness, "_BUDGET", 3 * 80)
+        reference = run_power(grid)
+        assert len({r.rejection_rate for r in reference}) > 2
+        for workers in (2, 3, 4, 7):
+            assert run_power(grid, workers=workers) == reference
+        # a single-shift run cannot span cells, so a row credited to a
+        # neighbouring cell shows here
+        alone = [run_power(replace(grid, xi_values=(xi,))) for xi in grid.xi_values]
+        assert reference == [rows[j] for j in range(2) for rows in alone]
 
 
 class TestRunPower:
@@ -201,25 +223,32 @@ class TestRunPower:
             assert run_power(grid, workers=1) == run_power(grid, workers=2)
 
     def test_one_pool_per_run(self, monkeypatch):
-        opened = []
+        opened, tasks = [], []
 
         class CountingPool(harness.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 opened.append(kwargs)
                 super().__init__(*args, **kwargs)
 
+            def submit(self, *args, **kwargs):
+                tasks.append(args)
+                return super().submit(*args, **kwargs)
+
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
         grid = small_grid(replicates=8)
         assert len(grid.xi_values) == 2
-        run_power(grid, workers=2)
-        assert len(opened) == 1
-        # 2 shifts x 2 blocks are 4 tasks, run by no more than 2 processes
-        assert opened[0]["max_workers"] == 2
+        # 2 shifts x 8 replicates are 16 positions: one share per process
+        for workers in (2, 3):
+            run_power(grid, workers=workers)
+            assert opened[-1]["max_workers"] == workers
+            assert len(tasks) == workers
+            tasks.clear()
+        assert len(opened) == 2
         run_power(grid, workers=1)
-        assert len(opened) == 1
+        assert len(opened) == 2 and not tasks
         # a single task opens no pool
         run_power(small_grid(replicates=1, xi_values=(0.0,)), workers=2)
-        assert len(opened) == 1
+        assert len(opened) == 2
 
     def test_empty_xi_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -336,10 +365,30 @@ class TestResultsIo:
             writer = csv.DictWriter(fh, fieldnames=["coeff_dist", "xi"], extrasaction="ignore")
             writer.writeheader()
             writer.writerows(rows)
+        # the header is refused before any row is read
         with pytest.raises(
-            InvalidInputError, match=r"out\.csv line 2: .*missing columns \['mean_shape'"
+            InvalidInputError, match=r"out\.csv line 1: .*missing columns \['mean_shape'"
         ):
             read_results(path)
+
+    def test_header_only_csv(self, tmp_path):
+        path = tmp_path / "out.csv"
+        # a header lacking result columns is refused even with no rows
+        path.write_text("coeff_dist,xi\n")
+        with pytest.raises(
+            InvalidInputError, match=r"out\.csv line 1: .*missing columns \['mean_shape'"
+        ):
+            read_results(path)
+        path.write_text("")
+        with pytest.raises(InvalidInputError, match=r"out\.csv .*missing columns"):
+            read_results(path)
+        # the header of an empty result list (test_empty_results_header_only)
+        # without preprocess_pve, as files written before it existed have it
+        write_results([], path)
+        header = path.read_text().replace("preprocess_pve,", "")
+        assert header.startswith("coeff_dist,") and "preprocess_pve" not in header
+        path.write_text(header)
+        assert read_results(path) == []
 
 
 class TestGridConfig:
