@@ -3,20 +3,18 @@
 A grid pairs a simulation template with factor lists (grid sizes, group
 schemes, shift scales, summaries). Each cell simulates its replicates from
 counter-based substreams and records the fraction of doubly ranked tests
-rejecting at level alpha. A run is one sequence of positions (position k
-is replicate k % R of cell k // R) cut into min(workers, positions)
-contiguous shares, one per process: one process pool opened for the run
-takes one share per process, and one worker maps its single share
-in-process. A share runs in blocks of at most 2^15 curve values (a fixed
-memory budget, not a setting) that may span consecutive cells of one shape,
-cells that differ only in the shift. Each replicate is drawn from its own
-substream, then the whole block is ranked, summarized and tested in one
-batched pass, and each row's rejection is credited to its cell, so per-call
-costs are paid per block, not per replicate. A cell whose n·S exceeds the
-budget runs one replicate per block. Because substream i depends only on
-(seed, i), every test treats each replicate on its own, and a run sums its
-shares' integer counts, results are identical for any worker count and any
-block size.
+rejecting at level alpha. A run is one sequence of positions (position k is
+replicate k % R of cell k // R) cut into at most one contiguous share per
+worker, of about equal total n·S: one process pool opened for the run takes
+one task per share, and a single share runs in-process. A share runs in
+blocks of at most 2^15 curve values (a fixed memory budget, not a setting;
+a cell whose n·S exceeds it runs one replicate per block) that may span
+consecutive cells of one shape, cells that differ only in the shift. Each
+replicate is drawn from its own substream, then the whole block is ranked,
+summarized and tested in one batched pass, and each row's rejection is
+credited to its cell. Because substream i depends only on (seed, i), every
+test treats each replicate on its own, and a run sums its shares' integer
+counts, results are identical for any worker count and any block size.
 """
 
 from __future__ import annotations
@@ -180,19 +178,21 @@ def _count_rejections(
     Position k is replicate k % R of cell configs[k // R]; a row rejects
     when p <= alpha. Positions run in blocks of at most
     max(1, _BUDGET // (n·S)) that may span consecutive cells of one shape
-    (group scheme and grid size, which the cell order keeps together).
+    (group scheme and grid size); a block ends where configs changes shape.
     Each replicate is drawn from its own stream (and smoothed on its own
     when grid.preprocess_pve is set); a block is then ranked once, scored
     under every summary, and each summary's scores are tested in one pass.
     No CurveSet or TestResult is built.
     """
-    reps, shape_positions = grid.replicates, grid.replicates * len(grid.xi_values)
+    reps, shapes = grid.replicates, [(c.n_per_group, c.n_points) for c in configs]
     counts = np.zeros((len(configs), len(grid.summaries)), dtype=np.int64)
     test_config = DoublyRankedConfig()
     while start < stop:
-        config = configs[start // reps]
+        cell = start // reps
+        config, later = configs[cell], range(cell + 1, len(configs))
         step = max(1, _BUDGET // (config.n_subjects * config.n_points))
-        end = min(start + step, stop, (start // shape_positions + 1) * shape_positions)
+        shape_end = next((i for i in later if shapes[i] != shapes[cell]), len(configs))
+        end = min(start + step, stop, shape_end * reps)
         values = [_dataset_values(configs[k // reps], k % reps) for k in range(start, end)]
         scores, _ = _doubly_ranked_scores(values, grid.summaries, grid.preprocess_pve)
         cells, labels = np.arange(start, end) // reps, _group_labels(config.n_per_group)
@@ -230,12 +230,11 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
 
     Rows are ordered by group scheme, then grid size, then summary, then
     shift scale, so each power curve occupies consecutive rows. The run is
-    cut into one contiguous share of (cell, replicate) positions per
-    process, and with more than one worker the shares go to one pool.
+    cut into contiguous shares of (cell, replicate) positions of about
+    equal n·S, at most one per worker; two or more shares go to one pool.
     """
     if not grid.xi_values:
         raise InvalidInputError("xi_values must be nonempty")
-    workers = _count(workers, "workers")
     configs = [
         replace(grid.base, n_per_group=scheme, n_points=n_points, xi=xi)
         for scheme in grid.group_schemes
@@ -243,14 +242,18 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
         for xi in grid.xi_values
     ]
     positions = len(configs) * grid.replicates
-    # a forked pool starts all its processes at once: open none to sit idle
-    processes = min(workers, positions)
-    bounds = [i * positions // processes for i in range(processes + 1)]
+    workers = min(_count(workers, "workers"), positions)
+    # a position joins share floor(workers * m / total n·S), m the middle of its
+    # n·S in the run, so mixed shapes load processes evenly; empty shares are dropped
+    cost = np.repeat([c.n_subjects * c.n_points for c in configs], grid.replicates)
+    twice_middles = 2 * cost.cumsum() - cost
+    starts = np.searchsorted(twice_middles * workers, 2 * cost.sum() * np.arange(workers))
+    bounds = np.unique([*starts, positions]).tolist()
     count = partial(_count_rejections, grid, configs)
-    if processes == 1:
+    if len(bounds) == 2:
         cell_counts = count(0, positions)
     else:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        with ProcessPoolExecutor(max_workers=len(bounds) - 1) as pool:
             cell_counts = sum(pool.map(count, bounds[:-1], bounds[1:]))
 
     rates = cell_counts / grid.replicates
@@ -331,13 +334,10 @@ def write_results(
         if format is ResultFormat.CSV:
             writer = csv.DictWriter(fh, fieldnames=_COLUMNS)
             writer.writeheader()
-            for rec in records:
-                writer.writerow(
-                    {
-                        k: "+".join(map(str, v)) if isinstance(v, list) else v
-                        for k, v in rec.items()
-                    }
-                )
+            writer.writerows(
+                {k: "+".join(map(str, v)) if isinstance(v, list) else v for k, v in r.items()}
+                for r in records
+            )
         else:
             fh.writelines(json.dumps(rec) + "\n" for rec in records)
 

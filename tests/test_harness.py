@@ -112,10 +112,7 @@ class TestPipelineCalls:
 
             monkeypatch.setattr(cls, "__post_init__", counted)
         grid = small_grid(
-            replicates=6,
-            preprocess_pve=0.9,
-            group_schemes=((5, 5), (3, 3, 4)),
-            xi_values=(0.0,),
+            replicates=6, preprocess_pve=0.9, group_schemes=((5, 5), (3, 3, 4))
         )
         configs = [replace(grid.base, n_per_group=s) for s in grid.group_schemes]
         # one share of both cells' 12 replicates: (cells, summaries) counts
@@ -144,6 +141,23 @@ class TestPipelineCalls:
         for budget in (1, 2 * 20 * 120, 7 * 20 * 120, 10**9):
             monkeypatch.setattr(harness, "_BUDGET", budget)
             assert run_power(grid) == reference
+
+    def test_blocks_stop_where_the_shape_changes(self, monkeypatch):
+        grid = small_grid(
+            base=replace(small_grid().base, mean_shape="parabola"), replicates=4
+        )
+        # one cell of one shape, then two of another: the grid's two shifts
+        # do not line up with the shape runs, which the kernel finds itself
+        configs = [
+            replace(grid.base, n_per_group=(5, 5), xi=3.0),
+            replace(grid.base, n_per_group=(3, 3, 4), xi=0.0),
+            replace(grid.base, n_per_group=(3, 3, 4), xi=3.0),
+        ]
+        monkeypatch.setattr(harness, "_BUDGET", 10**9)
+        counts = harness._count_rejections(grid, configs, 0, 12)
+        alone = [harness._count_rejections(grid, [c], 0, 4) for c in configs]
+        assert np.array_equal(counts, np.vstack(alone))
+        assert counts[0].sum() > 0 and counts[2].sum() > counts[1].sum()
 
     def test_counts_go_to_their_cell(self, monkeypatch):
         grid = small_grid(
@@ -237,7 +251,8 @@ class TestRunPower:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
         grid = small_grid(replicates=8)
         assert len(grid.xi_values) == 2
-        # 2 shifts x 8 replicates are 16 positions: one share per process
+        # 2 shifts x 8 replicates are 16 positions of equal n·S: one share per
+        # process, each sent as exactly one task
         for workers in (2, 3):
             run_power(grid, workers=workers)
             assert opened[-1]["max_workers"] == workers
@@ -249,6 +264,36 @@ class TestRunPower:
         # a single task opens no pool
         run_power(small_grid(replicates=1, xi_values=(0.0,)), workers=2)
         assert len(opened) == 2
+
+    def test_shares_balance_cost(self, monkeypatch):
+        shares = []
+
+        class RecordingPool(harness.ProcessPoolExecutor):
+            def map(self, fn, starts, stops):
+                shares.extend(zip(starts, stops))
+                return super().map(fn, starts, stops)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        # n·S of 80 and 800 per position: 30 cheap positions, then 30 dear ones
+        grid = small_grid(
+            group_schemes=((5, 5), (50, 50)), xi_values=(0.0, 1.0, 2.0), replicates=10
+        )
+        reference, cost = run_power(grid), [80] * 30 + [800] * 30
+        for workers in (2, 3, 4):
+            assert run_power(grid, workers=workers) == reference
+            assert [a for a, _ in shares[1:]] == [b for _, b in shares[:-1]]
+            assert len(shares) == workers and shares[0][0] == 0 and shares[-1][1] == 60
+            # each share is within one dear position of an equal split
+            for a, b in shares:
+                assert abs(sum(cost[a:b]) * workers - sum(cost)) < 800 * workers
+            shares.clear()
+        # n·S of 800, 800, 80, 80: no position's middle lies in the second
+        # quarter of the run, so of four shares the second is empty and not sent
+        grid = replace(
+            grid, group_schemes=((50, 50), (5, 5)), xi_values=(0.0,), replicates=2
+        )
+        assert run_power(grid, workers=4) == run_power(grid)
+        assert shares == [(0, 1), (1, 2), (2, 4)]
 
     def test_empty_xi_rejected(self):
         with pytest.raises(InvalidInputError):
