@@ -334,10 +334,13 @@ def write_results(
         if format is ResultFormat.CSV:
             writer = csv.DictWriter(fh, fieldnames=_COLUMNS)
             writer.writeheader()
-            writer.writerows(
-                {k: "+".join(map(str, v)) if isinstance(v, list) else v for k, v in r.items()}
-                for r in records
-            )
+            for rec in records:
+                writer.writerow(
+                    {
+                        k: "+".join(map(str, v)) if isinstance(v, list) else v
+                        for k, v in rec.items()
+                    }
+                )
         else:
             fh.writelines(json.dumps(rec) + "\n" for rec in records)
 

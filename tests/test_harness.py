@@ -150,8 +150,8 @@ class TestPipelineCalls:
         # do not line up with the shape runs, which the kernel finds itself
         configs = [
             replace(grid.base, n_per_group=(5, 5), xi=3.0),
-            replace(grid.base, n_per_group=(3, 3, 4), xi=0.0),
-            replace(grid.base, n_per_group=(3, 3, 4), xi=3.0),
+            replace(grid.base, n_per_group=(4, 4, 4), xi=0.0),
+            replace(grid.base, n_per_group=(4, 4, 4), xi=3.0),
         ]
         monkeypatch.setattr(harness, "_BUDGET", 10**9)
         counts = harness._count_rejections(grid, configs, 0, 12)
