@@ -33,8 +33,8 @@ from .rank_tests import (
     Alternative,
     DoublyRankedConfig,
     Method,
-    _doubly_ranked_scores,
     _score_block,
+    _test_curves,
 )
 from .simgen import CoeffDist, MeanShape, NoiseKind, SimConfig, generate_dataset
 from .summaries import SummaryKind
@@ -128,16 +128,11 @@ def _cmd_test(args: argparse.Namespace) -> int:
         given["summary"] = _SUMMARY_FLAGS[given["summary"]]
     config = DoublyRankedConfig(**given)
     summary, pve = config.summary, config.preprocess_pve
-    (scores,), fits = _doubly_ranked_scores([curves.values], (summary,), pve)
-    block = _score_block(scores, curves.groups, curves.n_groups, config)
-    result = block.result(config.alternative, curves.group_sizes)
-    preprocess_desc, fit = "none", None
-    if fits:
-        (fit,) = fits
-        preprocess_desc = (
-            f"pve={pve:g} (kept {fit.components_kept} components, "
-            f"achieved {fit.pve_achieved:.6g})"
-        )
+    result, scores, fit = _test_curves(curves, config)
+    kept, achieved = fit or (None, None)
+    preprocess_desc = "none"
+    if fit:
+        preprocess_desc = f"pve={pve:g} (kept {kept} components, achieved {achieved:.6g})"
 
     group_desc = ", ".join(
         f"{label}(->{g}): n={size}"
@@ -160,8 +155,8 @@ def _cmd_test(args: argparse.Namespace) -> int:
             "tie_correction_applied": result.tie_correction_applied,
             "summary": summary.value,
             "preprocess_pve": pve,
-            "components_kept": fit and fit.components_kept,
-            "pve_achieved": fit and fit.pve_achieved,
+            "components_kept": kept,
+            "pve_achieved": achieved,
             "n_subjects": curves.n_subjects,
             "n_points": curves.n_points,
             "version": __version__,

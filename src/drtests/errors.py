@@ -9,6 +9,8 @@ from __future__ import annotations
 import numbers
 import sys
 
+import numpy as np
+
 __all__ = ["InvalidInputError", "UnsupportedSizeError"]
 
 
@@ -29,6 +31,13 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _boolean(value, name: str) -> bool:
+    """value as a bool if it is one (a Python or numpy bool, not 0, 1 or "no")."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidInputError(f"{name} must be True or False, got {value!r}")
+    return bool(value)
 
 
 def _count(value, name: str) -> int:

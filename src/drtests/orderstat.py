@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import betainc, gammaln
 
 from .errors import InvalidInputError, _count, _integer, _number
@@ -90,8 +91,13 @@ def suff_stat(z: float, n: int) -> float:
     n, z = _count(n, "n"), _number(z, "rank")
     if not 1.0 <= z <= n:
         raise InvalidInputError(f"rank must lie in [1, {n}], got {z}")
+    return float(_log_odds(z, n))
+
+
+def _log_odds(z, n: int):
+    """`suff_stat` of each rank in z (a number or an array), unchecked."""
     # the common 1/(2n) scale cancels in the ratio
-    return math.log(2.0 * z - 1.0) - math.log(2.0 * (n - z) + 1.0)
+    return np.log(2.0 * z - 1.0) - np.log(2.0 * (n - z) + 1.0)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, _number
-from .ranking import CurveSet
+from .ranking import CurveSet, _readonly
 
 __all__ = ["FpcaResult", "fpca_smooth"]
 
@@ -36,18 +36,15 @@ class FpcaResult:
     pve_achieved: float
 
     def __post_init__(self) -> None:
-        smoothed = np.asarray(self.smoothed, dtype=float)
-        mean_curve = np.asarray(self.mean_curve, dtype=float).ravel()
+        smoothed = _readonly(self.smoothed)
         if self.components_kept < 1:
             raise InvalidInputError("components_kept must be >= 1")
         if not np.all(np.isfinite(smoothed)):
             raise InvalidInputError("smoothed matrix must be finite")
         if not 0.0 < self.pve_achieved <= 1.0:
             raise InvalidInputError("pve_achieved must lie in (0, 1]")
-        for name, arr in (("smoothed", smoothed), ("mean_curve", mean_curve)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "smoothed", smoothed)
+        object.__setattr__(self, "mean_curve", _readonly(np.ravel(self.mean_curve)))
 
 
 def _check_pve(pve: float, name: str = "pve") -> float:
@@ -70,40 +67,27 @@ def fpca_smooth(curves: CurveSet, pve: float) -> FpcaResult:
     x = np.asarray(curves.values, dtype=float)
     if x.shape[0] < 2:
         raise InvalidInputError("need at least 2 curves to smooth")
-    return _fpca(x, pve)
+    smoothed, kept, achieved = _fpca(x, pve)
+    return FpcaResult(smoothed, x.mean(axis=0), kept, achieved)
 
 
-def _fpca(x: np.ndarray, pve: float) -> FpcaResult:
-    """`fpca_smooth` of an n x S matrix with n >= 2, trusting its inputs."""
+def _fpca(x: np.ndarray, pve: float) -> tuple[np.ndarray, int, float]:
+    """`fpca_smooth` of an n x S matrix with n >= 2, trusting its inputs.
+
+    Returns the smoothed matrix (x itself when nothing is truncated), the
+    components kept and the variance ratio they achieve.
+    """
     mean_curve = x.mean(axis=0)
     centered = x - mean_curve
-    total_var = float(np.sum(centered**2))
-    if total_var == 0.0:
-        return FpcaResult(
-            smoothed=x.copy(),
-            mean_curve=mean_curve,
-            components_kept=1,
-            pve_achieved=1.0,
-        )
+    if float(np.sum(centered**2)) == 0.0:
+        return x, 1, 1.0
 
     u, s, vt = np.linalg.svd(centered, full_matrices=False)
-    ratio = np.cumsum(s**2)
-    ratio /= ratio[-1]
     if pve == 1.0:
         # keep everything that carries variance; return the input untouched
-        kept = int(np.count_nonzero(s > 0.0))
-        return FpcaResult(
-            smoothed=x.copy(),
-            mean_curve=mean_curve,
-            components_kept=max(kept, 1),
-            pve_achieved=1.0,
-        )
-    kept = int(np.searchsorted(ratio, pve, side="left")) + 1
-    kept = min(kept, s.size)
+        return x, max(int(np.count_nonzero(s > 0.0)), 1), 1.0
+    ratio = np.cumsum(s**2)
+    ratio /= ratio[-1]
+    kept = min(int(np.searchsorted(ratio, pve, side="left")) + 1, s.size)
     smoothed = mean_curve + (u[:, :kept] * s[:kept]) @ vt[:kept]
-    return FpcaResult(
-        smoothed=smoothed,
-        mean_curve=mean_curve,
-        components_kept=kept,
-        pve_achieved=float(ratio[kept - 1]),
-    )
+    return smoothed, kept, float(ratio[kept - 1])

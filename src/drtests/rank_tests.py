@@ -25,6 +25,7 @@ from scipy.stats import chi2, norm
 from .errors import (
     InvalidInputError,
     UnsupportedSizeError,
+    _boolean,
     _check_fields,
     _count,
     _integer,
@@ -32,7 +33,7 @@ from .errors import (
     _member,
     _optional,
 )
-from .preprocess import FpcaResult, _check_pve, _fpca
+from .preprocess import _check_pve, _fpca
 from .ranking import CurveSet, _group_labels, _midranks
 from .summaries import SummaryKind, _summary_scores
 
@@ -311,6 +312,7 @@ def mww_test(
     """
     alternative = _member(Alternative)(alternative, "alternative")
     exact_threshold = _check_exact_threshold(exact_threshold)
+    continuity_correction = _boolean(continuity_correction, "continuity_correction")
     sizes, scores, labels = _pooled_samples((x, y))
     block = _mww_block(
         scores, labels, alternative, exact_threshold, continuity_correction
@@ -356,6 +358,7 @@ class DoublyRankedConfig:
             preprocess_pve=_optional(_check_pve),
             alternative=_member(Alternative),
             exact_threshold=_check_exact_threshold,
+            continuity_correction=_boolean,
         )
 
 
@@ -363,20 +366,22 @@ def _doubly_ranked_scores(
     replicates: Sequence[np.ndarray],
     summaries: Sequence[SummaryKind],
     pve: float | None,
-) -> tuple[list[np.ndarray], list[FpcaResult]]:
+) -> tuple[list[np.ndarray], list[tuple[int, float]]]:
     """One (R, n) score block per summary for R replicates of n x S values.
 
     When pve is set each replicate is smoothed on its own, and its
-    smoothing result is returned in order. The block is then ranked once
-    per occasion for all summaries. The inputs are trusted: no RankCurves
-    or SummaryScores is built, so a replicate loop pays for no validation.
+    (components kept, variance ratio achieved) pair is returned in order.
+    The block is then ranked once per occasion for all summaries. The
+    inputs are trusted: no result type is built, so a replicate loop pays
+    for no validation.
     """
     fits = [] if pve is None else [_fpca(values, pve) for values in replicates]
-    arrays = [fit.smoothed for fit in fits] if fits else replicates
+    arrays = [smoothed for smoothed, _, _ in fits] if fits else replicates
     # a single replicate (a one-off test) is viewed as a block, not copied
     values = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
     ranks = _midranks(values, axis=1)
-    return [_summary_scores(ranks, kind) for kind in summaries], fits
+    scores = [_summary_scores(ranks, kind) for kind in summaries]
+    return scores, [(kept, achieved) for _, kept, achieved in fits]
 
 
 def _score_block(
@@ -403,6 +408,22 @@ def _score_block(
     return _kw_block(scores, labels, n_groups)
 
 
+def _test_curves(
+    curves: CurveSet, config: DoublyRankedConfig
+) -> tuple[TestResult, np.ndarray, tuple[int, float] | None]:
+    """`doubly_ranked_test`, plus what `drt test` reports beyond its result.
+
+    Returns the TestResult, the (1, n) scores it tested, and the
+    smoothing's (components kept, variance ratio achieved) or None.
+    """
+    (scores,), fits = _doubly_ranked_scores(
+        [curves.values], (config.summary,), config.preprocess_pve
+    )
+    block = _score_block(scores, curves.groups, curves.n_groups, config)
+    result = block.result(config.alternative, curves.group_sizes)
+    return result, scores, fits[0] if fits else None
+
+
 def doubly_ranked_test(
     curves: CurveSet, config: DoublyRankedConfig | None = None
 ) -> TestResult:
@@ -413,10 +434,4 @@ def doubly_ranked_test(
     preprocessing the result is identical to the univariate test on that
     column, since a subject's summary is then just its rank.
     """
-    if config is None:
-        config = DoublyRankedConfig()
-    (scores,), _ = _doubly_ranked_scores(
-        [curves.values], (config.summary,), config.preprocess_pve
-    )
-    block = _score_block(scores, curves.groups, curves.n_groups, config)
-    return block.result(config.alternative, curves.group_sizes)
+    return _test_curves(curves, config or DoublyRankedConfig())[0]

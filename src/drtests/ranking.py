@@ -67,8 +67,13 @@ class CurveSet:
                 f"got {groups.size} group labels for {n} subjects"
             )
         if not np.issubdtype(groups.dtype, np.integer):
-            as_int = groups.astype(int)
-            if not np.array_equal(as_int, groups):
+            try:
+                # nan and inf raise here rather than cast with a warning
+                with np.errstate(invalid="raise"):
+                    as_int = groups.astype(int)
+            except (ValueError, TypeError, FloatingPointError):
+                as_int = None
+            if as_int is None or not np.array_equal(as_int, groups):
                 raise InvalidInputError("group labels must be integers")
             groups = as_int
         n_groups = int(groups.max()) if groups.size else 0

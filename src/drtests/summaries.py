@@ -14,7 +14,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInputError, _member
-from .ranking import RankCurves
+from .orderstat import _log_odds
+from .ranking import RankCurves, _readonly
 
 __all__ = [
     "SummaryKind",
@@ -45,7 +46,7 @@ class SummaryScores:
     n_points: int
 
     def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=float).ravel()
+        scores = _readonly(np.ravel(self.scores))
         if scores.shape != (self.n,):
             raise InvalidInputError(
                 f"expected {self.n} scores, got {scores.size}"
@@ -62,8 +63,6 @@ class SummaryScores:
         else:
             if np.any(scores < 1.0) or np.any(scores > self.n):
                 raise InvalidInputError("average-rank scores must lie in [1, n]")
-        scores = scores.copy()
-        scores.flags.writeable = False
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "kind", kind)
 
@@ -80,10 +79,9 @@ def _summary_scores(ranks: np.ndarray, kind: SummaryKind) -> np.ndarray:
     if kind is SummaryKind.AVERAGE_RANK:
         return ranks.mean(axis=-1)
     n = ranks.shape[-2]
-    # vectorized suff_stat; numpy's pairwise-summed mean keeps long grids
-    # from accumulating drift
-    t = np.log(2.0 * ranks - 1.0) - np.log(2.0 * (n - ranks) + 1.0)
-    # a subject at rank 1 or n on every occasion sits on the interval
+    t = _log_odds(ranks, n)
+    # numpy's pairwise-summed mean keeps long grids from accumulating drift.
+    # A subject at rank 1 or n on every occasion sits on the interval
     # endpoint; log/mean rounding can overshoot it by an ulp, so snap back
     bound = math.log(2.0 * n - 1.0)
     return np.clip(t.mean(axis=-1), -bound, bound)

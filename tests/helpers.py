@@ -24,18 +24,22 @@ def count_pipeline_calls(monkeypatch):
     """Count the doubly ranked pipeline's smoothings and ranked datasets.
 
     Returns a dict that fills in as the pipeline runs: "smoothings" counts
-    calls to the FPCA smoother, "ranked_datasets" the datasets ranked per
-    occasion by the package's one ranker, `ranking._midranks`. A 3-d
-    stack of replicates ranked along axis 1 counts its leading size, a
-    2-d curve matrix ranked along axis 0 counts 1. The pooled ranking of
-    the final test step (2-d score rows along axis 1) is not counted.
+    calls to the FPCA core `_fpca` (each returns the smoothed matrix, the
+    components kept and the variance ratio achieved), "ranked_datasets"
+    the datasets ranked per occasion by the package's one ranker,
+    `ranking._midranks`. A 3-d stack of replicates ranked along axis 1
+    counts its leading size, a 2-d curve matrix ranked along axis 0
+    counts 1. The pooled ranking of the final test step (2-d score rows
+    along axis 1) is not counted.
     """
     calls = {"smoothings": 0, "ranked_datasets": 0}
     smooth, rank = rank_tests._fpca, ranking._midranks
 
-    def counted_smooth(*args, **kwargs):
+    def counted_smooth(x, pve):
         calls["smoothings"] += 1
-        return smooth(*args, **kwargs)
+        smoothed, kept, achieved = fit = smooth(x, pve)
+        assert smoothed.shape == x.shape and kept >= 1 and 0.0 < achieved <= 1.0
+        return fit
 
     def counted_rank(values, axis):
         if values.ndim == 3 and axis == 1:

@@ -15,6 +15,7 @@ under 0.5% of the variance.
 
 import itertools
 import math
+import os
 
 import numpy as np
 
@@ -178,10 +179,11 @@ _KW_TARGETS = {
 }
 
 
-def _null_rates(dist, scheme, n_basis):
+def _null_rates(dist, schemes, n_basis):
+    """Each scheme's {"suff": rate, "avg": rate}, from one pooled grid."""
     grid = ExperimentGrid(
         base=SimConfig(
-            n_per_group=scheme,
+            n_per_group=schemes[0],
             n_points=40,
             n_basis=n_basis,
             coeff_dist=dist,
@@ -189,30 +191,35 @@ def _null_rates(dist, scheme, n_basis):
             seed=MASTER_SEED,
         ),
         n_points_values=(40,),
-        group_schemes=(scheme,),
+        group_schemes=tuple(schemes),
         xi_values=(0.0,),
         replicates=2000,
         alpha=0.05,
     )
-    results = run_type1(grid)
+    # a cell depends only on its config, the seed and the replicate index,
+    # so pooling the schemes into one grid leaves every cell's rate as it was
+    results = run_type1(grid, workers=os.cpu_count())
+    # rows run by scheme, then summary
     return {
-        "suff": results[0].rejection_rate,
-        "avg": results[1].rejection_rate,
+        scheme: {"suff": suff.rejection_rate, "avg": avg.rejection_rate}
+        for scheme, suff, avg in zip(schemes, results[::2], results[1::2])
     }
 
 
 def test_06_type1_calibration():
+    targets = {**_RANK_SUM_TARGETS, **_KW_TARGETS}
     deviations = []
-    for targets in (_RANK_SUM_TARGETS, _KW_TARGETS):
-        for (dist, scheme), cell_targets in targets.items():
-            rates = _null_rates(dist, scheme, n_basis=200)
-            for key, target in cell_targets.items():
-                deviations.append(abs(rates[key] - target))
+    for dist in (CoeffDist.GAUSSIAN, CoeffDist.STUDENT_T2):
+        schemes = [scheme for d, scheme in targets if d is dist]
+        rates = _null_rates(dist, schemes, n_basis=200)
+        for scheme in schemes:
+            for key, target in targets[(dist, scheme)].items():
+                deviations.append(abs(rates[scheme][key] - target))
     worst = max(deviations)
     within = sum(d <= CALIBRATION_TOL for d in deviations)
 
     # basis-truncation cross-check: same cell, full 1000-term basis
-    full = _null_rates(CoeffDist.GAUSSIAN, (10, 10), n_basis=1000)
+    full = _null_rates(CoeffDist.GAUSSIAN, [(10, 10)], n_basis=1000)[(10, 10)]
     target = _RANK_SUM_TARGETS[(CoeffDist.GAUSSIAN, (10, 10))]
     full_dev = max(abs(full[k] - target[k]) for k in ("suff", "avg"))
 
@@ -225,10 +232,11 @@ def test_06_type1_calibration():
     )
 
 
-def _power_curves(scheme):
+def _power_curves(schemes):
+    """Each scheme's rows, by summary, from one pooled grid, and the shifts."""
     grid = ExperimentGrid(
         base=SimConfig(
-            n_per_group=scheme,
+            n_per_group=schemes[0],
             n_points=40,
             n_basis=200,
             coeff_dist=CoeffDist.GAUSSIAN,
@@ -237,22 +245,28 @@ def _power_curves(scheme):
             seed=MASTER_SEED,
         ),
         n_points_values=(40,),
-        group_schemes=(scheme,),
+        group_schemes=tuple(schemes),
         replicates=300,
         alpha=0.05,
     )
-    results = run_power(grid)
-    xi = [r.cell.xi for r in results if r.cell.summary is SummaryKind.SUFFICIENT]
-    curves = {}
-    for kind in (SummaryKind.SUFFICIENT, SummaryKind.AVERAGE_RANK):
-        rows = [r for r in results if r.cell.summary is kind]
-        curves[kind] = rows
+    results = run_power(grid, workers=os.cpu_count())
+    curves = {
+        scheme: {
+            kind: [
+                r for r in results
+                if r.cell.group_sizes == scheme and r.cell.summary is kind
+            ]
+            for kind in (SummaryKind.SUFFICIENT, SummaryKind.AVERAGE_RANK)
+        }
+        for scheme in schemes
+    }
+    xi = [r.cell.xi for r in curves[schemes[0]][SummaryKind.SUFFICIENT]]
     return xi, curves
 
 
 def test_07_power_properties():
-    xi, big = _power_curves((50, 50))
-    _, small = _power_curves((10, 10))
+    xi, curves = _power_curves([(50, 50), (10, 10)])
+    big, small = curves[(50, 50)], curves[(10, 10)]
 
     # (a) monotone in the shift scale, up to twice the binomial stderr
     worst_drop = 0.0

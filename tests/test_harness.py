@@ -9,6 +9,7 @@ from drtests import (
     CellResult,
     CellSpec,
     CurveSet,
+    DoublyRankedConfig,
     ExperimentGrid,
     InvalidInputError,
     NoiseKind,
@@ -19,6 +20,7 @@ from drtests import (
     grid_from_dict,
     harness,
     load_grid,
+    preprocess,
     rank_tests,
     read_results,
     run_power,
@@ -122,6 +124,43 @@ class TestPipelineCalls:
         # the counters do see the one-off path
         doubly_ranked_test(generate_dataset(grid.base))
         assert built == {"CurveSet": 1, "TestResult": 1}
+
+    def test_smoothed_grid_builds_no_fpca_result(self, monkeypatch):
+        grid = small_grid(
+            base=replace(small_grid().base, mean_shape="linear"),
+            group_schemes=((5, 5), (3, 3, 4)),
+            replicates=20,
+            preprocess_pve=0.9,
+        )
+        # one block holds both shifts' 40 replicates of a scheme (n = 10)
+        assert 2 * grid.replicates * 10 * 8 < harness._BUDGET
+        # rows run by scheme, then summary, then shift
+        expected = []
+        for scheme in grid.group_schemes:
+            for kind in grid.summaries:
+                for xi in grid.xi_values:
+                    config = replace(grid.base, n_per_group=scheme, xi=xi)
+                    rejected = 0
+                    for r in range(grid.replicates):
+                        curves = generate_dataset(config, replicate=r)
+                        fit = preprocess.fpca_smooth(curves, grid.preprocess_pve)
+                        smoothed = CurveSet(fit.smoothed, curves.grid, curves.groups)
+                        test = DoublyRankedConfig(summary=kind)
+                        p = doubly_ranked_test(smoothed, test).p_value
+                        rejected += p <= grid.alpha
+                    expected.append(rejected / grid.replicates)
+
+        built = []
+        post_init = preprocess.FpcaResult.__post_init__
+        monkeypatch.setattr(
+            preprocess.FpcaResult,
+            "__post_init__",
+            lambda self: (built.append(self), post_init(self)),
+        )
+        rates = [r.rejection_rate for r in run_power(grid)]
+        assert built == []
+        assert rates == expected
+        assert 0 < sum(rates) < len(rates)
 
     def test_counts_do_not_depend_on_block_bounds(self, monkeypatch):
         grid = small_grid(

@@ -1,11 +1,13 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import drtests
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def module_exports():
@@ -47,3 +49,11 @@ class TestPublicApi:
         imported = perfbench_imports()
         assert imported, "no drtests import found under perfbench/"
         assert imported <= set(drtests.__all__)
+
+    def test_readme_names_every_export(self):
+        # one README line per module: "- `drtests.<module>`: `name`, `name`, ..."
+        readme = (ROOT / "README.md").read_text()
+        lines = re.findall(r"^- `drtests\.(\w+)`: (.*)$", readme, re.MULTILINE)
+        listed = {module: sorted(re.findall(r"`(\w+)`", names)) for module, names in lines}
+        exports = {module: sorted(names) for module, names in module_exports().items()}
+        assert listed == exports

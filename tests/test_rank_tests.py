@@ -187,6 +187,17 @@ class TestMwwTest:
         assert with_cc.p_value >= without.p_value
         assert with_cc.z_or_df != without.z_or_df
 
+    @pytest.mark.parametrize("value", ["no", "off", 1])
+    def test_continuity_correction_must_be_a_bool(self, value):
+        x, y = np.arange(40.0), np.arange(40.0) + 0.5
+        with pytest.raises(InvalidInputError, match="continuity_correction"):
+            mww_test(x, y, continuity_correction=value)
+        with pytest.raises(InvalidInputError, match="continuity_correction"):
+            DoublyRankedConfig(continuity_correction=value)
+        # a numpy bool is a bool
+        config = DoublyRankedConfig(continuity_correction=np.False_)
+        assert config.continuity_correction is False
+
     def test_tie_adjusted_variance(self):
         # heavy ties shrink the variance, growing |z| versus the plain formula
         x = [1.0, 1.0, 2.0, 2.0, 3.0] * 4

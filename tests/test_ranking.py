@@ -77,6 +77,15 @@ class TestCurveSet:
         with pytest.raises(InvalidInputError):
             CurveSet(values=[[1.0], [2.0]], grid=[0.5], groups=[1.0, 1.5])
 
+    @pytest.mark.parametrize(
+        "groups", [["a", "b", "a", "b"], [1.0, np.nan, 2.0, 1.0], [1.0, 2.0, np.inf, 2.0]]
+    )
+    def test_rejects_non_integer_labels(self, groups):
+        # the suite turns warnings into errors, so a cast warning fails here too
+        values = [[1.0], [2.0], [3.0], [4.0]]
+        with pytest.raises(InvalidInputError, match="group labels must be integers"):
+            CurveSet(values=values, grid=[0.5], groups=groups)
+
 
 class TestRankCurves:
     def test_two_by_one(self):
