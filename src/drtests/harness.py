@@ -3,18 +3,23 @@
 A grid pairs a simulation template with factor lists (grid sizes, group
 schemes, shift scales, summaries). Each cell simulates its replicates from
 counter-based substreams and records the fraction of doubly ranked tests
-rejecting at level alpha. A run is one sequence of positions (position k is
-replicate k % R of cell k // R) cut into at most one contiguous share per
-worker, of about equal total n·S: one process pool opened for the run takes
-one task per share, and a single share runs in-process. A share runs in
-blocks of at most 2^15 curve values (a fixed memory budget, not a setting;
-a cell whose n·S exceeds it runs one replicate per block) that may span
-consecutive cells of one shape, cells that differ only in the shift. Each
-replicate is drawn from its own substream, then the whole block is ranked,
-summarized and tested in one batched pass, and each row's rejection is
-credited to its cell. Because substream i depends only on (seed, i), every
-test treats each replicate on its own, and a run sums its shares' integer
-counts, results are identical for any worker count and any block size.
+rejecting at level alpha. Cells that differ only in the shift share
+replicate r's draws (common random numbers): only the shift added to
+groups 2..G tells them apart. A run is one sequence of (cell, replicate)
+positions; each stretch of m such cells holds m·R consecutive positions
+laid out replicate-major (offset o is replicate o // m of its o % m-th
+cell). The run is cut into at most one contiguous share per worker, of
+about equal total n·S: one process pool opened for the run takes one task
+per share, and a single share runs in-process. A share draws each of its
+replicates once, so a share boundary inside a replicate's cells costs one
+extra draw. It runs in blocks of at most 2^15 curve values (a fixed memory
+budget, not a setting; a cell whose n·S exceeds it runs one position per
+block): the whole block is ranked, summarized and tested in one batched
+pass, and each row's rejection is credited to its cell. Because substream
+r depends only on (seed, r), the shifted values are the same IEEE sums
+wherever they are formed, every test treats each row on its own, and a run
+sums its shares' integer counts, results are identical for any worker
+count and any block size.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .preprocess import _check_pve
 from .rank_tests import DoublyRankedConfig, _doubly_ranked_scores, _score_block
 from .ranking import _group_labels
 from .simgen import (
-    _SIM_CHECKS, CoeffDist, MeanShape, NoiseKind, SimConfig, _dataset_values
+    _SIM_CHECKS, CoeffDist, MeanShape, NoiseKind, SimConfig, _base_values, _shift
 )
 from .summaries import SummaryKind
 
@@ -175,31 +180,48 @@ def _count_rejections(
 ) -> np.ndarray:
     """Rejection counts per (cell, summary) over run positions start..stop.
 
-    Position k is replicate k % R of cell configs[k // R]; a row rejects
-    when p <= alpha. Positions run in blocks of at most
-    max(1, _BUDGET // (n·S)) that may span consecutive cells of one shape
-    (group scheme and grid size); a block ends where configs changes shape.
-    Each replicate is drawn from its own stream (and smoothed on its own
-    when grid.preprocess_pve is set); a block is then ranked once, scored
+    Consecutive configs that differ only in the shift form a run of m
+    cells, which holds the positions [first·R, (first + m)·R) laid out
+    replicate-major: offset o in the run is replicate o // m of cell
+    first + o % m. A row rejects when p <= alpha. Positions run in blocks
+    of at most max(1, _BUDGET // (n·S)) that stay within one run. A block
+    draws each replicate it needs once (one the previous block drew is
+    kept), copies it to each of its cells and adds that cell's shift to
+    groups 2..G; each position is smoothed on its own when
+    grid.preprocess_pve is set, then the block is ranked once, scored
     under every summary, and each summary's scores are tested in one pass.
     No CurveSet or TestResult is built.
     """
-    reps, shapes = grid.replicates, [(c.n_per_group, c.n_points) for c in configs]
+    reps = grid.replicates
     counts = np.zeros((len(configs), len(grid.summaries)), dtype=np.int64)
     test_config = DoublyRankedConfig()
-    while start < stop:
-        cell = start // reps
-        config, later = configs[cell], range(cell + 1, len(configs))
+    # a run is a stretch of consecutive configs equal but for the shift
+    keys = [{**vars(c), "xi": 0.0} for c in configs]
+    edges = [i for i in range(1, len(configs)) if keys[i] != keys[i - 1]]
+    for first, last in zip([0, *edges], [*edges, len(configs)]):
+        lo, hi = max(start, first * reps), min(stop, last * reps)
+        if lo >= hi:
+            continue
+        config, m = configs[first], last - first
         step = max(1, _BUDGET // (config.n_subjects * config.n_points))
-        shape_end = next((i for i in later if shapes[i] != shapes[cell]), len(configs))
-        end = min(start + step, stop, shape_end * reps)
-        values = [_dataset_values(configs[k // reps], k % reps) for k in range(start, end)]
-        scores, _ = _doubly_ranked_scores(values, grid.summaries, grid.preprocess_pve)
-        cells, labels = np.arange(start, end) // reps, _group_labels(config.n_per_group)
-        for j, block in enumerate(scores):
-            p = _score_block(block, labels, len(config.n_per_group), test_config).p_value
-            counts[:, j] += np.bincount(cells[p <= grid.alpha], minlength=len(configs))
-        start = end
+        shifts = np.stack([_shift(c) for c in configs[first:last]])
+        split, labels = config.n_per_group[0], _group_labels(config.n_per_group)
+        drawn: dict[int, np.ndarray] = {}
+        for begin in range(lo, hi, step):
+            offsets = np.arange(begin, min(begin + step, hi)) - first * reps
+            replicates, cells = np.divmod(offsets, m)
+            drawn = {
+                r: drawn[r] if r in drawn else _base_values(config, r)
+                for r in range(replicates[0], replicates[-1] + 1)
+            }
+            rows = [drawn[r] for r in replicates.tolist()]
+            # a single-shift run uses each draw once, so one draw is shifted in place
+            values = rows[0][None] if m == 1 and len(rows) == 1 else np.stack(rows)
+            values[:, split:] += shifts[cells, None]
+            scores, _ = _doubly_ranked_scores(values, grid.summaries, grid.preprocess_pve)
+            for j, block in enumerate(scores):
+                p = _score_block(block, labels, len(config.n_per_group), test_config).p_value
+                counts[first:last, j] += np.bincount(cells[p <= grid.alpha], minlength=m)
     return counts
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, _number
+from .errors import InvalidInputError, _check_fields, _count, _number
 from .ranking import CurveSet, _readonly
 
 __all__ = ["FpcaResult", "fpca_smooth"]
@@ -36,9 +36,8 @@ class FpcaResult:
     pve_achieved: float
 
     def __post_init__(self) -> None:
+        _check_fields(self, components_kept=_count, pve_achieved=_number)
         smoothed = _readonly(self.smoothed)
-        if self.components_kept < 1:
-            raise InvalidInputError("components_kept must be >= 1")
         if not np.all(np.isfinite(smoothed)):
             raise InvalidInputError("smoothed matrix must be finite")
         if not 0.0 < self.pve_achieved <= 1.0:

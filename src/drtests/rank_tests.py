@@ -363,11 +363,9 @@ class DoublyRankedConfig:
 
 
 def _doubly_ranked_scores(
-    replicates: Sequence[np.ndarray],
-    summaries: Sequence[SummaryKind],
-    pve: float | None,
+    values: np.ndarray, summaries: Sequence[SummaryKind], pve: float | None
 ) -> tuple[list[np.ndarray], list[tuple[int, float]]]:
-    """One (R, n) score block per summary for R replicates of n x S values.
+    """One (R, n) score block per summary for an (R, n, S) block of replicates.
 
     When pve is set each replicate is smoothed on its own, and its
     (components kept, variance ratio achieved) pair is returned in order.
@@ -375,10 +373,11 @@ def _doubly_ranked_scores(
     inputs are trusted: no result type is built, so a replicate loop pays
     for no validation.
     """
-    fits = [] if pve is None else [_fpca(values, pve) for values in replicates]
-    arrays = [smoothed for smoothed, _, _ in fits] if fits else replicates
-    # a single replicate (a one-off test) is viewed as a block, not copied
-    values = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+    fits = [] if pve is None else [_fpca(x, pve) for x in values]
+    if fits:
+        smoothed = [x for x, _, _ in fits]
+        # a single replicate (a one-off test) is viewed as a block, not copied
+        values = smoothed[0][None] if len(fits) == 1 else np.stack(smoothed)
     ranks = _midranks(values, axis=1)
     scores = [_summary_scores(ranks, kind) for kind in summaries]
     return scores, [(kept, achieved) for _, kept, achieved in fits]
@@ -417,7 +416,7 @@ def _test_curves(
     smoothing's (components kept, variance ratio achieved) or None.
     """
     (scores,), fits = _doubly_ranked_scores(
-        [curves.values], (config.summary,), config.preprocess_pve
+        curves.values[None], (config.summary,), config.preprocess_pve
     )
     block = _score_block(scores, curves.groups, curves.n_groups, config)
     result = block.result(config.alternative, curves.group_sizes)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_fields, _count
 
 __all__ = ["CurveSet", "RankCurves", "rank_curves"]
 
@@ -68,7 +68,10 @@ class CurveSet:
             )
         if not np.issubdtype(groups.dtype, np.integer):
             try:
-                # nan and inf raise here rather than cast with a warning
+                # complex labels are refused before a cast drops their
+                # imaginary part; nan and inf raise rather than cast with a warning
+                if np.iscomplexobj(groups):
+                    raise TypeError
                 with np.errstate(invalid="raise"):
                     as_int = groups.astype(int)
             except (ValueError, TypeError, FloatingPointError):
@@ -122,6 +125,7 @@ class RankCurves:
     n_points: int
 
     def __post_init__(self) -> None:
+        _check_fields(self, n=_count, n_points=_count)
         ranks = np.atleast_2d(np.asarray(self.ranks, dtype=float))
         if ranks.shape != (self.n, self.n_points):
             raise InvalidInputError(

@@ -179,11 +179,13 @@ def replicate_stream(seed: int, replicate: int) -> Generator:
     return Generator(Philox(key=seed, counter=replicate << 128))
 
 
-def _dataset_values(config: SimConfig, replicate: int) -> np.ndarray:
-    """The n x S values of `generate_dataset(config, replicate)`, no CurveSet.
+def _base_values(config: SimConfig, replicate: int) -> np.ndarray:
+    """The n x S unshifted values of a replicate: basis expansion plus noise.
 
-    Draw order is fixed (one coefficient block, then one noise block) as
-    part of the determinism contract.
+    They depend on neither the shift scale nor the mean shape, so cells
+    that differ only in the shift share them. Draw order is fixed (one
+    coefficient block, then one noise block) as part of the determinism
+    contract.
     """
     rng = replicate_stream(config.seed, replicate)
     n = config.n_subjects
@@ -195,11 +197,12 @@ def _dataset_values(config: SimConfig, replicate: int) -> np.ndarray:
         coeffs = rng.standard_t(2.0, size=(n, config.n_basis))
     values = coeffs @ basis
     values += _noise_matrix(config.noise, (n, config.n_points), rng, config.rho)
-
-    if config.xi > 0.0 and config.mean_shape is not MeanShape.NONE:
-        shift = mean_fn(config.mean_shape, _grid(config.n_points), config.xi)
-        values[config.n_per_group[0] :] += shift
     return values
+
+
+def _shift(config: SimConfig) -> np.ndarray:
+    """The xi-scaled mean shape on the grid that groups 2..G receive (0 at xi = 0)."""
+    return mean_fn(config.mean_shape, _grid(config.n_points), config.xi)
 
 
 def generate_dataset(config: SimConfig, replicate: int = 0) -> CurveSet:
@@ -209,8 +212,10 @@ def generate_dataset(config: SimConfig, replicate: int = 0) -> CurveSet:
     centered; groups 2..G receive the configured mean shift. The dataset
     depends only on the config and the replicate index.
     """
+    values = _base_values(config, replicate)
+    values[config.n_per_group[0] :] += _shift(config)
     return CurveSet(
-        values=_dataset_values(config, replicate),
+        values=values,
         grid=_grid(config.n_points),
         groups=_group_labels(config.n_per_group),
     )

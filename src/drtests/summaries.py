@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, _member
+from .errors import InvalidInputError, _check_fields, _count, _member
 from .orderstat import _log_odds
 from .ranking import RankCurves, _readonly
 
@@ -46,6 +46,7 @@ class SummaryScores:
     n_points: int
 
     def __post_init__(self) -> None:
+        _check_fields(self, n=_count, n_points=_count)
         scores = _readonly(np.ravel(self.scores))
         if scores.shape != (self.n,):
             raise InvalidInputError(

@@ -216,6 +216,52 @@ class TestPipelineCalls:
         alone = [run_power(replace(grid, xi_values=(xi,))) for xi in grid.xi_values]
         assert reference == [rows[j] for j in range(2) for rows in alone]
 
+    def test_each_replicate_drawn_once_per_shape(self, monkeypatch):
+        drawn = []
+        base_values = harness._base_values
+
+        def counted(config, replicate):
+            drawn.append((config.n_per_group, replicate))
+            return base_values(config, replicate)
+
+        monkeypatch.setattr(harness, "_base_values", counted)
+        # blocks of 3 positions cut through the 4 shift cells of a replicate
+        monkeypatch.setattr(harness, "_BUDGET", 3 * 100)
+        grid = small_grid(
+            base=replace(small_grid().base, mean_shape="linear"),
+            group_schemes=((5, 5), (4, 4, 4)),
+            xi_values=(0.0, 0.5, 1.0, 2.0),
+            replicates=6,
+        )
+        run_power(grid)
+        assert drawn == [(s, r) for s in grid.group_schemes for r in range(6)]
+
+    def test_shares_that_split_a_replicate_count_the_same(self, monkeypatch):
+        shares = []
+
+        class RecordingPool(harness.ProcessPoolExecutor):
+            def map(self, fn, starts, stops):
+                shares.extend(starts[1:])
+                return super().map(fn, starts, stops)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        grid = small_grid(
+            base=replace(small_grid().base, mean_shape="linear"),
+            group_schemes=((5, 5), (3, 3, 4), (10, 10)),
+            xi_values=(0.0, 1.5, 3.0),
+            replicates=7,
+            preprocess_pve=0.9,
+        )
+        reference = run_power(grid)
+        assert len({r.rejection_rate for r in reference}) > 2
+        for workers in (2, 3, 7):
+            assert run_power(grid, workers=workers) == reference
+        # the first two schemes take 21 positions each, replicate r of a
+        # scheme at offsets 3r..3r+2: some share starts inside a replicate
+        assert any(start % 21 % 3 for start in shares if start < 42)
+        alone = [run_power(replace(grid, xi_values=(xi,))) for xi in grid.xi_values]
+        assert reference == [rows[i] for i in range(6) for rows in alone]
+
 
 class TestRunPower:
     def test_ordering_and_null_cell(self):

@@ -3,6 +3,7 @@ import pytest
 
 from drtests import (
     CoeffDist,
+    FpcaResult,
     InvalidInputError,
     SimConfig,
     fpca_smooth,
@@ -112,3 +113,14 @@ class TestFpcaSmooth:
         values = rng.normal(size=(6, 5))
         res = fpca_smooth(make_curves(values), pve=0.9)
         assert np.allclose(res.mean_curve, values.mean(axis=0), atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("components_kept", 2.5), ("components_kept", "3"), ("pve_achieved", "0.9")],
+    )
+    def test_result_rejects_bad_scalars(self, field, bad):
+        fields = dict(
+            smoothed=np.ones((3, 2)), mean_curve=np.ones(2), components_kept=1, pve_achieved=0.9
+        )
+        with pytest.raises(InvalidInputError, match=f"^{field} must"):
+            FpcaResult(**{**fields, field: bad})

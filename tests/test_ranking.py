@@ -78,7 +78,14 @@ class TestCurveSet:
             CurveSet(values=[[1.0], [2.0]], grid=[0.5], groups=[1.0, 1.5])
 
     @pytest.mark.parametrize(
-        "groups", [["a", "b", "a", "b"], [1.0, np.nan, 2.0, 1.0], [1.0, 2.0, np.inf, 2.0]]
+        "groups",
+        [
+            ["a", "b", "a", "b"],
+            [1.0, np.nan, 2.0, 1.0],
+            [1.0, 2.0, np.inf, 2.0],
+            # complex, even with zero imaginary parts
+            np.array([1, 1, 2, 2], dtype=complex),
+        ],
     )
     def test_rejects_non_integer_labels(self, groups):
         # the suite turns warnings into errors, so a cast warning fails here too
@@ -148,6 +155,12 @@ class TestRankCurves:
             RankCurves(ranks=[[1.0, 1.0], [2.0, 3.0]], n=2, n_points=2)
         with pytest.raises(InvalidInputError):
             RankCurves(ranks=[[0.5], [2.0]], n=2, n_points=1)
+
+    @pytest.mark.parametrize("field, bad", [("n", 2.0), ("n", "2"), ("n_points", 1.5)])
+    def test_rejects_non_integer_sizes(self, field, bad):
+        fields = dict(ranks=[[1.0], [2.0]], n=2, n_points=1)
+        with pytest.raises(InvalidInputError, match=f"^{field} must"):
+            RankCurves(**{**fields, field: bad})
 
 
 class TestMidranks:

@@ -139,3 +139,9 @@ class TestSummaryScores:
                 n=2,
                 n_points=1,
             )
+
+    @pytest.mark.parametrize("field, bad", [("n", 2.0), ("n", "2"), ("n_points", 0)])
+    def test_rejects_bad_sizes(self, field, bad):
+        fields = dict(scores=[1.0, 2.0], kind=SummaryKind.AVERAGE_RANK, n=2, n_points=1)
+        with pytest.raises(InvalidInputError, match=f"^{field} must"):
+            SummaryScores(**{**fields, field: bad})
