@@ -61,11 +61,19 @@ __all__ = [
 ]
 
 _DEFAULT_XI = tuple(round(0.12 * i, 10) for i in range(26))  # 0, 0.12, ..., 3
+_MAX_SHIFTS = 10_000  # the most shifts a config range may hold
 
 
 class ResultFormat(str, Enum):
     CSV = "csv"
     JSONL = "jsonl"
+
+
+def _level(value, name: str) -> float:
+    """value as a float if it is a number in (0, 1): a test level."""
+    if not 0.0 < _number(value, name) < 1.0:
+        raise InvalidInputError(f"{name} must lie in (0, 1), got {value}")
+    return float(value)
 
 
 # The check of each ExperimentGrid factor (and of the grid config key that sets it)
@@ -74,7 +82,7 @@ _GRID_CHECKS = {
     "group_schemes": _list(_list(_count)),
     "xi_values": _list(_number),
     "replicates": _count,
-    "alpha": _number,
+    "alpha": _level,
     "summaries": _list(_member(SummaryKind)),
     "preprocess_pve": _optional(_check_pve),
 }
@@ -101,39 +109,38 @@ class ExperimentGrid:
 
     def __post_init__(self) -> None:
         _check_fields(self, **_GRID_CHECKS)
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidInputError("alpha must lie in (0, 1)")
         if not (self.n_points_values and self.group_schemes and self.summaries):
             raise InvalidInputError("factor lists and summaries must be nonempty")
 
 
-def _sizes(value) -> tuple[int, ...]:
-    """Group sizes from a sequence or from the CSV form "n1+n2+..."."""
-    if isinstance(value, str):
-        value = value.split("+")
-    return tuple(int(g) for g in value)
-
-
-def _optional_float(value) -> float | None:
-    # None or "" when unset; files written before the column existed lack
-    # it, and their rows take the CellSpec default
-    return None if value in (None, "") else float(value)
-
-
-# The cell columns of a result row, in file order, each with the converter
-# that reads it from a CellSpec argument, a JSON value or a CSV string.
+# The check of each CellSpec field: a result row's cell columns, in file order
 _ROW = {
-    "coeff_dist": CoeffDist,
-    "mean_shape": MeanShape,
-    "xi": float,
-    "noise": NoiseKind,
-    "rho": float,
-    "n_points": int,
-    "n_basis": int,
+    **{k: _SIM_CHECKS[k] for k in ("coeff_dist", "mean_shape", "xi", "noise", "rho")},
+    **{k: _SIM_CHECKS[k] for k in ("n_points", "n_basis")},
+    "group_sizes": _SIM_CHECKS["n_per_group"],
+    "summary": _member(SummaryKind),
+    "alpha": _level,
+    "seed": _SIM_CHECKS["seed"],
+    "preprocess_pve": _GRID_CHECKS["preprocess_pve"],
+}
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    """Group sizes from their CSV form "n1+n2+..."."""
+    return tuple(int(g) for g in text.split("+"))
+
+
+def _optional_float(text: str) -> float | None:
+    """None for the empty field of an unset value, else the number."""
+    return None if text == "" else float(text)
+
+
+# The reader of each cell column whose CSV text is not its value; the
+# enum columns are read by their check
+_CSV_TEXT = {
+    **dict.fromkeys(("xi", "rho", "alpha"), float),
+    **dict.fromkeys(("n_points", "n_basis", "seed"), int),
     "group_sizes": _sizes,
-    "summary": SummaryKind,
-    "alpha": float,
-    "seed": int,
     "preprocess_pve": _optional_float,
 }
 
@@ -156,8 +163,7 @@ class CellSpec:
     preprocess_pve: float | None = None
 
     def __post_init__(self) -> None:
-        for name, convert in _ROW.items():
-            object.__setattr__(self, name, convert(getattr(self, name)))
+        _check_fields(self, **_ROW)
 
 
 @dataclass(frozen=True)
@@ -184,13 +190,13 @@ def _count_rejections(
     cells, which holds the positions [first·R, (first + m)·R) laid out
     replicate-major: offset o in the run is replicate o // m of cell
     first + o % m. A row rejects when p <= alpha. Positions run in blocks
-    of at most max(1, _BUDGET // (n·S)) that stay within one run. A block
-    draws each replicate it needs once (one the previous block drew is
-    kept), copies it to each of its cells and adds that cell's shift to
-    groups 2..G; each position is smoothed on its own when
-    grid.preprocess_pve is set, then the block is ranked once, scored
-    under every summary, and each summary's scores are tested in one pass.
-    No CurveSet or TestResult is built.
+    of at most max(1, _BUDGET // (n·S)) that stay within one run, whose m
+    shifts come from one `_shift` call. A block draws each replicate it
+    needs once (one the previous block drew is kept), copies it to each of
+    its cells and adds that cell's shift to groups 2..G; each position is
+    smoothed on its own when grid.preprocess_pve is set, then the block is
+    ranked once, scored under every summary, and each summary's scores are
+    tested in one pass. No CurveSet or TestResult is built.
     """
     reps = grid.replicates
     counts = np.zeros((len(configs), len(grid.summaries)), dtype=np.int64)
@@ -204,7 +210,7 @@ def _count_rejections(
             continue
         config, m = configs[first], last - first
         step = max(1, _BUDGET // (config.n_subjects * config.n_points))
-        shifts = np.stack([_shift(c) for c in configs[first:last]])
+        shifts = _shift(configs[first:last])
         split, labels = config.n_per_group[0], _group_labels(config.n_per_group)
         drawn: dict[int, np.ndarray] = {}
         for begin in range(lo, hi, step):
@@ -214,9 +220,7 @@ def _count_rejections(
                 r: drawn[r] if r in drawn else _base_values(config, r)
                 for r in range(replicates[0], replicates[-1] + 1)
             }
-            rows = [drawn[r] for r in replicates.tolist()]
-            # a single-shift run uses each draw once, so one draw is shifted in place
-            values = rows[0][None] if m == 1 and len(rows) == 1 else np.stack(rows)
+            values = np.stack([drawn[r] for r in replicates.tolist()])
             values[:, split:] += shifts[cells, None]
             scores, _ = _doubly_ranked_scores(values, grid.summaries, grid.preprocess_pve)
             for j, block in enumerate(scores):
@@ -386,6 +390,8 @@ def read_results(
                 _check_columns(reader.fieldnames or ())
                 for rec in reader:
                     line_no = reader.line_num
+                    read = [k for k, v in rec.items() if k in _CSV_TEXT and v is not None]
+                    rec.update({k: _CSV_TEXT[k](rec[k]) for k in read})
                     results.append(_record_to_result(rec))
             else:
                 for line_no, line in enumerate(fh, start=1):
@@ -408,10 +414,11 @@ def _xi_range(spec: dict, name: str) -> tuple[float, ...]:
     stop, step = _number(spec["stop"], name), _number(spec["step"], name)
     if step <= 0:
         raise InvalidInputError(f"{name} range step must be > 0")
-    span = (stop - start) / step
-    if not np.isfinite(span):
-        raise InvalidInputError(f"{name} range is too long")
-    count = int(np.floor(span + 1e-9)) + 1
+    # checked before the tuple is built, so a tiny step cannot exhaust memory
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_SHIFTS:
+        raise InvalidInputError(f"{name} range holds more than {_MAX_SHIFTS} shifts")
+    count = int(np.floor(span)) + 1
     return tuple(round(start + i * step, 10) for i in range(count))
 
 

@@ -375,9 +375,7 @@ def _doubly_ranked_scores(
     """
     fits = [] if pve is None else [_fpca(x, pve) for x in values]
     if fits:
-        smoothed = [x for x, _, _ in fits]
-        # a single replicate (a one-off test) is viewed as a block, not copied
-        values = smoothed[0][None] if len(fits) == 1 else np.stack(smoothed)
+        values = np.stack([x for x, _, _ in fits])
     ranks = _midranks(values, axis=1)
     scores = [_summary_scores(ranks, kind) for kind in summaries]
     return scores, [(kept, achieved) for _, kept, achieved in fits]

@@ -131,6 +131,15 @@ def _basis_matrix(n_basis: int, n_points: int) -> np.ndarray:
     return basis
 
 
+# Each MeanShape scaled by xi, elementwise: a column of xi gives one shape per row
+_SHAPES = {
+    MeanShape.NONE: lambda s, xi: np.zeros(np.broadcast(s, xi).shape),
+    MeanShape.LINEAR: lambda s, xi: xi * s,
+    MeanShape.PARABOLA: lambda s, xi: xi * 4.0 * s * (1.0 - s),
+    MeanShape.BETA_BUMP: lambda s, xi: xi * s * (1.0 - s) ** 5 / _BUMP_PEAK,
+}
+
+
 def mean_fn(kind: MeanShape | str, s: np.ndarray, xi: float) -> np.ndarray:
     """Mean shift at locations s in [0, 1], scaled so its peak equals xi.
 
@@ -141,14 +150,7 @@ def mean_fn(kind: MeanShape | str, s: np.ndarray, xi: float) -> np.ndarray:
     arr = np.asarray(s, dtype=float)
     if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
         raise InvalidInputError("s must lie in [0, 1]")
-    if kind is MeanShape.NONE:
-        out = np.zeros_like(arr)
-    elif kind is MeanShape.LINEAR:
-        out = xi * arr
-    elif kind is MeanShape.PARABOLA:
-        out = xi * 4.0 * arr * (1.0 - arr)
-    else:
-        out = xi * arr * (1.0 - arr) ** 5 / _BUMP_PEAK
+    out = _SHAPES[kind](arr, xi)
     return float(out) if np.isscalar(s) else out
 
 
@@ -200,9 +202,10 @@ def _base_values(config: SimConfig, replicate: int) -> np.ndarray:
     return values
 
 
-def _shift(config: SimConfig) -> np.ndarray:
-    """The xi-scaled mean shape on the grid that groups 2..G receive (0 at xi = 0)."""
-    return mean_fn(config.mean_shape, _grid(config.n_points), config.xi)
+def _shift(configs: list[SimConfig]) -> np.ndarray:
+    """The (m, S) shifts of groups 2..G in m configs equal but for xi, in one call."""
+    xi = np.array([c.xi for c in configs])[:, None]
+    return _SHAPES[configs[0].mean_shape](_grid(configs[0].n_points), xi)
 
 
 def generate_dataset(config: SimConfig, replicate: int = 0) -> CurveSet:
@@ -213,7 +216,7 @@ def generate_dataset(config: SimConfig, replicate: int = 0) -> CurveSet:
     depends only on the config and the replicate index.
     """
     values = _base_values(config, replicate)
-    values[config.n_per_group[0] :] += _shift(config)
+    values[config.n_per_group[0] :] += _shift([config])
     return CurveSet(
         values=values,
         grid=_grid(config.n_points),

@@ -30,6 +30,17 @@ class SummaryKind(str, Enum):
     AVERAGE_RANK = "average_rank"
 
 
+# Each summary's term t(z, n) of a rank z among n, whose mean over a subject's
+# occasions is its score, and the closed interval holding n subjects' scores
+_SUMMARIES = {
+    # the log-odds form of `orderstat.suff_stat`
+    SummaryKind.SUFFICIENT: (
+        _log_odds, lambda n: (-math.log(2.0 * n - 1.0), math.log(2.0 * n - 1.0))
+    ),
+    SummaryKind.AVERAGE_RANK: (lambda z, n: z, lambda n: (1.0, float(n))),
+}
+
+
 @dataclass(frozen=True)
 class SummaryScores:
     """One score per subject plus the summary used to produce it.
@@ -46,26 +57,17 @@ class SummaryScores:
     n_points: int
 
     def __post_init__(self) -> None:
-        _check_fields(self, n=_count, n_points=_count)
+        _check_fields(self, kind=_member(SummaryKind), n=_count, n_points=_count)
         scores = _readonly(np.ravel(self.scores))
         if scores.shape != (self.n,):
             raise InvalidInputError(
                 f"expected {self.n} scores, got {scores.size}"
             )
-        if not np.all(np.isfinite(scores)):
-            raise InvalidInputError("scores must be finite")
-        kind = _member(SummaryKind)(self.kind, "kind")
-        if kind is SummaryKind.SUFFICIENT:
-            bound = math.log(2.0 * self.n - 1.0)
-            if np.any(np.abs(scores) > bound):
-                raise InvalidInputError(
-                    f"sufficient scores must lie in [-{bound}, {bound}]"
-                )
-        else:
-            if np.any(scores < 1.0) or np.any(scores > self.n):
-                raise InvalidInputError("average-rank scores must lie in [1, n]")
+        lo, hi = _SUMMARIES[self.kind][1](self.n)
+        # the interval is finite, so NaN and infinite scores fail too
+        if not np.all((scores >= lo) & (scores <= hi)):
+            raise InvalidInputError(f"{self.kind.value} scores must lie in [{lo}, {hi}]")
         object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "kind", kind)
 
 
 def _summary_scores(ranks: np.ndarray, kind: SummaryKind) -> np.ndarray:
@@ -73,19 +75,14 @@ def _summary_scores(ranks: np.ndarray, kind: SummaryKind) -> np.ndarray:
 
     The last two axes are subjects and occasions; any leading axes (a
     block of replicates) are kept, so an (R, n, S) block gives (R, n).
-    sufficient: score_i = (1/S) * sum_k t(z_i(s_k)) with t the log-odds
-    form from `orderstat.suff_stat`, applied elementwise to the ranks.
-    average_rank: the mean of each subject's ranks over occasions.
+    log/mean rounding can overshoot an endpoint of the kind's interval by
+    an ulp, so the scores are clipped to it; a mean of half-integer ranks
+    never leaves [1, n], so average-rank scores are unchanged.
     """
-    if kind is SummaryKind.AVERAGE_RANK:
-        return ranks.mean(axis=-1)
+    term, interval = _SUMMARIES[kind]
     n = ranks.shape[-2]
-    t = _log_odds(ranks, n)
-    # numpy's pairwise-summed mean keeps long grids from accumulating drift.
-    # A subject at rank 1 or n on every occasion sits on the interval
-    # endpoint; log/mean rounding can overshoot it by an ulp, so snap back
-    bound = math.log(2.0 * n - 1.0)
-    return np.clip(t.mean(axis=-1), -bound, bound)
+    # numpy's pairwise-summed mean keeps long grids from accumulating drift
+    return np.clip(term(ranks, n).mean(axis=-1), *interval(n))
 
 
 def sufficient_summary(ranks: RankCurves) -> SummaryScores:

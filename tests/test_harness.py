@@ -23,6 +23,7 @@ from drtests import (
     preprocess,
     rank_tests,
     read_results,
+    simgen,
     run_power,
     run_type1,
     write_results,
@@ -235,6 +236,31 @@ class TestPipelineCalls:
         )
         run_power(grid)
         assert drawn == [(s, r) for s in grid.group_schemes for r in range(6)]
+
+    def test_one_unchecked_shift_call_per_run(self, monkeypatch):
+        runs, checked = [], []
+        shift, mean_fn = harness._shift, simgen.mean_fn
+
+        def counted_shift(configs):
+            runs.append(len(configs))
+            return shift(configs)
+
+        def counted_mean_fn(*args):
+            checked.append(args)
+            return mean_fn(*args)
+
+        monkeypatch.setattr(harness, "_shift", counted_shift)
+        monkeypatch.setattr(simgen, "mean_fn", counted_mean_fn)
+        # blocks of 3 positions cut through the 4 shift cells of a replicate
+        monkeypatch.setattr(harness, "_BUDGET", 3 * 100)
+        grid = small_grid(
+            base=replace(small_grid().base, mean_shape="beta-bump"),
+            group_schemes=((5, 5), (4, 4, 4)),
+            xi_values=(0.0, 0.5, 1.0, 2.0),
+            replicates=6,
+        )
+        run_power(grid)  # one share, counted in this process
+        assert runs == [4, 4] and not checked
 
     def test_shares_that_split_a_replicate_count_the_same(self, monkeypatch):
         shares = []
@@ -486,6 +512,21 @@ class TestResultsIo:
         with pytest.raises(InvalidInputError, match=r"out\.jsonl line 1: "):
             read_results(path)
 
+    def test_out_of_range_cell_value_rejected(self, tmp_path):
+        results = self.sample_results()
+        for fmt, old, new in (
+            ("csv", ",0.05,314,", ",2.0,314,"),
+            ("jsonl", '"alpha": 0.05', '"alpha": 2.0'),
+            ("csv", ",5+5,", ",0+5,"),
+            ("jsonl", '"seed": 314', '"seed": 1.5'),
+        ):
+            path = tmp_path / f"out.{fmt}"
+            write_results(results, path)
+            path.write_text(path.read_text().replace(old, new, 1))  # the first row
+            line = 2 if fmt == "csv" else 1
+            with pytest.raises(InvalidInputError, match=rf"out\.{fmt} line {line}: "):
+                read_results(path)
+
     def test_csv_lacking_columns_rejected(self, tmp_path):
         path = tmp_path / "out.csv"
         write_results(self.sample_results(), path)
@@ -587,6 +628,13 @@ class TestGridConfig:
             with pytest.raises(InvalidInputError, match=key):
                 grid_from_dict({"seed": 1, key: value})
 
+    def test_xi_range_length_bounded(self):
+        # 10 000 shifts are accepted; one more is refused before any is built
+        grid = grid_from_dict({"seed": 1, "xi": {"stop": 9999, "step": 1}})
+        assert len(grid.xi_values) == 10_000 and grid.xi_values[-1] == 9999.0
+        with pytest.raises(InvalidInputError, match="xi.*more than 10000 shifts"):
+            grid_from_dict({"seed": 1, "xi": {"stop": 10_000, "step": 1}})
+
     def test_load_grid_file(self, tmp_path):
         path = tmp_path / "grid.json"
         text = json.dumps({"seed": 11, "n_points": [6], "replicates": 5})
@@ -640,6 +688,37 @@ class TestGridValidation:
     def test_summaries_nonempty(self):
         with pytest.raises(InvalidInputError):
             small_grid(summaries=())
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("n_points", 8.7),
+            ("seed", 1.5),
+            ("seed", -1),
+            ("group_sizes", (0, 5)),
+            ("alpha", 2.0),
+            ("preprocess_pve", 7.0),
+            ("coeff_dist", "normal"),
+        ],
+    )
+    def test_cell_spec_checks_its_fields(self, field, bad):
+        # neither truncated nor accepted, and each error names its field
+        fields = dict(
+            coeff_dist="gaussian",
+            mean_shape="none",
+            xi=0.0,
+            noise="white",
+            rho=0.5,
+            n_points=4,
+            n_basis=8,
+            group_sizes=(2, 2),
+            summary="sufficient",
+            alpha=0.05,
+            seed=1,
+        )
+        CellSpec(**fields)
+        with pytest.raises(InvalidInputError, match=f"^{field} must"):
+            CellSpec(**{**fields, field: bad})
 
     def test_cell_spec_coerces_enums(self):
         spec = CellSpec(

@@ -13,7 +13,7 @@ from drtests import (
     mean_fn,
     replicate_stream,
 )
-from drtests.simgen import _basis, _noise_matrix
+from drtests.simgen import _SHAPES, _basis, _grid, _noise_matrix, _shift
 
 
 def eigen_curve(coeffs, s):
@@ -77,6 +77,24 @@ class TestMeanFn:
     def test_domain_checked(self):
         with pytest.raises(InvalidInputError):
             mean_fn(MeanShape.LINEAR, 1.5, xi=1.0)
+
+    def test_every_shape_has_a_table_entry(self):
+        assert set(_SHAPES) == set(MeanShape)
+
+    @pytest.mark.parametrize("shape", list(MeanShape))
+    @pytest.mark.parametrize("n_points", [40, 120, 361])
+    def test_run_shift_matches_mean_fn(self, shape, n_points):
+        # one unchecked call for a whole run gives each cell's checked
+        # mean_fn shift bit for bit
+        xis = (0.0, 0.12, 0.36, 1.0, 2.88, 3.0)
+        configs = [
+            SimConfig(n_per_group=(3, 4), n_points=n_points, mean_shape=shape, xi=xi)
+            for xi in xis
+        ]
+        shifts = _shift(configs)
+        expected = np.stack([mean_fn(shape, _grid(n_points), xi) for xi in xis])
+        assert shifts.shape == (len(xis), n_points)
+        assert shifts.tobytes() == expected.tobytes()
 
 
 class TestNoiseVector:

@@ -12,6 +12,7 @@ from drtests import (
     suff_stat,
     sufficient_summary,
 )
+from drtests.summaries import _SUMMARIES
 from tests.helpers import make_curves, ranks_from
 
 
@@ -139,6 +140,20 @@ class TestSummaryScores:
                 n=2,
                 n_points=1,
             )
+
+    def test_every_kind_has_a_table_entry(self):
+        assert set(_SUMMARIES) == set(SummaryKind)
+
+    @pytest.mark.parametrize("kind", list(SummaryKind))
+    def test_rejects_a_score_just_outside_the_interval(self, kind):
+        n = 4
+        lo, hi = _SUMMARIES[kind][1](n)
+        for edge, outside in ((lo, -np.inf), (hi, np.inf)):
+            inside = [edge, (lo + hi) / 2, (lo + hi) / 2, (lo + hi) / 2]
+            SummaryScores(inside, kind, n=n, n_points=3)
+            for bad in (np.nextafter(edge, outside), outside, np.nan):
+                with pytest.raises(InvalidInputError, match=f"{kind.value} scores must lie"):
+                    SummaryScores([bad, *inside[1:]], kind, n=n, n_points=3)
 
     @pytest.mark.parametrize("field, bad", [("n", 2.0), ("n", "2"), ("n_points", 0)])
     def test_rejects_bad_sizes(self, field, bad):
