@@ -276,7 +276,7 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
         "--workers",
         type=_positive_int,
         default=os.environ.get("DRT_WORKERS", "1"),
-        help="process count (default from DRT_WORKERS, else 1)",
+        help="processes, counting this one (default from DRT_WORKERS, else 1)",
     )
     _add_sim_flags(p)
 

@@ -9,13 +9,15 @@ groups 2..G tells them apart. A run is one sequence of (cell, replicate)
 positions; each stretch of m such cells holds m·R consecutive positions
 laid out replicate-major (offset o is replicate o // m of its o % m-th
 cell). The run is cut into at most one contiguous share per worker, of
-about equal total n·S: one process pool opened for the run takes one task
-per share, and a single share runs in-process. A share draws each of its
-replicates once, so a share boundary inside a replicate's cells costs one
-extra draw. It runs in blocks of at most 2^15 curve values (a fixed memory
-budget, not a setting; a cell whose n·S exceeds it runs one position per
-block): the whole block is ranked, summarized and tested in one batched
-pass, and each row's rejection is credited to its cell. Because substream
+about equal total n·S. The calling process counts the first share itself;
+with k >= 2 shares, one pool of k - 1 processes opened for the run takes
+one task for each other share meanwhile, so a single share opens no pool.
+A share draws each of its replicates once, so a share boundary inside a
+replicate's cells costs one extra draw. It runs in blocks of at most 2^15
+curve values (a fixed memory budget, not a setting; a cell whose n·S
+exceeds it runs one position per block): the whole block is ranked,
+summarized and tested in one batched pass, and each row's rejection is
+credited to its cell. Because substream
 r depends only on (seed, r), the shifted values are the same IEEE sums
 wherever they are formed, every test treats each row on its own, and a run
 sums its shares' integer counts, results are identical for any worker
@@ -79,8 +81,8 @@ def _level(value, name: str) -> float:
 # The check of each ExperimentGrid factor (and of the grid config key that sets it)
 _GRID_CHECKS = {
     "n_points_values": _list(_count),
-    "group_schemes": _list(_list(_count)),
-    "xi_values": _list(_number),
+    "group_schemes": _list(_SIM_CHECKS["n_per_group"]),
+    "xi_values": _list(_SIM_CHECKS["xi"]),
     "replicates": _count,
     "alpha": _level,
     "summaries": _list(_member(SummaryKind)),
@@ -257,7 +259,9 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     Rows are ordered by group scheme, then grid size, then summary, then
     shift scale, so each power curve occupies consecutive rows. The run is
     cut into contiguous shares of (cell, replicate) positions of about
-    equal n·S, at most one per worker; two or more shares go to one pool.
+    equal n·S, at most one per worker, this process included: it counts
+    the first share while one pool of k - 1 processes counts the other
+    k - 1, then adds their counts to its own.
     """
     if not grid.xi_values:
         raise InvalidInputError("xi_values must be nonempty")
@@ -279,8 +283,10 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     if len(bounds) == 2:
         cell_counts = count(0, positions)
     else:
-        with ProcessPoolExecutor(max_workers=len(bounds) - 1) as pool:
-            cell_counts = sum(pool.map(count, bounds[:-1], bounds[1:]))
+        # map submits every task before this process counts share 0
+        with ProcessPoolExecutor(max_workers=len(bounds) - 2) as pool:
+            rest = pool.map(count, bounds[1:-1], bounds[2:])
+            cell_counts = count(bounds[0], bounds[1]) + sum(rest)
 
     rates = cell_counts / grid.replicates
     stderrs = np.sqrt(rates * (1.0 - rates) / grid.replicates)

@@ -63,16 +63,38 @@ def _uint128(value, name: str) -> int:
     return int(value)
 
 
+def _groups(value, name: str) -> tuple[int, ...]:
+    """value as a tuple of ints if it lists two or more group sizes >= 1."""
+    sizes = _list(_count)(value, name)
+    if len(sizes) < 2:
+        raise InvalidInputError(f"{name} must list at least 2 groups, got {value!r}")
+    return sizes
+
+
+def _scale(value, name: str) -> float:
+    """value as a float if it is a finite number >= 0: a shift scale."""
+    if _number(value, name) < 0.0:
+        raise InvalidInputError(f"{name} must be >= 0, got {value}")
+    return float(value)
+
+
+def _correlation(value, name: str) -> float:
+    """value as a float if it is a number in (-1, 1): a lag-one correlation."""
+    if not -1.0 < _number(value, name) < 1.0:
+        raise InvalidInputError(f"{name} must lie in (-1, 1), got {value}")
+    return float(value)
+
+
 # The check of each SimConfig field (and of the grid config key that sets it)
 _SIM_CHECKS = {
-    "n_per_group": _list(_count),
+    "n_per_group": _groups,
     "n_points": _count,
     "n_basis": _count,
     "coeff_dist": _member(CoeffDist),
     "mean_shape": _member(MeanShape),
-    "xi": _number,
+    "xi": _scale,
     "noise": _member(NoiseKind),
-    "rho": _number,
+    "rho": _correlation,
     "seed": _uint128,
 }
 
@@ -100,12 +122,6 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         _check_fields(self, **_SIM_CHECKS)
-        if len(self.n_per_group) < 2:
-            raise InvalidInputError("need at least 2 groups")
-        if self.xi < 0.0:
-            raise InvalidInputError(f"xi must be >= 0, got {self.xi}")
-        if not -1.0 < self.rho < 1.0:
-            raise InvalidInputError(f"rho must lie in (-1, 1), got {self.rho}")
 
     @property
     def n_subjects(self) -> int:
@@ -145,8 +161,9 @@ def mean_fn(kind: MeanShape | str, s: np.ndarray, xi: float) -> np.ndarray:
 
     linear: xi*s; parabola: xi*4s(1-s); beta-bump: xi*s(1-s)^5 normalized
     by its maximum, which sits at s = 1/6. Scalar input returns a scalar.
+    s must lie in [0, 1] and xi be a finite number >= 0, as in SimConfig.
     """
-    kind = _member(MeanShape)(kind, "kind")
+    kind, xi = _member(MeanShape)(kind, "kind"), _scale(xi, "xi")
     arr = np.asarray(s, dtype=float)
     if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
         raise InvalidInputError("s must lie in [0, 1]")

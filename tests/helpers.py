@@ -1,8 +1,13 @@
 """Shared construction helpers for the test suite."""
 
+import os
+
 import numpy as np
 
-from drtests import CurveSet, RankCurves, rank_tests, ranking
+from drtests import CurveSet, RankCurves, harness, rank_tests, ranking
+
+# the real counter, looked up here so that a ShareLog pickles without it
+_count_rejections = harness._count_rejections
 
 
 def make_curves(values, groups=None, grid=None):
@@ -52,3 +57,41 @@ def count_pipeline_calls(monkeypatch):
     for module in (ranking, rank_tests):
         monkeypatch.setattr(module, "_midranks", counted_rank)
     return calls
+
+
+class ShareLog:
+    """Stands in for `harness._count_rejections` and logs every share counted.
+
+    Each call appends its share's bounds and process id to a file, so the
+    shares counted in pool processes are logged as well as the one counted
+    by the calling process; the log pickles with the task the pool sends.
+    """
+
+    def __init__(self, path):
+        self.path = path
+
+    def __call__(self, grid, configs, start, stop):
+        with open(self.path, "a") as fh:
+            fh.write(f"{start} {stop} {os.getpid()}\n")
+        return _count_rejections(grid, configs, start, stop)
+
+    def take(self):
+        """The (start, stop) shares logged since the last take, in run order.
+
+        Checks that the share at position 0 was counted by this process and
+        every other share by another one.
+        """
+        with open(self.path) as fh:
+            logged = sorted(tuple(map(int, line.split())) for line in fh)
+        os.remove(self.path)
+        assert [pid == os.getpid() for _, _, pid in logged] == [
+            start == 0 for start, _, _ in logged
+        ]
+        return [(start, stop) for start, stop, _ in logged]
+
+
+def log_shares(monkeypatch, tmp_path):
+    """A ShareLog put in place of `harness._count_rejections`."""
+    log = ShareLog(tmp_path / "shares.log")
+    monkeypatch.setattr(harness, "_count_rejections", log)
+    return log

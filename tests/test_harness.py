@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from drtests import (
     run_type1,
     write_results,
 )
-from tests.helpers import count_pipeline_calls
+from tests.helpers import count_pipeline_calls, log_shares
 
 
 def small_grid(**overrides):
@@ -262,15 +263,7 @@ class TestPipelineCalls:
         run_power(grid)  # one share, counted in this process
         assert runs == [4, 4] and not checked
 
-    def test_shares_that_split_a_replicate_count_the_same(self, monkeypatch):
-        shares = []
-
-        class RecordingPool(harness.ProcessPoolExecutor):
-            def map(self, fn, starts, stops):
-                shares.extend(starts[1:])
-                return super().map(fn, starts, stops)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    def test_shares_that_split_a_replicate_count_the_same(self, monkeypatch, tmp_path):
         grid = small_grid(
             base=replace(small_grid().base, mean_shape="linear"),
             group_schemes=((5, 5), (3, 3, 4), (10, 10)),
@@ -280,11 +273,15 @@ class TestPipelineCalls:
         )
         reference = run_power(grid)
         assert len({r.rejection_rate for r in reference}) > 2
+        log, starts = log_shares(monkeypatch, tmp_path), []
         for workers in (2, 3, 7):
             assert run_power(grid, workers=workers) == reference
+            shares = log.take()
+            assert len(shares) == workers and shares[0][0] == 0
+            starts += [start for start, _ in shares]
         # the first two schemes take 21 positions each, replicate r of a
         # scheme at offsets 3r..3r+2: some share starts inside a replicate
-        assert any(start % 21 % 3 for start in shares if start < 42)
+        assert any(start % 21 % 3 for start in starts if start < 42)
         alone = [run_power(replace(grid, xi_values=(xi,))) for xi in grid.xi_values]
         assert reference == [rows[i] for i in range(6) for rows in alone]
 
@@ -363,48 +360,60 @@ class TestRunPower:
         grid = small_grid(replicates=8)
         assert len(grid.xi_values) == 2
         # 2 shifts x 8 replicates are 16 positions of equal n·S: one share per
-        # process, each sent as exactly one task
+        # process; this process counts the first, and the pool's workers − 1
+        # processes take one task each
         for workers in (2, 3):
             run_power(grid, workers=workers)
-            assert opened[-1]["max_workers"] == workers
-            assert len(tasks) == workers
+            assert opened[-1]["max_workers"] == workers - 1
+            assert len(tasks) == workers - 1
             tasks.clear()
         assert len(opened) == 2
         run_power(grid, workers=1)
         assert len(opened) == 2 and not tasks
-        # a single task opens no pool
+        # a single share opens no pool
         run_power(small_grid(replicates=1, xi_values=(0.0,)), workers=2)
         assert len(opened) == 2
 
-    def test_shares_balance_cost(self, monkeypatch):
-        shares = []
-
-        class RecordingPool(harness.ProcessPoolExecutor):
-            def map(self, fn, starts, stops):
-                shares.extend(zip(starts, stops))
-                return super().map(fn, starts, stops)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    def test_shares_balance_cost(self, monkeypatch, tmp_path):
         # n·S of 80 and 800 per position: 30 cheap positions, then 30 dear ones
         grid = small_grid(
             group_schemes=((5, 5), (50, 50)), xi_values=(0.0, 1.0, 2.0), replicates=10
         )
         reference, cost = run_power(grid), [80] * 30 + [800] * 30
+        log = log_shares(monkeypatch, tmp_path)
         for workers in (2, 3, 4):
             assert run_power(grid, workers=workers) == reference
+            shares = log.take()
             assert [a for a, _ in shares[1:]] == [b for _, b in shares[:-1]]
             assert len(shares) == workers and shares[0][0] == 0 and shares[-1][1] == 60
             # each share is within one dear position of an equal split
             for a, b in shares:
                 assert abs(sum(cost[a:b]) * workers - sum(cost)) < 800 * workers
-            shares.clear()
         # n·S of 800, 800, 80, 80: no position's middle lies in the second
-        # quarter of the run, so of four shares the second is empty and not sent
+        # quarter of the run, so of four shares the second is empty and dropped
         grid = replace(
             grid, group_schemes=((50, 50), (5, 5)), xi_values=(0.0,), replicates=2
         )
-        assert run_power(grid, workers=4) == run_power(grid)
-        assert shares == [(0, 1), (1, 2), (2, 4)]
+        one = run_power(grid)
+        assert log.take() == [(0, 4)]
+        assert run_power(grid, workers=4) == one
+        assert log.take() == [(0, 1), (1, 2), (2, 4)]
+
+    @pytest.mark.parametrize("replicate", [0, 7])
+    def test_a_failing_share_raises_and_leaves_no_child(self, monkeypatch, replicate):
+        # 2 shifts x 8 replicates at 2 workers: replicates 0..3 are this
+        # process's share, 4..7 the pool's
+        draw = harness._base_values
+
+        def failing_draw(config, r):
+            if r == replicate:
+                raise RuntimeError(f"replicate {r} failed")
+            return draw(config, r)
+
+        monkeypatch.setattr(harness, "_base_values", failing_draw)
+        with pytest.raises(RuntimeError, match=f"replicate {replicate} failed"):
+            run_power(small_grid(replicates=8), workers=2)
+        assert multiprocessing.active_children() == []
 
     def test_empty_xi_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -514,17 +523,28 @@ class TestResultsIo:
 
     def test_out_of_range_cell_value_rejected(self, tmp_path):
         results = self.sample_results()
-        for fmt, old, new in (
-            ("csv", ",0.05,314,", ",2.0,314,"),
-            ("jsonl", '"alpha": 0.05', '"alpha": 2.0'),
-            ("csv", ",5+5,", ",0+5,"),
-            ("jsonl", '"seed": 314', '"seed": 1.5'),
+        for fmt, old, new, field in (
+            ("csv", ",0.05,314,", ",2.0,314,", "alpha"),
+            ("jsonl", '"alpha": 0.05', '"alpha": 2.0', "alpha"),
+            ("csv", ",5+5,", ",0+5,", "group_sizes"),
+            ("jsonl", '"seed": 314', '"seed": 1.5', "seed"),
+            # a negative shift, a correlation outside (-1, 1), a single group
+            ("csv", ",none,0.0,ar1,", ",none,-1.0,ar1,", "xi"),
+            ("jsonl", '"xi": 0.0', '"xi": -1.0', "xi"),
+            ("csv", ",ar1,0.5,", ",ar1,5.0,", "rho"),
+            ("jsonl", '"rho": 0.5', '"rho": 5.0', "rho"),
+            ("csv", ",5+5,", ",3,", "group_sizes"),
+            ("jsonl", '"group_sizes": [5, 5]', '"group_sizes": [3]', "group_sizes"),
         ):
             path = tmp_path / f"out.{fmt}"
             write_results(results, path)
-            path.write_text(path.read_text().replace(old, new, 1))  # the first row
+            text = path.read_text()
+            assert old in text
+            path.write_text(text.replace(old, new, 1))  # the first row
             line = 2 if fmt == "csv" else 1
-            with pytest.raises(InvalidInputError, match=rf"out\.{fmt} line {line}: "):
+            with pytest.raises(
+                InvalidInputError, match=rf"out\.{fmt} line {line}: .*{field} must"
+            ):
                 read_results(path)
 
     def test_csv_lacking_columns_rejected(self, tmp_path):
@@ -624,6 +644,10 @@ class TestGridConfig:
             ("xi", [float("inf")]),
             ("xi", {"stop": float("inf"), "step": 1}),
             ("xi", {"stop": 1e300, "step": 1e-300}),
+            # out of range: a negative shift, |rho| >= 1, a single group
+            ("xi", [0.5, -1.0]),
+            ("rho", 5.0),
+            ("groups", [[10, 10], [3]]),
         ):
             with pytest.raises(InvalidInputError, match=key):
                 grid_from_dict({"seed": 1, key: value})
@@ -674,6 +698,8 @@ class TestGridValidation:
             ("n_points_values", (8.7,)),
             ("group_schemes", ((5.5, 5),)),
             ("xi_values", ("0.5",)),
+            ("xi_values", (0.0, -1.0)),
+            ("group_schemes", ((5, 5), (3,))),
         ):
             with pytest.raises(InvalidInputError, match=key):
                 small_grid(**{key: value})
@@ -699,6 +725,9 @@ class TestGridValidation:
             ("alpha", 2.0),
             ("preprocess_pve", 7.0),
             ("coeff_dist", "normal"),
+            ("xi", -1.0),
+            ("rho", 5.0),
+            ("group_sizes", (3,)),
         ],
     )
     def test_cell_spec_checks_its_fields(self, field, bad):

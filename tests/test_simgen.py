@@ -78,6 +78,13 @@ class TestMeanFn:
         with pytest.raises(InvalidInputError):
             mean_fn(MeanShape.LINEAR, 1.5, xi=1.0)
 
+    @pytest.mark.parametrize("xi", [math.nan, math.inf, -2.0])
+    def test_scale_checked(self, xi):
+        # the check SimConfig gives its xi: a finite number >= 0
+        for shape in MeanShape:
+            with pytest.raises(InvalidInputError, match="^xi must"):
+                mean_fn(shape, 0.5, xi)
+
     def test_every_shape_has_a_table_entry(self):
         assert set(_SHAPES) == set(MeanShape)
 
@@ -235,15 +242,9 @@ class TestGenerateDataset:
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
-            SimConfig(n_per_group=(5,), n_points=4)
-        with pytest.raises(InvalidInputError):
             SimConfig(n_per_group=(5, 0), n_points=4)
         with pytest.raises(InvalidInputError):
             SimConfig(n_per_group=(5, 5), n_points=0)
-        with pytest.raises(InvalidInputError):
-            SimConfig(n_per_group=(5, 5), n_points=4, xi=-0.1)
-        with pytest.raises(InvalidInputError):
-            SimConfig(n_per_group=(5, 5), n_points=4, rho=1.0)
         # neither truncated, nor left to fail inside generate_dataset
         for key, value in (
             ("seed", 1.5),
@@ -251,8 +252,12 @@ class TestGenerateDataset:
             ("seed", 2**128),
             ("n_points", 2.5),
             ("coeff_dist", "normal"),
+            ("xi", -0.1),
+            ("rho", 1.0),
+            ("rho", -5.0),
+            ("n_per_group", (5,)),
         ):
-            with pytest.raises(InvalidInputError, match=key):
+            with pytest.raises(InvalidInputError, match=f"^{key} must"):
                 SimConfig(**{"n_per_group": (5, 5), "n_points": 4, key: value})
 
     def test_non_finite_xi_rejected(self):
