@@ -3,25 +3,25 @@
 A grid pairs a simulation template with factor lists (grid sizes, group
 schemes, shift scales, summaries). Each cell simulates its replicates from
 counter-based substreams and records the fraction of doubly ranked tests
-rejecting at level alpha. Cells that differ only in the shift share
-replicate r's draws (common random numbers): only the shift added to
-groups 2..G tells them apart. A run is one sequence of (cell, replicate)
-positions; each stretch of m such cells holds m·R consecutive positions
-laid out replicate-major (offset o is replicate o // m of its o % m-th
-cell). The run is cut into at most one contiguous share per worker, of
-about equal total n·S. The calling process counts the first share itself;
-with k >= 2 shares, one pool of k - 1 processes opened for the run takes
-one task for each other share meanwhile, so a single share opens no pool.
-A share draws each of its replicates once, so a share boundary inside a
+rejecting at level alpha. A run is its shapes: one checked SimConfig per
+(group scheme, grid size), whose m cells are the grid's m shift scales.
+They share replicate r's draws (common random numbers): only the shift
+added to groups 2..G tells them apart. A run is one sequence of
+(cell, replicate) positions; shape k holds the m·R positions from k·m·R,
+laid out replicate-major (offset o is replicate o // m of shift o % m).
+The run is cut into at most one contiguous share per worker, of about
+equal total n·S. The calling process counts the first share itself; with
+k >= 2 shares, one pool of k - 1 processes opened for the run takes one
+task for each other share meanwhile, so a single share opens no pool. A
+share draws each of its replicates once, so a share boundary inside a
 replicate's cells costs one extra draw. It runs in blocks of at most 2^15
-curve values (a fixed memory budget, not a setting; a cell whose n·S
+curve values (a fixed memory budget, not a setting; a shape whose n·S
 exceeds it runs one position per block): the whole block is ranked,
 summarized and tested in one batched pass, and each row's rejection is
-credited to its cell. Because substream
-r depends only on (seed, r), the shifted values are the same IEEE sums
-wherever they are formed, every test treats each row on its own, and a run
-sums its shares' integer counts, results are identical for any worker
-count and any block size.
+credited to its cell. Because substream r depends only on (seed, r), the
+shifted values are the same IEEE sums wherever they are formed, every
+test treats each row on its own, and a run sums its shares' integer
+counts, results are identical for any worker count and any block size.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .preprocess import _check_pve
 from .rank_tests import DoublyRankedConfig, _doubly_ranked_scores, _score_block
 from .ranking import _group_labels
 from .simgen import (
-    _SIM_CHECKS, CoeffDist, MeanShape, NoiseKind, SimConfig, _base_values, _shift
+    _SIM_CHECKS, CoeffDist, MeanShape, NoiseKind, SimConfig, _base_values, _scale, _shift
 )
 from .summaries import SummaryKind
 
@@ -75,6 +75,13 @@ def _level(value, name: str) -> float:
     """value as a float if it is a number in (0, 1): a test level."""
     if not 0.0 < _number(value, name) < 1.0:
         raise InvalidInputError(f"{name} must lie in (0, 1), got {value}")
+    return float(value)
+
+
+def _rate(value, name: str) -> float:
+    """value as a float if it is a number in [0, 1]: a rejection rate."""
+    if not 0.0 <= _number(value, name) <= 1.0:
+        raise InvalidInputError(f"{name} must lie in [0, 1], got {value}")
     return float(value)
 
 
@@ -111,7 +118,8 @@ class ExperimentGrid:
 
     def __post_init__(self) -> None:
         _check_fields(self, **_GRID_CHECKS)
-        if not (self.n_points_values and self.group_schemes and self.summaries):
+        factors = (self.n_points_values, self.group_schemes, self.xi_values, self.summaries)
+        if not all(factors):
             raise InvalidInputError("factor lists and summaries must be nonempty")
 
 
@@ -137,11 +145,15 @@ def _optional_float(text: str) -> float | None:
     return None if text == "" else float(text)
 
 
-# The reader of each cell column whose CSV text is not its value; the
-# enum columns are read by their check
+# The check of each result column after the cell's, run by read_results only:
+# the rows run_power builds come from checked counts
+_RESULT = {"replicates": _count, "rejection_rate": _rate, "mc_stderr": _scale}
+
+# The reader of each column whose CSV text is not its value; the enum
+# columns are read by their check
 _CSV_TEXT = {
-    **dict.fromkeys(("xi", "rho", "alpha"), float),
-    **dict.fromkeys(("n_points", "n_basis", "seed"), int),
+    **dict.fromkeys(("xi", "rho", "alpha", "rejection_rate", "mc_stderr"), float),
+    **dict.fromkeys(("n_points", "n_basis", "seed", "replicates"), int),
     "group_sizes": _sizes,
     "preprocess_pve": _optional_float,
 }
@@ -184,39 +196,36 @@ _BUDGET = 1 << 15
 
 
 def _count_rejections(
-    grid: ExperimentGrid, configs: Sequence[SimConfig], start: int, stop: int
+    grid: ExperimentGrid, shapes: Sequence[SimConfig], start: int, stop: int
 ) -> np.ndarray:
     """Rejection counts per (cell, summary) over run positions start..stop.
 
-    Consecutive configs that differ only in the shift form a run of m
-    cells, which holds the positions [first·R, (first + m)·R) laid out
-    replicate-major: offset o in the run is replicate o // m of cell
-    first + o % m. A row rejects when p <= alpha. Positions run in blocks
-    of at most max(1, _BUDGET // (n·S)) that stay within one run, whose m
-    shifts come from one `_shift` call. A block draws each replicate it
-    needs once (one the previous block drew is kept), copies it to each of
-    its cells and adds that cell's shift to groups 2..G; each position is
-    smoothed on its own when grid.preprocess_pve is set, then the block is
-    ranked once, scored under every summary, and each summary's scores are
-    tested in one pass. No CurveSet or TestResult is built.
+    With m = len(grid.xi_values), shape k owns the cells k·m .. k·m + m - 1
+    and the positions [k·m·R, (k + 1)·m·R), laid out replicate-major:
+    offset o among them is replicate o // m of shift o % m. A row rejects
+    when p <= alpha. Positions run in blocks of at most
+    max(1, _BUDGET // (n·S)) within one shape, whose m shifts come from one
+    `_shift` call. A block draws each replicate it needs once (one the
+    previous block drew is kept), copies it to each of its cells and adds
+    that cell's shift to groups 2..G; each position is smoothed on its own
+    when grid.preprocess_pve is set, then the block is ranked once, scored
+    under every summary, and each summary's scores are tested in one pass.
+    No CurveSet or TestResult is built.
     """
-    reps = grid.replicates
-    counts = np.zeros((len(configs), len(grid.summaries)), dtype=np.int64)
+    m, reps = len(grid.xi_values), grid.replicates
+    counts = np.zeros((len(shapes) * m, len(grid.summaries)), dtype=np.int64)
     test_config = DoublyRankedConfig()
-    # a run is a stretch of consecutive configs equal but for the shift
-    keys = [{**vars(c), "xi": 0.0} for c in configs]
-    edges = [i for i in range(1, len(configs)) if keys[i] != keys[i - 1]]
-    for first, last in zip([0, *edges], [*edges, len(configs)]):
-        lo, hi = max(start, first * reps), min(stop, last * reps)
+    for k, config in enumerate(shapes):
+        first, own = k * m * reps, counts[k * m : (k + 1) * m]
+        lo, hi = max(start, first), min(stop, first + m * reps)
         if lo >= hi:
             continue
-        config, m = configs[first], last - first
         step = max(1, _BUDGET // (config.n_subjects * config.n_points))
-        shifts = _shift(configs[first:last])
+        shifts = _shift(config, grid.xi_values)
         split, labels = config.n_per_group[0], _group_labels(config.n_per_group)
         drawn: dict[int, np.ndarray] = {}
         for begin in range(lo, hi, step):
-            offsets = np.arange(begin, min(begin + step, hi)) - first * reps
+            offsets = np.arange(begin, min(begin + step, hi)) - first
             replicates, cells = np.divmod(offsets, m)
             drawn = {
                 r: drawn[r] if r in drawn else _base_values(config, r)
@@ -227,16 +236,16 @@ def _count_rejections(
             scores, _ = _doubly_ranked_scores(values, grid.summaries, grid.preprocess_pve)
             for j, block in enumerate(scores):
                 p = _score_block(block, labels, len(config.n_per_group), test_config).p_value
-                counts[first:last, j] += np.bincount(cells[p <= grid.alpha], minlength=m)
+                own[:, j] += np.bincount(cells[p <= grid.alpha], minlength=m)
     return counts
 
 
 def _cell_spec(
-    config: SimConfig, summary: SummaryKind, grid: ExperimentGrid
+    config: SimConfig, xi: float, summary: SummaryKind, grid: ExperimentGrid
 ) -> CellSpec:
     shared = {name: getattr(config, name) for name in _ROW if name in _SIM_CHECKS}
     return CellSpec(
-        **shared,
+        **{**shared, "xi": xi},
         group_sizes=config.n_per_group,
         summary=summary,
         alpha=grid.alpha,
@@ -257,29 +266,27 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     """Rejection rates across the shift grid.
 
     Rows are ordered by group scheme, then grid size, then summary, then
-    shift scale, so each power curve occupies consecutive rows. The run is
-    cut into contiguous shares of (cell, replicate) positions of about
-    equal n·S, at most one per worker, this process included: it counts
-    the first share while one pool of k - 1 processes counts the other
-    k - 1, then adds their counts to its own.
+    shift scale in grid order, so each power curve occupies consecutive
+    rows. The run is cut into contiguous shares of (cell, replicate)
+    positions of about equal n·S, at most one per worker, this process
+    included: it counts the first share while one pool of k - 1 processes
+    counts the other k - 1, then adds their counts to its own.
     """
-    if not grid.xi_values:
-        raise InvalidInputError("xi_values must be nonempty")
-    configs = [
-        replace(grid.base, n_per_group=scheme, n_points=n_points, xi=xi)
+    shapes = [
+        replace(grid.base, n_per_group=scheme, n_points=n_points)
         for scheme in grid.group_schemes
         for n_points in grid.n_points_values
-        for xi in grid.xi_values
     ]
-    positions = len(configs) * grid.replicates
+    m = len(grid.xi_values)
+    positions = len(shapes) * m * grid.replicates
     workers = min(_count(workers, "workers"), positions)
     # a position joins share floor(workers * m / total n·S), m the middle of its
     # n·S in the run, so mixed shapes load processes evenly; empty shares are dropped
-    cost = np.repeat([c.n_subjects * c.n_points for c in configs], grid.replicates)
+    cost = np.repeat([c.n_subjects * c.n_points for c in shapes], m * grid.replicates)
     twice_middles = 2 * cost.cumsum() - cost
     starts = np.searchsorted(twice_middles * workers, 2 * cost.sum() * np.arange(workers))
     bounds = np.unique([*starts, positions]).tolist()
-    count = partial(_count_rejections, grid, configs)
+    count = partial(_count_rejections, grid, shapes)
     if len(bounds) == 2:
         cell_counts = count(0, positions)
     else:
@@ -290,21 +297,20 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
 
     rates = cell_counts / grid.replicates
     stderrs = np.sqrt(rates * (1.0 - rates) / grid.replicates)
-    n_xi = len(grid.xi_values)
     return [
         CellResult(
-            cell=_cell_spec(configs[i], summary, grid),
-            rejection_rate=float(rates[i, j]),
+            cell=_cell_spec(config, xi, summary, grid),
+            rejection_rate=float(rates[k * m + i, j]),
             replicates_used=grid.replicates,
-            mc_stderr=float(stderrs[i, j]),
+            mc_stderr=float(stderrs[k * m + i, j]),
         )
-        for first in range(0, len(configs), n_xi)
+        for k, config in enumerate(shapes)
         for j, summary in enumerate(grid.summaries)
-        for i in range(first, first + n_xi)
+        for i, xi in enumerate(grid.xi_values)
     ]
 
 
-_COLUMNS = [*_ROW, "replicates", "rejection_rate", "mc_stderr", "version"]
+_COLUMNS = [*_ROW, *_RESULT, "version"]
 
 
 def _plain(value):
@@ -333,12 +339,9 @@ def _record_to_result(rec) -> CellResult:
     if not isinstance(rec, dict):
         raise InvalidInputError(f"expected an object of columns, got {rec!r}")
     _check_columns([c for c, value in rec.items() if value is not None])
-    return CellResult(
-        cell=CellSpec(**{name: rec[name] for name in _ROW if name in rec}),
-        rejection_rate=float(rec["rejection_rate"]),
-        replicates_used=int(rec["replicates"]),
-        mc_stderr=float(rec["mc_stderr"]),
-    )
+    cell = CellSpec(**{name: rec[name] for name in _ROW if name in rec})
+    replicates, rate, stderr = (check(rec[name], name) for name, check in _RESULT.items())
+    return CellResult(cell, rate, replicates, stderr)
 
 
 def _results_format(path, format) -> ResultFormat:
@@ -420,6 +423,8 @@ def _xi_range(spec: dict, name: str) -> tuple[float, ...]:
     stop, step = _number(spec["stop"], name), _number(spec["step"], name)
     if step <= 0:
         raise InvalidInputError(f"{name} range step must be > 0")
+    if stop < start:
+        raise InvalidInputError(f"{name} range stop must be >= start, got {stop} < {start}")
     # checked before the tuple is built, so a tiny step cannot exhaust memory
     span = (stop - start) / step + 1e-9
     if not span < _MAX_SHIFTS:

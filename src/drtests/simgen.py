@@ -28,7 +28,6 @@ __all__ = [
     "MeanShape",
     "NoiseKind",
     "SimConfig",
-    "mean_fn",
     "replicate_stream",
     "generate_dataset",
 ]
@@ -72,7 +71,7 @@ def _groups(value, name: str) -> tuple[int, ...]:
 
 
 def _scale(value, name: str) -> float:
-    """value as a float if it is a finite number >= 0: a shift scale."""
+    """value as a float if it is a finite number >= 0: a shift scale or a standard error."""
     if _number(value, name) < 0.0:
         raise InvalidInputError(f"{name} must be >= 0, got {value}")
     return float(value)
@@ -147,28 +146,14 @@ def _basis_matrix(n_basis: int, n_points: int) -> np.ndarray:
     return basis
 
 
-# Each MeanShape scaled by xi, elementwise: a column of xi gives one shape per row
+# Each MeanShape at locations s in [0, 1], its peak scaled to xi, elementwise:
+# a column of xi gives one shape per row
 _SHAPES = {
     MeanShape.NONE: lambda s, xi: np.zeros(np.broadcast(s, xi).shape),
     MeanShape.LINEAR: lambda s, xi: xi * s,
     MeanShape.PARABOLA: lambda s, xi: xi * 4.0 * s * (1.0 - s),
     MeanShape.BETA_BUMP: lambda s, xi: xi * s * (1.0 - s) ** 5 / _BUMP_PEAK,
 }
-
-
-def mean_fn(kind: MeanShape | str, s: np.ndarray, xi: float) -> np.ndarray:
-    """Mean shift at locations s in [0, 1], scaled so its peak equals xi.
-
-    linear: xi*s; parabola: xi*4s(1-s); beta-bump: xi*s(1-s)^5 normalized
-    by its maximum, which sits at s = 1/6. Scalar input returns a scalar.
-    s must lie in [0, 1] and xi be a finite number >= 0, as in SimConfig.
-    """
-    kind, xi = _member(MeanShape)(kind, "kind"), _scale(xi, "xi")
-    arr = np.asarray(s, dtype=float)
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise InvalidInputError("s must lie in [0, 1]")
-    out = _SHAPES[kind](arr, xi)
-    return float(out) if np.isscalar(s) else out
 
 
 def _noise_matrix(
@@ -219,10 +204,10 @@ def _base_values(config: SimConfig, replicate: int) -> np.ndarray:
     return values
 
 
-def _shift(configs: list[SimConfig]) -> np.ndarray:
-    """The (m, S) shifts of groups 2..G in m configs equal but for xi, in one call."""
-    xi = np.array([c.xi for c in configs])[:, None]
-    return _SHAPES[configs[0].mean_shape](_grid(configs[0].n_points), xi)
+def _shift(config: SimConfig, xi_values) -> np.ndarray:
+    """The (m, S) shifts of groups 2..G at the m scales xi_values, in one call."""
+    xi = np.array(xi_values, dtype=float)[:, None]
+    return _SHAPES[config.mean_shape](_grid(config.n_points), xi)
 
 
 def generate_dataset(config: SimConfig, replicate: int = 0) -> CurveSet:
@@ -233,7 +218,7 @@ def generate_dataset(config: SimConfig, replicate: int = 0) -> CurveSet:
     depends only on the config and the replicate index.
     """
     values = _base_values(config, replicate)
-    values[config.n_per_group[0] :] += _shift([config])
+    values[config.n_per_group[0] :] += _shift(config, [config.xi])
     return CurveSet(
         values=values,
         grid=_grid(config.n_points),

@@ -70,10 +70,10 @@ class ShareLog:
     def __init__(self, path):
         self.path = path
 
-    def __call__(self, grid, configs, start, stop):
+    def __call__(self, grid, shapes, start, stop):
         with open(self.path, "a") as fh:
             fh.write(f"{start} {stop} {os.getpid()}\n")
-        return _count_rejections(grid, configs, start, stop)
+        return _count_rejections(grid, shapes, start, stop)
 
     def take(self):
         """The (start, stop) shares logged since the last take, in run order.

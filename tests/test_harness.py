@@ -24,7 +24,6 @@ from drtests import (
     preprocess,
     rank_tests,
     read_results,
-    simgen,
     run_power,
     run_type1,
     write_results,
@@ -118,10 +117,10 @@ class TestPipelineCalls:
         grid = small_grid(
             replicates=6, preprocess_pve=0.9, group_schemes=((5, 5), (3, 3, 4))
         )
-        configs = [replace(grid.base, n_per_group=s) for s in grid.group_schemes]
-        # one share of both cells' 12 replicates: (cells, summaries) counts
-        counts = harness._count_rejections(grid, configs, 0, 12)
-        assert counts.shape == (2, 2) and counts.dtype == np.int64
+        shapes = [replace(grid.base, n_per_group=s) for s in grid.group_schemes]
+        # one share of both shapes' 2 shifts x 6 replicates: (cells, summaries) counts
+        counts = harness._count_rejections(grid, shapes, 0, 24)
+        assert counts.shape == (4, 2) and counts.dtype == np.int64
         assert built == {"CurveSet": 0, "TestResult": 0}
         # the counters do see the one-off path
         doubly_ranked_test(generate_dataset(grid.base))
@@ -185,20 +184,24 @@ class TestPipelineCalls:
 
     def test_blocks_stop_where_the_shape_changes(self, monkeypatch):
         grid = small_grid(
-            base=replace(small_grid().base, mean_shape="parabola"), replicates=4
+            base=replace(small_grid().base, mean_shape="parabola"),
+            xi_values=(0.0, 3.0),
+            replicates=6,
         )
-        # one cell of one shape, then two of another: the grid's two shifts
-        # do not line up with the shape runs, which the kernel finds itself
-        configs = [
-            replace(grid.base, n_per_group=(5, 5), xi=3.0),
-            replace(grid.base, n_per_group=(4, 4, 4), xi=0.0),
-            replace(grid.base, n_per_group=(4, 4, 4), xi=3.0),
+        shapes = [
+            replace(grid.base, n_per_group=(5, 5)),
+            replace(grid.base, n_per_group=(4, 4, 4), n_points=6),
         ]
-        monkeypatch.setattr(harness, "_BUDGET", 10**9)
-        counts = harness._count_rejections(grid, configs, 0, 12)
-        alone = [harness._count_rejections(grid, [c], 0, 4) for c in configs]
+        # blocks of 7 positions (n·S of 80) or 8 (n·S of 72) would cross the
+        # boundary at position 12 if they did not stop there
+        monkeypatch.setattr(harness, "_BUDGET", 7 * 80 + 70)
+        counts = harness._count_rejections(grid, shapes, 0, 24)
+        alone = [harness._count_rejections(grid, [s], 0, 12) for s in shapes]
         assert np.array_equal(counts, np.vstack(alone))
-        assert counts[0].sum() > 0 and counts[2].sum() > counts[1].sum()
+        # a share that starts and stops inside the shapes counts the same
+        parts = [harness._count_rejections(grid, shapes, a, b) for a, b in ((0, 9), (9, 24))]
+        assert np.array_equal(sum(parts), counts)
+        assert counts[1].sum() > counts[0].sum() and counts[3].sum() > counts[2].sum()
 
     def test_counts_go_to_their_cell(self, monkeypatch):
         grid = small_grid(
@@ -239,19 +242,13 @@ class TestPipelineCalls:
         assert drawn == [(s, r) for s in grid.group_schemes for r in range(6)]
 
     def test_one_unchecked_shift_call_per_run(self, monkeypatch):
-        runs, checked = [], []
-        shift, mean_fn = harness._shift, simgen.mean_fn
+        runs, shift = [], harness._shift
 
-        def counted_shift(configs):
-            runs.append(len(configs))
-            return shift(configs)
-
-        def counted_mean_fn(*args):
-            checked.append(args)
-            return mean_fn(*args)
+        def counted_shift(config, xi_values):
+            runs.append((config.n_per_group, xi_values))
+            return shift(config, xi_values)
 
         monkeypatch.setattr(harness, "_shift", counted_shift)
-        monkeypatch.setattr(simgen, "mean_fn", counted_mean_fn)
         # blocks of 3 positions cut through the 4 shift cells of a replicate
         monkeypatch.setattr(harness, "_BUDGET", 3 * 100)
         grid = small_grid(
@@ -261,7 +258,27 @@ class TestPipelineCalls:
             replicates=6,
         )
         run_power(grid)  # one share, counted in this process
-        assert runs == [4, 4] and not checked
+        assert runs == [(scheme, grid.xi_values) for scheme in grid.group_schemes]
+
+    def test_one_checked_config_per_shape(self, monkeypatch):
+        grid = small_grid(
+            base=replace(small_grid().base, mean_shape="linear"),
+            n_points_values=(8, 12),
+            group_schemes=((5, 5), (4, 4, 4)),
+            xi_values=harness._DEFAULT_XI,
+            replicates=2,
+        )
+        assert len(grid.xi_values) == 26
+        checked, post_init = [], SimConfig.__post_init__
+
+        def counted(self):
+            checked.append((self.n_per_group, self.n_points))
+            post_init(self)
+
+        monkeypatch.setattr(SimConfig, "__post_init__", counted)
+        run_power(grid)
+        # one per (scheme, grid size), none per shift
+        assert checked == [(g, s) for g in grid.group_schemes for s in grid.n_points_values]
 
     def test_shares_that_split_a_replicate_count_the_same(self, monkeypatch, tmp_path):
         grid = small_grid(
@@ -415,9 +432,31 @@ class TestRunPower:
             run_power(small_grid(replicates=8), workers=2)
         assert multiprocessing.active_children() == []
 
+    def test_rows_follow_grid_order(self):
+        # unsorted shifts over two schemes: row k·m + i of a summary is shift i
+        # of shape k, as in a run of that shift alone
+        grid = small_grid(
+            base=replace(small_grid().base, mean_shape="parabola"),
+            group_schemes=((5, 5), (3, 3, 4)),
+            xi_values=(2.0, 0.0, 1.0),
+            replicates=30,
+        )
+        power = run_power(grid)
+        assert [(r.cell.group_sizes, r.cell.summary, r.cell.xi) for r in power] == [
+            (scheme, summary, xi)
+            for scheme in grid.group_schemes
+            for summary in grid.summaries
+            for xi in grid.xi_values
+        ]
+        assert len({r.rejection_rate for r in power}) > 2
+        assert power[0].rejection_rate > power[2].rejection_rate > power[1].rejection_rate
+        alone = [run_power(replace(grid, xi_values=(xi,))) for xi in grid.xi_values]
+        assert power == [rows[j] for j in range(4) for rows in alone]
+
     def test_empty_xi_rejected(self):
-        with pytest.raises(InvalidInputError):
-            run_power(small_grid(xi_values=()))
+        # the grid refuses an empty shift list before any run
+        with pytest.raises(InvalidInputError, match="nonempty"):
+            small_grid(xi_values=())
 
     def test_workers_positive(self):
         for workers in (0, -2, 2.5):
@@ -523,6 +562,8 @@ class TestResultsIo:
 
     def test_out_of_range_cell_value_rejected(self, tmp_path):
         results = self.sample_results()
+        rate, stderr = results[0].rejection_rate, results[0].mc_stderr
+        assert 0.0 < rate < 1.0
         for fmt, old, new, field in (
             ("csv", ",0.05,314,", ",2.0,314,", "alpha"),
             ("jsonl", '"alpha": 0.05', '"alpha": 2.0', "alpha"),
@@ -535,6 +576,18 @@ class TestResultsIo:
             ("jsonl", '"rho": 0.5', '"rho": 5.0', "rho"),
             ("csv", ",5+5,", ",3,", "group_sizes"),
             ("jsonl", '"group_sizes": [5, 5]', '"group_sizes": [3]', "group_sizes"),
+            # the result columns: a count >= 1, a rate in [0, 1], a finite
+            # standard error >= 0
+            ("jsonl", '"replicates": 40', '"replicates": 2.5', "replicates"),
+            ("jsonl", '"replicates": 40', '"replicates": 0', "replicates"),
+            ("jsonl", '"replicates": 40', '"replicates": true', "replicates"),
+            ("csv", f",40,{rate},", f",0,{rate},", "replicates"),
+            ("csv", f",{rate},{stderr},", f",1.5,{stderr},", "rejection_rate"),
+            ("jsonl", f'"rejection_rate": {rate}', '"rejection_rate": 7', "rejection_rate"),
+            ("csv", f",{rate},{stderr},", f",nan,{stderr},", "rejection_rate"),
+            ("jsonl", f'"rejection_rate": {rate}', '"rejection_rate": NaN', "rejection_rate"),
+            ("csv", f",{rate},{stderr},", f",{rate},-1,", "mc_stderr"),
+            ("jsonl", f'"mc_stderr": {stderr}', '"mc_stderr": -Infinity', "mc_stderr"),
         ):
             path = tmp_path / f"out.{fmt}"
             write_results(results, path)
@@ -652,6 +705,13 @@ class TestGridConfig:
             with pytest.raises(InvalidInputError, match=key):
                 grid_from_dict({"seed": 1, key: value})
 
+    def test_reversed_xi_range_rejected(self):
+        # named for its key, not left to yield no shifts
+        with pytest.raises(InvalidInputError, match="'xi' range stop must be >= start"):
+            grid_from_dict({"seed": 1, "xi": {"start": 2, "stop": 1, "step": 0.5}})
+        grid = grid_from_dict({"seed": 1, "xi": {"start": 2, "stop": 2, "step": 0.5}})
+        assert grid.xi_values == (2.0,)
+
     def test_xi_range_length_bounded(self):
         # 10 000 shifts are accepted; one more is refused before any is built
         grid = grid_from_dict({"seed": 1, "xi": {"stop": 9999, "step": 1}})
@@ -712,8 +772,9 @@ class TestGridValidation:
                 small_grid(preprocess_pve=pve)
 
     def test_summaries_nonempty(self):
-        with pytest.raises(InvalidInputError):
-            small_grid(summaries=())
+        for key in ("summaries", "n_points_values", "group_schemes", "xi_values"):
+            with pytest.raises(InvalidInputError, match="nonempty"):
+                small_grid(**{key: ()})
 
     @pytest.mark.parametrize(
         "field, bad",

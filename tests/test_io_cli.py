@@ -662,6 +662,8 @@ class TestCliGrids:
             ("groups", 5),
             ("replicates", "x"),
             ("xi", {"stop": float("inf"), "step": 1}),
+            # a reversed range, which type1 would otherwise run with no shifts
+            ("xi", {"start": 2, "stop": 1, "step": 0.5}),
         ):
             cfg.write_text(json.dumps({"seed": 1, key: value}))
             code, _, err = run_cli(
@@ -704,6 +706,8 @@ class TestCliGrids:
             ("type1", "--preprocess", "pve=1.5", "preprocess_pve"),
             ("power", "--xi", "inf", "xi"),
             ("power", "--xi", "0:inf:1", "xi"),
+            # a reversed range is refused for its key, not run with no shifts
+            ("power", "--xi", "2:1:0.5", "'xi' range stop must be >= start"),
         ):
             code, _, err = run_cli(
                 capsys, [command, "--seed", "1", "--out", out, flag, value]

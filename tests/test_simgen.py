@@ -9,11 +9,29 @@ from drtests import (
     MeanShape,
     NoiseKind,
     SimConfig,
+    ExperimentGrid,
     generate_dataset,
-    mean_fn,
     replicate_stream,
 )
 from drtests.simgen import _SHAPES, _basis, _grid, _noise_matrix, _shift
+
+
+def mean_fn(shape, s, xi):
+    """Each mean shape's closed form at locations s, its peak scaled to xi."""
+    s = np.asarray(s, dtype=float)
+    return {
+        MeanShape.NONE: 0.0 * s,
+        MeanShape.LINEAR: xi * s,
+        MeanShape.PARABOLA: 4.0 * xi * s * (1.0 - s),
+        # s(1-s)^5 peaks at s = 1/6, where it is 5^5 / 6^6
+        MeanShape.BETA_BUMP: xi * 6**6 / 5**5 * s * (1.0 - s) ** 5,
+    }[MeanShape(shape)]
+
+
+def shifts(shape, n_points, xi_values):
+    """The (m, S) shifts of one `_shift` call."""
+    config = SimConfig(n_per_group=(3, 4), n_points=n_points, mean_shape=shape)
+    return _shift(config, xi_values)
 
 
 def eigen_curve(coeffs, s):
@@ -51,39 +69,52 @@ class TestEigenCurve:
 
 
 class TestMeanFn:
+    """The mean shapes of `_SHAPES`, as `_shift` evaluates them on a grid."""
+
     def test_linear_endpoint(self):
-        assert mean_fn(MeanShape.LINEAR, 1.0, xi=1.0) == 1.0
+        assert _SHAPES[MeanShape.LINEAR](1.0, 1.0) == 1.0
+        assert shifts("linear", 40, [1.0])[0, -1] == 1.0
 
     def test_parabola_center(self):
-        assert mean_fn(MeanShape.PARABOLA, 0.5, xi=1.0) == 1.0
+        assert _SHAPES[MeanShape.PARABOLA](0.5, 1.0) == 1.0
+        assert shifts("parabola", 40, [1.0])[0, 19] == 1.0
 
     def test_bump_peak_location_and_height(self):
-        assert mean_fn(MeanShape.BETA_BUMP, 1 / 6, xi=1.0) == 1.0
-        grid = np.linspace(0, 1, 2001)
-        values = mean_fn(MeanShape.BETA_BUMP, grid, xi=2.5)
-        assert values.max() == pytest.approx(2.5, rel=1e-6)
-        assert grid[values.argmax()] == pytest.approx(1 / 6, abs=1e-3)
+        assert _SHAPES[MeanShape.BETA_BUMP](1 / 6, 1.0) == pytest.approx(1.0, rel=1e-15)
+        # on a grid through s = 1/6 the peak is exactly there, at height xi
+        values = shifts("beta-bump", 360, [2.5])[0]
+        assert values.max() == pytest.approx(2.5, rel=1e-15)
+        assert values.argmax() == 59  # s = 60/360
+        assert np.allclose(values, mean_fn("beta-bump", _grid(360), 2.5), rtol=1e-14)
 
     def test_none_is_zero(self):
-        assert mean_fn(MeanShape.NONE, 0.4, xi=3.0) == 0.0
+        out = shifts("none", 7, [0.0, 3.0])
+        assert out.shape == (2, 7) and np.all(out == 0.0)
 
     def test_scales_linearly_in_xi(self):
-        s = np.array([0.2, 0.6])
-        assert np.allclose(
-            mean_fn(MeanShape.PARABOLA, s, xi=3.0),
-            3 * mean_fn(MeanShape.PARABOLA, s, xi=1.0),
-        )
+        out = shifts("parabola", 5, [1.0, 3.0])
+        assert np.allclose(out[1], 3 * out[0], rtol=1e-15)
 
     def test_domain_checked(self):
-        with pytest.raises(InvalidInputError):
-            mean_fn(MeanShape.LINEAR, 1.5, xi=1.0)
+        # a shape is evaluated only at the grid j/S of a checked grid size, so
+        # every location lies in (0, 1] and the last is 1
+        for n_points in (1, 2, 7, 361):
+            s = shifts("linear", n_points, [1.0])[0]
+            assert np.array_equal(s, np.arange(1, n_points + 1) / n_points)
+            assert s[0] > 0.0 and s[-1] == 1.0
+        with pytest.raises(InvalidInputError, match="^n_points must"):
+            SimConfig(n_per_group=(3, 4), n_points=0)
 
     @pytest.mark.parametrize("xi", [math.nan, math.inf, -2.0])
     def test_scale_checked(self, xi):
-        # the check SimConfig gives its xi: a finite number >= 0
+        # `_shift` reads its scales unchecked, so the config and the grid
+        # refuse what is not a finite number >= 0, for every shape
+        base = SimConfig(n_per_group=(3, 4), n_points=5)
         for shape in MeanShape:
             with pytest.raises(InvalidInputError, match="^xi must"):
-                mean_fn(shape, 0.5, xi)
+                SimConfig(n_per_group=(3, 4), n_points=5, mean_shape=shape, xi=xi)
+        with pytest.raises(InvalidInputError, match="^xi_values must"):
+            ExperimentGrid(base=base, xi_values=(0.0, xi))
 
     def test_every_shape_has_a_table_entry(self):
         assert set(_SHAPES) == set(MeanShape)
@@ -91,17 +122,15 @@ class TestMeanFn:
     @pytest.mark.parametrize("shape", list(MeanShape))
     @pytest.mark.parametrize("n_points", [40, 120, 361])
     def test_run_shift_matches_mean_fn(self, shape, n_points):
-        # one unchecked call for a whole run gives each cell's checked
-        # mean_fn shift bit for bit
-        xis = (0.0, 0.12, 0.36, 1.0, 2.88, 3.0)
-        configs = [
-            SimConfig(n_per_group=(3, 4), n_points=n_points, mean_shape=shape, xi=xi)
-            for xi in xis
-        ]
-        shifts = _shift(configs)
+        # one unchecked call for a whole run gives each shift's closed form,
+        # in the order of the scales given
+        xis = (3.0, 0.0, 0.12, 0.36, 1.0, 2.88)
+        out = shifts(shape, n_points, xis)
         expected = np.stack([mean_fn(shape, _grid(n_points), xi) for xi in xis])
-        assert shifts.shape == (len(xis), n_points)
-        assert shifts.tobytes() == expected.tobytes()
+        assert out.shape == (len(xis), n_points)
+        assert np.allclose(out, expected, rtol=1e-14, atol=0.0)
+        # a single-scale call, as generate_dataset makes, gives the same row
+        assert np.array_equal(shifts(shape, n_points, [xis[4]]), out[4:5])
 
 
 class TestNoiseVector:
