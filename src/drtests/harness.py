@@ -321,10 +321,15 @@ def _plain(value):
 
 
 def _result_record(result: CellResult) -> dict:
-    """One result row, its values in _COLUMNS order."""
-    values = [_plain(getattr(result.cell, name)) for name in _ROW]
-    values += [result.replicates_used, result.rejection_rate, result.mc_stderr]
-    return dict(zip(_COLUMNS, [*values, __version__], strict=True))
+    """One result row, its values by name in _COLUMNS order."""
+    values = {name: _plain(getattr(result.cell, name)) for name in _ROW}
+    values.update(
+        replicates=result.replicates_used,
+        rejection_rate=result.rejection_rate,
+        mc_stderr=result.mc_stderr,
+        version=__version__,
+    )
+    return {name: values[name] for name in _COLUMNS}
 
 
 def _check_columns(present) -> None:
@@ -340,8 +345,10 @@ def _record_to_result(rec) -> CellResult:
         raise InvalidInputError(f"expected an object of columns, got {rec!r}")
     _check_columns([c for c, value in rec.items() if value is not None])
     cell = CellSpec(**{name: rec[name] for name in _ROW if name in rec})
-    replicates, rate, stderr = (check(rec[name], name) for name, check in _RESULT.items())
-    return CellResult(cell, rate, replicates, stderr)
+    checked = {name: check(rec[name], name) for name, check in _RESULT.items()}
+    return CellResult(
+        cell, checked["rejection_rate"], checked["replicates"], checked["mc_stderr"]
+    )
 
 
 def _results_format(path, format) -> ResultFormat:

@@ -772,7 +772,7 @@ class TestGridValidation:
                 small_grid(preprocess_pve=pve)
 
     def test_summaries_nonempty(self):
-        for key in ("summaries", "n_points_values", "group_schemes", "xi_values"):
+        for key in ("summaries", "n_points_values", "group_schemes"):
             with pytest.raises(InvalidInputError, match="nonempty"):
                 small_grid(**{key: ()})
 

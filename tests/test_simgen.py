@@ -80,7 +80,8 @@ class TestMeanFn:
         assert shifts("parabola", 40, [1.0])[0, 19] == 1.0
 
     def test_bump_peak_location_and_height(self):
-        assert _SHAPES[MeanShape.BETA_BUMP](1 / 6, 1.0) == pytest.approx(1.0, rel=1e-15)
+        assert _SHAPES[MeanShape.BETA_BUMP](1 / 6, 1.0) == 1.0
+        assert shifts("beta-bump", 6, [1.0])[0, 0] == 1.0  # s = 1/6 on the grid
         # on a grid through s = 1/6 the peak is exactly there, at height xi
         values = shifts("beta-bump", 360, [2.5])[0]
         assert values.max() == pytest.approx(2.5, rel=1e-15)
@@ -129,8 +130,10 @@ class TestMeanFn:
         expected = np.stack([mean_fn(shape, _grid(n_points), xi) for xi in xis])
         assert out.shape == (len(xis), n_points)
         assert np.allclose(out, expected, rtol=1e-14, atol=0.0)
-        # a single-scale call, as generate_dataset makes, gives the same row
-        assert np.array_equal(shifts(shape, n_points, [xis[4]]), out[4:5])
+        # a single-scale call, as generate_dataset makes, gives each row bit
+        # for bit
+        for i, xi in enumerate(xis):
+            assert shifts(shape, n_points, [xi]).tobytes() == out[i : i + 1].tobytes()
 
 
 class TestNoiseVector:
