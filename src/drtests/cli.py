@@ -21,7 +21,6 @@ from .errors import InvalidInputError
 from .harness import (
     _GRID_KEYS,
     ExperimentGrid,
-    ResultFormat,
     _read_config,
     grid_from_dict,
     run_power,
@@ -140,6 +139,11 @@ def _cmd_test(args: argparse.Namespace) -> int:
             zip(info.group_labels, curves.group_sizes), start=1
         )
     )
+    # the p-value under the other continuity correction, reusing the scores
+    flipped = None
+    if args.verbose and result.method is Method.MWW_NORMAL:
+        other = replace(config, continuity_correction=not config.continuity_correction)
+        flipped = _score_block(scores, curves.groups, curves.n_groups, other).p_value[0]
     if args.format == "json":
         payload = {
             "schema_version": _REPORT_SCHEMA_VERSION,
@@ -161,6 +165,8 @@ def _cmd_test(args: argparse.Namespace) -> int:
             "n_points": curves.n_points,
             "version": __version__,
         }
+        if args.verbose:
+            payload["p_value_flipped"] = flipped
         print(json.dumps(payload, indent=2))
     else:
         deviate_label = "df" if result.method is Method.KW_CHISQ else "z"
@@ -175,19 +181,9 @@ def _cmd_test(args: argparse.Namespace) -> int:
         print(f"  preprocess   {preprocess_desc}")
         if result.tie_correction_applied:
             print("  note         tie correction applied")
-        if args.verbose and result.method is Method.MWW_NORMAL:
-            correction = config.continuity_correction
-            flipped = _score_block(
-                scores,
-                curves.groups,
-                curves.n_groups,
-                replace(config, continuity_correction=not correction),
-            )
-            which = "without" if correction else "with"
-            print(
-                f"  p-value ({which} continuity correction) "
-                f"{flipped.p_value[0]:.6g}"
-            )
+        if flipped is not None:
+            which = "without" if config.continuity_correction else "with"
+            print(f"  p-value ({which} continuity correction) {flipped:.6g}")
     return 0
 
 
@@ -246,7 +242,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     grid = _build_grid(args)
     _check_out(args.out)
     results = args.runner(grid, workers=args.workers)
-    write_results(results, args.out, format=args.format)
+    write_results(results, args.out)
     _print_cells(results)
     print(f"wrote {len(results)} cells to {args.out}")
     return 0
@@ -263,21 +259,16 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None,
                    help="JSON grid config; each grid flag given overrides its key")
     p.add_argument("--seed", type=int, help="master seed (required without --config)")
-    p.add_argument("--out", required=True, help="result table path")
-    p.add_argument("--format", choices=[f.value for f in ResultFormat], default=None,
-                   help="default: jsonl for a .jsonl or .ndjson --out, else csv")
+    p.add_argument("--out", required=True,
+                   help="result table path: jsonl for a .jsonl or .ndjson path, else csv")
     p.add_argument("--reps", dest="replicates", type=int, help="replicates per cell")
     p.add_argument("--n-points", help="comma list of grid sizes")
     p.add_argument("--groups", help="schemes like '10,10;25,25'")
     p.add_argument("--alpha", type=float)
     p.add_argument("--summaries")
     p.add_argument("--preprocess", dest="preprocess_pve", help="'none' or 'pve=<p>'")
-    p.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=os.environ.get("DRT_WORKERS", "1"),
-        help="processes, counting this one (default from DRT_WORKERS, else 1)",
-    )
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="processes, counting this one")
     _add_sim_flags(p)
 
 
@@ -345,12 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        _positive_int(os.environ.get("DRT_WORKERS", "1"))
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"DRT_WORKERS: {exc}")
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InvalidInputError, OSError) as exc:

@@ -53,7 +53,6 @@ __all__ = [
     "ExperimentGrid",
     "CellSpec",
     "CellResult",
-    "ResultFormat",
     "run_type1",
     "run_power",
     "write_results",
@@ -64,11 +63,9 @@ __all__ = [
 
 _DEFAULT_XI = tuple(round(0.12 * i, 10) for i in range(26))  # 0, 0.12, ..., 3
 _MAX_SHIFTS = 10_000  # the most shifts a config range may hold
-
-
-class ResultFormat(str, Enum):
-    CSV = "csv"
-    JSONL = "jsonl"
+# The most processes a run may use: a pool forks all of its processes at
+# once, so a mistyped count must not reach it
+_MAX_WORKERS = max(64, os.cpu_count() or 1)
 
 
 def _level(value, name: str) -> float:
@@ -270,7 +267,8 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     rows. The run is cut into contiguous shares of (cell, replicate)
     positions of about equal n·S, at most one per worker, this process
     included: it counts the first share while one pool of k - 1 processes
-    counts the other k - 1, then adds their counts to its own.
+    counts the other k - 1, then adds their counts to its own. workers
+    must be an integer from 1 to max(64, os.cpu_count()).
     """
     shapes = [
         replace(grid.base, n_per_group=scheme, n_points=n_points)
@@ -279,7 +277,10 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     ]
     m = len(grid.xi_values)
     positions = len(shapes) * m * grid.replicates
-    workers = min(_count(workers, "workers"), positions)
+    workers = _count(workers, "workers")
+    if workers > _MAX_WORKERS:
+        raise InvalidInputError(f"workers must be at most {_MAX_WORKERS}, got {workers}")
+    workers = min(workers, positions)
     # a position joins share floor(workers * m / total n·S), m the middle of its
     # n·S in the run, so mixed shapes load processes evenly; empty shares are dropped
     cost = np.repeat([c.n_subjects * c.n_points for c in shapes], m * grid.replicates)
@@ -351,29 +352,23 @@ def _record_to_result(rec) -> CellResult:
     )
 
 
-def _results_format(path, format) -> ResultFormat:
-    """format if given, else JSONL for a .jsonl or .ndjson path and CSV otherwise."""
-    if format is None:
-        format = "jsonl" if str(path).endswith((".jsonl", ".ndjson")) else "csv"
-    return _member(ResultFormat)(format, "format")
+def _results_format(path) -> str:
+    """"jsonl" for a .jsonl or .ndjson path, else "csv"."""
+    return "jsonl" if str(path).endswith((".jsonl", ".ndjson")) else "csv"
 
 
-def write_results(
-    results: Sequence[CellResult],
-    path: str | os.PathLike,
-    format: ResultFormat | str | None = None,
-) -> None:
+def write_results(results: Sequence[CellResult], path: str | os.PathLike) -> None:
     """Write one row per cell in a stable column order.
 
-    The format is inferred from the extension when not given. CSV encodes
-    group sizes as "n1+n2+..."; JSONL keeps them as a list. An unset
-    preprocess_pve is an empty CSV field or a JSONL null. Empty result
-    lists produce a header-only CSV or an empty JSONL file.
+    The path picks the format: JSONL for a .jsonl or .ndjson path, CSV for
+    any other. CSV encodes group sizes as "n1+n2+..."; JSONL keeps them as
+    a list. An unset preprocess_pve is an empty CSV field or a JSONL null.
+    Empty result lists produce a header-only CSV or an empty JSONL file.
     """
-    format = _results_format(path, format)
+    format = _results_format(path)
     records = [_result_record(r) for r in results]
     with open(path, "w", newline="") as fh:
-        if format is ResultFormat.CSV:
+        if format == "csv":
             writer = csv.DictWriter(fh, fieldnames=_COLUMNS)
             writer.writeheader()
             for rec in records:
@@ -387,25 +382,26 @@ def write_results(
             fh.writelines(json.dumps(rec) + "\n" for rec in records)
 
 
-def read_results(
-    path: str | os.PathLike, format: ResultFormat | str | None = None
-) -> list[CellResult]:
+def read_results(path: str | os.PathLike) -> list[CellResult]:
     """Parse a results file back into CellResult records.
 
-    The format is inferred from the extension when not given. A row that
-    is not a result row, or a CSV header lacking result columns (even with
-    no rows), raises InvalidInputError naming the file and line.
+    The path picks the format, as in write_results. A row that is not a
+    result row, a CSV row with more fields than its header, or a CSV
+    header lacking result columns (even with no rows), raises
+    InvalidInputError naming the file and line.
     """
-    format = _results_format(path, format)
+    format = _results_format(path)
     results: list[CellResult] = []
     line_no = 1  # a CSV header that fails to parse is line 1
     with open(path, newline="") as fh:
         try:
-            if format is ResultFormat.CSV:
+            if format == "csv":
                 reader = csv.DictReader(fh)
                 _check_columns(reader.fieldnames or ())
                 for rec in reader:
                     line_no = reader.line_num
+                    if None in rec:
+                        raise ValueError(f"{len(rec[None])} fields more than the header")
                     read = [k for k, v in rec.items() if k in _CSV_TEXT and v is not None]
                     rec.update({k: _CSV_TEXT[k](rec[k]) for k in read})
                     results.append(_record_to_result(rec))
@@ -417,7 +413,7 @@ def read_results(
             raise InvalidInputError(f"{path}: not UTF-8 text: {exc.reason}") from None
         except (ValueError, TypeError, csv.Error) as exc:
             raise InvalidInputError(
-                f"{path} line {line_no}: not a {format.value} result row: {exc}"
+                f"{path} line {line_no}: not a {format} result row: {exc}"
             ) from None
     return results
 

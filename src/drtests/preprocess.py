@@ -62,12 +62,8 @@ def fpca_smooth(curves: CurveSet, pve: float) -> FpcaResult:
     of centered variance, so the squared Frobenius error of the smoothed
     matrix equals that share of the total.
     """
-    pve = _check_pve(pve)
-    x = np.asarray(curves.values, dtype=float)
-    if x.shape[0] < 2:
-        raise InvalidInputError("need at least 2 curves to smooth")
-    smoothed, kept, achieved = _fpca(x, pve)
-    return FpcaResult(smoothed, x.mean(axis=0), kept, achieved)
+    smoothed, kept, achieved = _fpca(curves.values, _check_pve(pve))
+    return FpcaResult(smoothed, curves.values.mean(axis=0), kept, achieved)
 
 
 def _fpca(x: np.ndarray, pve: float) -> tuple[np.ndarray, int, float]:

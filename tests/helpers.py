@@ -25,6 +25,15 @@ def ranks_from(matrix):
     return RankCurves(ranks=matrix, n=matrix.shape[0], n_points=matrix.shape[1])
 
 
+def forbid_pool(monkeypatch):
+    """Fail the test if a run opens its process pool, so nothing is forked."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was opened")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+
+
 def count_pipeline_calls(monkeypatch):
     """Count the doubly ranked pipeline's smoothings and ranked datasets.
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from drtests import (
     run_type1,
     write_results,
 )
-from tests.helpers import count_pipeline_calls, log_shares
+from tests.helpers import count_pipeline_calls, forbid_pool, log_shares
 
 
 def small_grid(**overrides):
@@ -463,6 +464,18 @@ class TestRunPower:
             with pytest.raises(InvalidInputError, match="workers"):
                 run_power(small_grid(), workers=workers)
 
+    def test_workers_ceiling(self, monkeypatch):
+        # a pool forks all its processes at once, so a huge count is refused
+        # before one opens
+        forbid_pool(monkeypatch)
+        ceiling = max(64, os.cpu_count() or 1)
+        for workers in (ceiling + 1, 100_000):
+            with pytest.raises(InvalidInputError, match="workers must be at most"):
+                run_power(small_grid(), workers=workers)
+        # the ceiling itself is allowed: a run of one position opens no pool
+        one = small_grid(xi_values=(0.0,), replicates=1)
+        assert run_power(one, workers=ceiling) == run_power(one)
+
 
 class TestResultsIo:
     def sample_results(self):
@@ -471,13 +484,13 @@ class TestResultsIo:
     def test_csv_round_trip(self, tmp_path):
         results = self.sample_results()
         path = tmp_path / "out.csv"
-        write_results(results, path, format="csv")
+        write_results(results, path)
         assert read_results(path) == results
 
     def test_jsonl_round_trip(self, tmp_path):
         results = self.sample_results()
         path = tmp_path / "out.jsonl"
-        write_results(results, path, format="jsonl")
+        write_results(results, path)
         back = read_results(path)
         assert back == results
         with open(path) as fh:
@@ -490,14 +503,14 @@ class TestResultsIo:
             assert [r.cell.preprocess_pve for r in results] == [pve, pve]
             for fmt in ("csv", "jsonl"):
                 path = tmp_path / f"out.{fmt}"
-                write_results(results, path, format=fmt)
+                write_results(results, path)
                 assert read_results(path) == results
 
     def test_reads_files_without_preprocess_pve(self, tmp_path):
         results = self.sample_results()
         for fmt in ("csv", "jsonl"):
             path = tmp_path / f"out.{fmt}"
-            write_results(results, path, format=fmt)
+            write_results(results, path)
             if fmt == "csv":
                 with open(path, newline="") as fh:
                     rows = list(csv.DictReader(fh))
@@ -524,7 +537,7 @@ class TestResultsIo:
 
     def test_empty_results_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_results([], path, format="csv")
+        write_results([], path)
         text = path.read_text().strip().splitlines()
         assert len(text) == 1
         assert text[0].startswith("coeff_dist,")
@@ -599,6 +612,16 @@ class TestResultsIo:
                 InvalidInputError, match=rf"out\.{fmt} line {line}: .*{field} must"
             ):
                 read_results(path)
+
+    def test_csv_extra_fields_rejected(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_results(self.sample_results(), path)
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text(header + first.rstrip("\r\n") + ",extra,more\r\n" + "".join(rest))
+        with pytest.raises(
+            InvalidInputError, match=r"out\.csv line 2: .*2 fields more than the header"
+        ):
+            read_results(path)
 
     def test_csv_lacking_columns_rejected(self, tmp_path):
         path = tmp_path / "out.csv"

@@ -17,7 +17,7 @@ from drtests import (
 from drtests import cli
 from drtests.cli import build_parser, main
 from drtests.harness import _GRID_KEYS
-from tests.helpers import count_pipeline_calls, make_curves
+from tests.helpers import count_pipeline_calls, forbid_pool, make_curves
 
 
 def write_text(path, text):
@@ -386,12 +386,27 @@ class TestCliTest:
         assert code == 0
         assert "without continuity correction" in out
         flag = "--no-continuity-correction"
-        code, out, _ = run_cli(
+        code, text_out, _ = run_cli(
             capsys,
             ["test", str(path), "--exact-threshold", "0", "--verbose", flag],
         )
         assert code == 0
-        assert "with continuity correction" in out
+        assert "with continuity correction" in text_out
+        # JSON carries the same value under --verbose, null off the normal path
+        json_argv = ["test", str(path), "--format", "json"]
+        code, out, _ = run_cli(capsys, json_argv + ["--exact-threshold", "0"])
+        assert code == 0 and "p_value_flipped" not in json.loads(out)
+        code, out, _ = run_cli(
+            capsys, json_argv + ["--exact-threshold", "0", "--verbose", flag]
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["method"] == "mww-normal"
+        assert f"{payload['p_value_flipped']:.6g}" in text_out
+        assert payload["p_value_flipped"] != payload["p_value"]
+        code, out, _ = run_cli(capsys, json_argv + ["--verbose"])
+        payload = json.loads(out)
+        assert code == 0 and payload["method"] != "mww-normal"
+        assert payload["p_value_flipped"] is None
 
     def test_verbose_smooths_and_ranks_once(self, tmp_path, capsys, monkeypatch):
         # the flipped-correction p-value reuses the scores of the main test
@@ -527,19 +542,12 @@ class TestCliGrids:
             assert 0.0 <= res.rejection_rate <= 0.5
 
     def test_type1_jsonl_format(self, tmp_path, capsys):
+        # the --out extension picks the format
         out = tmp_path / "t1.jsonl"
-        code, _, _ = run_cli(
-            capsys,
-            ["type1", "--out", str(out), "--format", "jsonl"] + self.base_flags,
-        )
+        code, _, _ = run_cli(capsys, ["type1", "--out", str(out)] + self.base_flags)
         assert code == 0
+        assert json.loads(out.read_text().splitlines()[0])["xi"] == 0.0
         assert len(read_results(out)) == 2
-        # without --format, the --out extension picks the format
-        inferred = tmp_path / "t1b.jsonl"
-        code, _, _ = run_cli(capsys, ["type1", "--out", str(inferred)] + self.base_flags)
-        assert code == 0
-        assert inferred.read_bytes() == out.read_bytes()
-        assert read_results(inferred) == read_results(out)
 
     def test_power_curve_rows(self, tmp_path, capsys):
         out = tmp_path / "pw.csv"
@@ -722,12 +730,12 @@ class TestCliGrids:
                 main(argv + ["--workers", workers])
             assert excinfo.value.code == 2
             assert "--workers" in capsys.readouterr().err
-        monkeypatch.setenv("DRT_WORKERS", "x")
-        for args in (["--version"], argv):
-            with pytest.raises(SystemExit) as excinfo:
-                main(args)
-            assert excinfo.value.code == 2
-            assert "DRT_WORKERS" in capsys.readouterr().err
+
+        # a count above the ceiling is refused before a pool opens
+        forbid_pool(monkeypatch)
+        code, _, err = run_cli(capsys, argv + ["--workers", "100000"])
+        assert code == 2
+        assert "workers must be at most" in err and "Traceback" not in err
 
     def test_workers_flag_matches_serial(self, tmp_path, capsys):
         serial = tmp_path / "serial.csv"
@@ -741,11 +749,6 @@ class TestCliGrids:
         )
         assert code_s == code_p == 0
         assert read_results(serial) == read_results(parallel)
-
-    def test_workers_default_from_env(self, monkeypatch):
-        monkeypatch.setenv("DRT_WORKERS", "3")
-        args = build_parser().parse_args(["type1", "--seed", "1", "--out", "x"])
-        assert args.workers == 3
 
 
 class TestCliTopLevel:
