@@ -268,7 +268,7 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--summaries")
     p.add_argument("--preprocess", dest="preprocess_pve", help="'none' or 'pve=<p>'")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="processes, counting this one")
+                   help="the most processes, counting this one")
     _add_sim_flags(p)
 
 

@@ -9,23 +9,28 @@ They share replicate r's draws (common random numbers): only the shift
 added to groups 2..G tells them apart. A run is one sequence of
 (cell, replicate) positions; shape k holds the m·R positions from k·m·R,
 laid out replicate-major (offset o is replicate o // m of shift o % m).
-The run is cut into at most one contiguous share per worker, of about
-equal total n·S. The calling process counts the first share itself; with
-k >= 2 shares, one pool of k - 1 processes opened for the run takes one
-task for each other share meanwhile, so a single share opens no pool. A
-share draws each of its replicates once, so a share boundary inside a
-replicate's cells costs one extra draw. It runs in blocks of at most 2^15
-curve values (a fixed memory budget, not a setting; a shape whose n·S
-exceeds it runs one position per block): the whole block is ranked,
-summarized and tested in one batched pass, and each row's rejection is
-credited to its cell. Because substream r depends only on (seed, r), the
-shifted values are the same IEEE sums wherever they are formed, every
-test treats each row on its own, and a run sums its shares' integer
-counts, results are identical for any worker count and any block size.
+workers is the most processes a run may use, not a number it must use:
+the run is cut into contiguous shares of about equal total n·S, at most
+one per worker and at most one per 2^18 of its curve values (a fixed
+floor, not a setting), so a run of fewer than 2^19 values is one share
+and counts in the calling process. The calling process counts the first
+share itself; with k >= 2 shares, one pool of k - 1 processes opened for
+the run takes one task for each other share meanwhile, so a single share
+opens no pool. A share draws each of its replicates once, so a share
+boundary inside a replicate's cells costs one extra draw. It runs in
+blocks of at most 2^15 curve values (a fixed memory budget, not a
+setting; a shape whose n·S exceeds it runs one position per block): the
+whole block is ranked, summarized and tested in one batched pass, and
+each row's rejection is credited to its cell. Because substream r
+depends only on (seed, r), the shifted values are the same IEEE sums
+wherever they are formed, every test treats each row on its own, and a
+run sums its shares' integer counts, results are identical for any
+worker count and any block size.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import os
@@ -191,6 +196,13 @@ class CellResult:
 # replicate per block, with the memory of a single replicate.
 _BUDGET = 1 << 15
 
+# Curve values a share must hold (2^18, 2 MiB of float64; about 25 to 60 ms
+# of counting on one processor): a forked process costs about 12 ms to
+# open and join, and its first share pays a copy-on-write warm-up, so a run
+# of fewer than twice this many values counts faster in the calling
+# process alone. A run cuts at most total n·S // _SHARE_MIN shares.
+_SHARE_MIN = 1 << 18
+
 
 def _count_rejections(
     grid: ExperimentGrid, shapes: Sequence[SimConfig], start: int, stop: int
@@ -237,17 +249,22 @@ def _count_rejections(
     return counts
 
 
-def _cell_spec(
-    config: SimConfig, xi: float, summary: SummaryKind, grid: ExperimentGrid
-) -> CellSpec:
+def _cell_spec(config: SimConfig, summary: SummaryKind, grid: ExperimentGrid) -> CellSpec:
     shared = {name: getattr(config, name) for name in _ROW if name in _SIM_CHECKS}
     return CellSpec(
-        **{**shared, "xi": xi},
+        **shared,
         group_sizes=config.n_per_group,
         summary=summary,
         alpha=grid.alpha,
         preprocess_pve=grid.preprocess_pve,
     )
+
+
+def _at_xi(spec: CellSpec, xi: float) -> CellSpec:
+    """A copy of a checked spec at the checked shift scale xi, not checked again."""
+    row = copy.copy(spec)
+    object.__setattr__(row, "xi", xi)
+    return row
 
 
 def run_type1(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
@@ -264,11 +281,15 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
 
     Rows are ordered by group scheme, then grid size, then summary, then
     shift scale in grid order, so each power curve occupies consecutive
-    rows. The run is cut into contiguous shares of (cell, replicate)
-    positions of about equal n·S, at most one per worker, this process
-    included: it counts the first share while one pool of k - 1 processes
-    counts the other k - 1, then adds their counts to its own. workers
-    must be an integer from 1 to max(64, os.cpu_count()).
+    rows. workers is the most processes the run may use, this one
+    included, and must be an integer from 1 to max(64, os.cpu_count()).
+    The run is cut into contiguous shares of (cell, replicate) positions
+    of about equal n·S, at most one per worker and at most one per
+    _SHARE_MIN curve values, so a run of fewer than 2 · _SHARE_MIN values
+    counts in this process and opens no pool. This process counts the
+    first share while one pool of k - 1 processes counts the other k - 1,
+    then adds their counts to its own. Each result row is a copy of one
+    checked CellSpec per (shape, summary) at its shift scale.
     """
     shapes = [
         replace(grid.base, n_per_group=scheme, n_points=n_points)
@@ -280,10 +301,11 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     workers = _count(workers, "workers")
     if workers > _MAX_WORKERS:
         raise InvalidInputError(f"workers must be at most {_MAX_WORKERS}, got {workers}")
-    workers = min(workers, positions)
     # a position joins share floor(workers * m / total n·S), m the middle of its
-    # n·S in the run, so mixed shapes load processes evenly; empty shares are dropped
+    # n·S in the run, so mixed shapes load processes evenly; empty shares are
+    # dropped. Each share holds at least _SHARE_MIN curve values.
     cost = np.repeat([c.n_subjects * c.n_points for c in shapes], m * grid.replicates)
+    workers = max(1, min(workers, positions, int(cost.sum()) // _SHARE_MIN))
     twice_middles = 2 * cost.cumsum() - cost
     starts = np.searchsorted(twice_middles * workers, 2 * cost.sum() * np.arange(workers))
     bounds = np.unique([*starts, positions]).tolist()
@@ -298,15 +320,16 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
 
     rates = cell_counts / grid.replicates
     stderrs = np.sqrt(rates * (1.0 - rates) / grid.replicates)
+    specs = [[_cell_spec(c, summary, grid) for summary in grid.summaries] for c in shapes]
     return [
         CellResult(
-            cell=_cell_spec(config, xi, summary, grid),
+            cell=_at_xi(spec, xi),
             rejection_rate=float(rates[k * m + i, j]),
             replicates_used=grid.replicates,
             mc_stderr=float(stderrs[k * m + i, j]),
         )
-        for k, config in enumerate(shapes)
-        for j, summary in enumerate(grid.summaries)
+        for k, shape_specs in enumerate(specs)
+        for j, spec in enumerate(shape_specs)
         for i, xi in enumerate(grid.xi_values)
     ]
 

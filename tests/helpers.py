@@ -34,6 +34,28 @@ def forbid_pool(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
 
 
+def count_pools(monkeypatch):
+    """Record the pools a run opens and the tasks sent to them.
+
+    Returns the lists (opened, tasks), which fill in as runs go: each pool
+    opened appends its keyword arguments to opened, each task submitted its
+    arguments to tasks.
+    """
+    opened, tasks = [], []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            tasks.append(args)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    return opened, tasks
+
+
 def count_pipeline_calls(monkeypatch):
     """Count the doubly ranked pipeline's smoothings and ranked datasets.
 
@@ -74,15 +96,20 @@ class ShareLog:
     Each call appends its share's bounds and process id to a file, so the
     shares counted in pool processes are logged as well as the one counted
     by the calling process; the log pickles with the task the pool sends.
+    With count=False a share counts nothing and returns zero counts, so a
+    run of any size only logs its cut.
     """
 
-    def __init__(self, path):
-        self.path = path
+    def __init__(self, path, count=True):
+        self.path, self.count = path, count
 
     def __call__(self, grid, shapes, start, stop):
         with open(self.path, "a") as fh:
             fh.write(f"{start} {stop} {os.getpid()}\n")
-        return _count_rejections(grid, shapes, start, stop)
+        if self.count:
+            return _count_rejections(grid, shapes, start, stop)
+        cells = len(shapes) * len(grid.xi_values)
+        return np.zeros((cells, len(grid.summaries)), dtype=np.int64)
 
     def take(self):
         """The (start, stop) shares logged since the last take, in run order.
@@ -99,8 +126,8 @@ class ShareLog:
         return [(start, stop) for start, stop, _ in logged]
 
 
-def log_shares(monkeypatch, tmp_path):
+def log_shares(monkeypatch, tmp_path, count=True):
     """A ShareLog put in place of `harness._count_rejections`."""
-    log = ShareLog(tmp_path / "shares.log")
+    log = ShareLog(tmp_path / "shares.log", count)
     monkeypatch.setattr(harness, "_count_rejections", log)
     return log

@@ -35,6 +35,7 @@ from drtests import (
     exact_pmf,
     expfam_parts,
     generate_dataset,
+    harness,
     kruskal_wallis_test,
     mean_suff_under_null,
     mww_test,
@@ -307,7 +308,7 @@ def test_07_power_properties():
     )
 
 
-def test_08_invariances():
+def test_08_invariances(monkeypatch):
     config = SimConfig(
         n_per_group=(8, 7),
         n_points=12,
@@ -352,6 +353,8 @@ def test_08_invariances():
         replicates=100,
         alpha=0.05,
     )
+    # a share of a single curve value, so the three-worker run forks
+    monkeypatch.setattr(harness, "_SHARE_MIN", 1)
     det_ok = run_type1(det_grid, workers=1) == run_type1(det_grid, workers=3)
 
     _report(

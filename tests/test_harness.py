@@ -29,7 +29,7 @@ from drtests import (
     run_type1,
     write_results,
 )
-from tests.helpers import count_pipeline_calls, forbid_pool, log_shares
+from tests.helpers import count_pipeline_calls, count_pools, forbid_pool, log_shares
 
 
 def small_grid(**overrides):
@@ -69,7 +69,9 @@ class TestRunType1:
         for res in results:
             assert abs(res.rejection_rate - 0.05) < 0.05
 
-    def test_worker_determinism(self):
+    def test_worker_determinism(self, monkeypatch):
+        # a share of a single curve value, so these small runs fork
+        monkeypatch.setattr(harness, "_SHARE_MIN", 1)
         # also fewer replicates than 2 * workers, and than workers
         for replicates in (120, 4, 2):
             grid = small_grid(replicates=replicates)
@@ -175,6 +177,7 @@ class TestPipelineCalls:
         # a block holds 13 (two groups) or 15 (three groups) replicates, so
         # 1, 2 and 3 workers cut the replicate range at different points
         assert 20 * 120 < harness._BUDGET < 40 * 18 * 120
+        monkeypatch.setattr(harness, "_SHARE_MIN", 1)
         reference = run_power(grid)
         assert 0 < sum(r.rejection_rate for r in reference) < len(reference)
         for workers in (2, 3):
@@ -213,6 +216,7 @@ class TestPipelineCalls:
         # blocks of 3 replicates (n·S = 80) span cells; 25 positions leave a
         # remainder for every worker count below
         monkeypatch.setattr(harness, "_BUDGET", 3 * 80)
+        monkeypatch.setattr(harness, "_SHARE_MIN", 1)
         reference = run_power(grid)
         assert len({r.rejection_rate for r in reference}) > 2
         for workers in (2, 3, 4, 7):
@@ -289,6 +293,7 @@ class TestPipelineCalls:
             replicates=7,
             preprocess_pve=0.9,
         )
+        monkeypatch.setattr(harness, "_SHARE_MIN", 1)
         reference = run_power(grid)
         assert len({r.rejection_rate for r in reference}) > 2
         log, starts = log_shares(monkeypatch, tmp_path), []
@@ -345,7 +350,8 @@ class TestRunPower:
         power = run_power(grid)
         assert power[1].rejection_rate > power[0].rejection_rate + 0.3
 
-    def test_worker_determinism(self):
+    def test_worker_determinism(self, monkeypatch):
+        monkeypatch.setattr(harness, "_SHARE_MIN", 1)
         grid = small_grid(
             base=SimConfig(
                 n_per_group=(5, 5),
@@ -363,18 +369,8 @@ class TestRunPower:
             assert run_power(grid, workers=1) == run_power(grid, workers=2)
 
     def test_one_pool_per_run(self, monkeypatch):
-        opened, tasks = [], []
-
-        class CountingPool(harness.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                opened.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-            def submit(self, *args, **kwargs):
-                tasks.append(args)
-                return super().submit(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        opened, tasks = count_pools(monkeypatch)
+        monkeypatch.setattr(harness, "_SHARE_MIN", 1)
         grid = small_grid(replicates=8)
         assert len(grid.xi_values) == 2
         # 2 shifts x 8 replicates are 16 positions of equal n·S: one share per
@@ -398,6 +394,7 @@ class TestRunPower:
             group_schemes=((5, 5), (50, 50)), xi_values=(0.0, 1.0, 2.0), replicates=10
         )
         reference, cost = run_power(grid), [80] * 30 + [800] * 30
+        monkeypatch.setattr(harness, "_SHARE_MIN", 1)
         log = log_shares(monkeypatch, tmp_path)
         for workers in (2, 3, 4):
             assert run_power(grid, workers=workers) == reference
@@ -417,6 +414,85 @@ class TestRunPower:
         assert run_power(grid, workers=4) == one
         assert log.take() == [(0, 1), (1, 2), (2, 4)]
 
+    def test_small_run_counts_in_this_process(self, monkeypatch):
+        # the perfbench power_pool grid at two processors: 104 positions of
+        # n·S = 800 hold fewer than 2 · _SHARE_MIN curve values
+        grid = ExperimentGrid(
+            base=SimConfig(
+                n_per_group=(10, 10),
+                n_points=40,
+                n_basis=200,
+                mean_shape="linear",
+                noise=NoiseKind.AR1,
+                seed=1,
+            ),
+            n_points_values=(40,),
+            group_schemes=((10, 10),),
+            replicates=4,
+        )
+        assert 26 * 4 * 800 < 2 * harness._SHARE_MIN
+        serial = run_power(grid)
+        forbid_pool(monkeypatch)
+        assert run_power(grid, workers=2) == serial
+
+    def test_run_above_twice_the_floor_opens_one_pool(self, monkeypatch):
+        # 2 shifts of n·S = 800 per replicate: the fewest replicates whose
+        # curve values reach 2 · _SHARE_MIN, and one replicate fewer
+        per_replicate = 2 * 800
+        above = -(-2 * harness._SHARE_MIN // per_replicate)
+        grid = small_grid(
+            n_points_values=(40,), group_schemes=((10, 10),), replicates=above
+        )
+        assert 2 * harness._SHARE_MIN <= above * per_replicate < 3 * harness._SHARE_MIN
+        serial = run_power(grid)
+        opened, tasks = count_pools(monkeypatch)
+        for workers in (2, 3):
+            assert run_power(grid, workers=workers) == serial
+            assert opened[-1]["max_workers"] == 1 and len(tasks) == 1
+            tasks.clear()
+        assert len(opened) == 2
+        run_power(replace(grid, replicates=above - 1), workers=2)
+        assert len(opened) == 2 and not tasks
+
+    def test_default_grid_cuts_one_share_per_worker(self, monkeypatch, tmp_path):
+        # the paper's 3 x 3 x 26 grid at 2000 replicates; the stub logs each
+        # share's bounds and counts nothing
+        grid = ExperimentGrid(base=SimConfig(n_per_group=(10, 10), n_points=40, seed=1))
+        positions = 9 * 26 * 2000
+        n_s = sum(sum(g) * s for g in grid.group_schemes for s in grid.n_points_values)
+        total = n_s * 26 * 2000
+        log = log_shares(monkeypatch, tmp_path, count=False)
+        for workers in (1, 2, 3):
+            run_power(grid, workers=workers)
+            shares = log.take()
+            assert len(shares) == min(workers, total // harness._SHARE_MIN) == workers
+            assert shares[0][0] == 0 and shares[-1][1] == positions
+        # a floor of half the run caps it at two shares whatever workers says
+        monkeypatch.setattr(harness, "_SHARE_MIN", total // 2)
+        run_power(grid, workers=3)
+        assert len(log.take()) == 2
+
+    def test_floor_leaves_counts_unchanged(self, monkeypatch, tmp_path):
+        # two shapes of 3 shifts: 4560 curve values per replicate, so 130
+        # replicates hold between 2 and 3 times the shipped floor
+        grid = small_grid(
+            base=replace(small_grid().base, mean_shape="linear"),
+            n_points_values=(40,),
+            group_schemes=((10, 10), (6, 6, 6)),
+            xi_values=(0.0, 0.5, 1.0),
+            replicates=130,
+        )
+        total = 130 * 3 * (20 + 18) * 40
+        assert 2 * harness._SHARE_MIN <= total < 3 * harness._SHARE_MIN
+        reference = run_power(grid)
+        assert len({r.rejection_rate for r in reference}) > 2
+        log = log_shares(monkeypatch, tmp_path)
+        for floor, cuts in ((harness._SHARE_MIN, (2, 2)), (1, (2, 3))):
+            monkeypatch.setattr(harness, "_SHARE_MIN", floor)
+            for workers, shares in zip((2, 3), cuts):
+                assert run_power(grid, workers=workers) == reference
+                assert len(log.take()) == shares
+
     @pytest.mark.parametrize("replicate", [0, 7])
     def test_a_failing_share_raises_and_leaves_no_child(self, monkeypatch, replicate):
         # 2 shifts x 8 replicates at 2 workers: replicates 0..3 are this
@@ -429,6 +505,7 @@ class TestRunPower:
             return draw(config, r)
 
         monkeypatch.setattr(harness, "_base_values", failing_draw)
+        monkeypatch.setattr(harness, "_SHARE_MIN", 1)
         with pytest.raises(RuntimeError, match=f"replicate {replicate} failed"):
             run_power(small_grid(replicates=8), workers=2)
         assert multiprocessing.active_children() == []

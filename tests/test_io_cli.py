@@ -14,7 +14,7 @@ from drtests import (
     read_results,
     write_curves_csv,
 )
-from drtests import cli
+from drtests import cli, harness
 from drtests.cli import build_parser, main
 from drtests.harness import _GRID_KEYS
 from tests.helpers import count_pipeline_calls, forbid_pool, make_curves
@@ -737,7 +737,9 @@ class TestCliGrids:
         assert code == 2
         assert "workers must be at most" in err and "Traceback" not in err
 
-    def test_workers_flag_matches_serial(self, tmp_path, capsys):
+    def test_workers_flag_matches_serial(self, tmp_path, capsys, monkeypatch):
+        # a share of a single curve value, so the two-worker run forks
+        monkeypatch.setattr(harness, "_SHARE_MIN", 1)
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
         code_s, _, _ = run_cli(
