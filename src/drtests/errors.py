@@ -6,6 +6,7 @@ its canonical type or raises InvalidInputError naming that argument.
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 
@@ -40,13 +41,6 @@ def _boolean(value, name: str) -> bool:
     return bool(value)
 
 
-def _count(value, name: str) -> int:
-    """value as an int if it is an integer >= 1: a size or a count."""
-    if _integer(value, name) < 1:
-        raise InvalidInputError(f"{name} must be >= 1, got {value}")
-    return int(value)
-
-
 def _number(value, name: str) -> float:
     """value as a float if it is a finite real number (not a bool or a string)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -54,6 +48,29 @@ def _number(value, name: str) -> float:
     if not abs(value) <= sys.float_info.max:
         raise InvalidInputError(f"{name} must be finite, got {value!r}")
     return float(value)
+
+
+def _within(low, high, ends: str = "[]", check=_number, text: str | None = None):
+    """Check of a value that passes `check` and lies between low and high.
+
+    ends holds "(" or "[" and ")" or "]", whether each end is open or
+    closed; text, when set, is the interval as messages show it.
+    """
+    open_low, open_high = ends[0] == "(", ends[1] == ")"
+
+    def parse(value, name: str):
+        value = check(value, name)
+        if (value <= low if open_low else value < low) or (
+            value >= high if open_high else value > high
+        ):
+            interval = text or f"{ends[0]}{low}, {high}{ends[1]}"
+            raise InvalidInputError(f"{name} must lie in {interval}, got {value}")
+        return value
+
+    return parse
+
+
+_count = _within(1, math.inf, "[)", _integer)  # a size or a count
 
 
 def _list(check):

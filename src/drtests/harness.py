@@ -33,6 +33,7 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -44,7 +45,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import (
-    InvalidInputError, _check_fields, _count, _list, _member, _number, _optional
+    InvalidInputError, _check_fields, _count, _list, _member, _number, _optional, _within
 )
 from .preprocess import _check_pve
 from .rank_tests import DoublyRankedConfig, _doubly_ranked_scores, _score_block
@@ -73,18 +74,8 @@ _MAX_SHIFTS = 10_000  # the most shifts a config range may hold
 _MAX_WORKERS = max(64, os.cpu_count() or 1)
 
 
-def _level(value, name: str) -> float:
-    """value as a float if it is a number in (0, 1): a test level."""
-    if not 0.0 < _number(value, name) < 1.0:
-        raise InvalidInputError(f"{name} must lie in (0, 1), got {value}")
-    return float(value)
-
-
-def _rate(value, name: str) -> float:
-    """value as a float if it is a number in [0, 1]: a rejection rate."""
-    if not 0.0 <= _number(value, name) <= 1.0:
-        raise InvalidInputError(f"{name} must lie in [0, 1], got {value}")
-    return float(value)
+_level = _within(0, 1, "()")  # a test level
+_rate = _within(0, 1)  # a rejection rate
 
 
 # The check of each ExperimentGrid factor (and of the grid config key that sets it)
@@ -119,6 +110,8 @@ class ExperimentGrid:
     preprocess_pve: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.base, SimConfig):
+            raise InvalidInputError(f"base must be a SimConfig, got {self.base!r}")
         _check_fields(self, **_GRID_CHECKS)
         factors = (self.n_points_values, self.group_schemes, self.xi_values, self.summaries)
         if not all(factors):
@@ -408,7 +401,8 @@ def write_results(results: Sequence[CellResult], path: str | os.PathLike) -> Non
 def read_results(path: str | os.PathLike) -> list[CellResult]:
     """Parse a results file back into CellResult records.
 
-    The path picks the format, as in write_results. A row that is not a
+    The path picks the format, as in write_results; a leading UTF-8
+    byte-order mark is skipped. A row that is not a
     result row, a CSV row with more fields than its header, or a CSV
     header lacking result columns (even with no rows), raises
     InvalidInputError naming the file and line.
@@ -416,7 +410,7 @@ def read_results(path: str | os.PathLike) -> list[CellResult]:
     format = _results_format(path)
     results: list[CellResult] = []
     line_no = 1  # a CSV header that fails to parse is line 1
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         try:
             if format == "csv":
                 reader = csv.DictReader(fh)
@@ -445,10 +439,8 @@ def _xi_range(spec: dict, name: str) -> tuple[float, ...]:
     """The shifts start, start + step, ... up to stop of a config range."""
     if not {"stop", "step"} <= set(spec) <= {"start", "stop", "step"}:
         raise InvalidInputError(f"{name} range needs stop and step, got {sorted(spec)}")
-    start = _number(spec.get("start", 0.0), name)
-    stop, step = _number(spec["stop"], name), _number(spec["step"], name)
-    if step <= 0:
-        raise InvalidInputError(f"{name} range step must be > 0")
+    start, stop = _number(spec.get("start", 0.0), name), _number(spec["stop"], name)
+    step = _within(0, math.inf, "()")(spec["step"], f"{name} range step")
     if stop < start:
         raise InvalidInputError(f"{name} range stop must be >= start, got {stop} < {start}")
     # checked before the tuple is built, so a tiny step cannot exhaust memory

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, gammaln
 
-from .errors import InvalidInputError, _count, _integer, _number
+from .errors import _check_fields, _count, _integer, _number, _within
 
 __all__ = [
     "ExpFamParts",
@@ -31,11 +31,9 @@ __all__ = [
 
 
 def _check_params(n: int, r: int, z: int) -> tuple[int, int, int]:
-    n, r, z = _count(n, "n"), _integer(r, "r"), _integer(z, "z")
-    for name, v in (("r", r), ("z", z)):
-        if not 1 <= v <= n:
-            raise InvalidInputError(f"{name} must lie in [1, {n}], got {v}")
-    return n, r, z
+    n = _count(n, "n")
+    index = _within(1, n, check=_integer)
+    return n, index(r, "r"), index(z, "z")
 
 
 def _log_halfcell(z: float, n: int) -> tuple[float, float]:
@@ -88,9 +86,8 @@ def suff_stat(z: float, n: int) -> float:
     mid-ranks from tied data flow through (an extension beyond the integer
     ranks the derivation assumes).
     """
-    n, z = _count(n, "n"), _number(z, "rank")
-    if not 1.0 <= z <= n:
-        raise InvalidInputError(f"rank must lie in [1, {n}], got {z}")
+    n = _count(n, "n")
+    z = _within(1, n)(z, "rank")
     return float(_log_odds(z, n))
 
 
@@ -110,12 +107,8 @@ class ExpFamParts:
     t: float
 
     def __post_init__(self) -> None:
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise InvalidInputError(f"h must be positive and finite, got {self.h}")
-        if not (self.c > 0 and math.isfinite(self.c)):
-            raise InvalidInputError(f"c must be positive and finite, got {self.c}")
-        if not (math.isfinite(self.w) and math.isfinite(self.t)):
-            raise InvalidInputError("w and t must be finite")
+        positive = _within(0, math.inf, "()")
+        _check_fields(self, h=positive, c=positive, w=_number, t=_number)
 
     def reconstruct(self) -> float:
         """The PMF value this decomposition multiplies out to."""

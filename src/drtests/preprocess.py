@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, _check_fields, _count, _number
+from .errors import InvalidInputError, _check_fields, _count, _within
 from .ranking import CurveSet, _readonly
 
 __all__ = ["FpcaResult", "fpca_smooth"]
+
+_check_pve = _within(0, 1, "(]")  # a proportion of variance
 
 
 @dataclass(frozen=True)
@@ -36,22 +38,12 @@ class FpcaResult:
     pve_achieved: float
 
     def __post_init__(self) -> None:
-        _check_fields(self, components_kept=_count, pve_achieved=_number)
+        _check_fields(self, components_kept=_count, pve_achieved=_check_pve)
         smoothed = _readonly(self.smoothed)
         if not np.all(np.isfinite(smoothed)):
             raise InvalidInputError("smoothed matrix must be finite")
-        if not 0.0 < self.pve_achieved <= 1.0:
-            raise InvalidInputError("pve_achieved must lie in (0, 1]")
         object.__setattr__(self, "smoothed", smoothed)
         object.__setattr__(self, "mean_curve", _readonly(np.ravel(self.mean_curve)))
-
-
-def _check_pve(pve: float, name: str = "pve") -> float:
-    """pve as a float; InvalidInputError unless it is a number in (0, 1]."""
-    pve = _number(pve, name)
-    if not 0.0 < pve <= 1.0:
-        raise InvalidInputError(f"{name} must lie in (0, 1], got {pve}")
-    return pve
 
 
 def fpca_smooth(curves: CurveSet, pve: float) -> FpcaResult:
@@ -62,7 +54,7 @@ def fpca_smooth(curves: CurveSet, pve: float) -> FpcaResult:
     of centered variance, so the squared Frobenius error of the smoothed
     matrix equals that share of the total.
     """
-    smoothed, kept, achieved = _fpca(curves.values, _check_pve(pve))
+    smoothed, kept, achieved = _fpca(curves.values, _check_pve(pve, "pve"))
     return FpcaResult(smoothed, curves.values.mean(axis=0), kept, achieved)
 
 

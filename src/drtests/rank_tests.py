@@ -14,6 +14,7 @@ call); the public functions validate their input and run it with R = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -32,6 +33,7 @@ from .errors import (
     _list,
     _member,
     _optional,
+    _within,
 )
 from .preprocess import _check_pve, _fpca
 from .ranking import CurveSet, _group_labels, _midranks
@@ -82,18 +84,13 @@ class TestResult:
 
     def __post_init__(self) -> None:
         checks = {"method": _member(Method), "alternative": _member(Alternative)}
-        _check_fields(self, **checks, group_sizes=_list(_count))
-        if not 0.0 <= self.p_value <= 1.0:
-            raise InvalidInputError(f"p_value out of [0, 1]: {self.p_value}")
+        _check_fields(self, **checks, group_sizes=_list(_count), p_value=_within(0, 1))
         if self.method is Method.KW_CHISQ:
-            if self.statistic < 0.0:
-                raise InvalidInputError("chi-square statistic must be >= 0")
+            statistic = _within(0, math.inf, "[)")
         else:
             n1, n2 = self.group_sizes
-            if not 0.0 <= self.statistic <= n1 * n2:
-                raise InvalidInputError(
-                    f"U statistic must lie in [0, {n1 * n2}], got {self.statistic}"
-                )
+            statistic = _within(0, n1 * n2)
+        _check_fields(self, statistic=statistic)
 
 
 # The exact path's partition counts stay below C(n1+n2, n2), which fits
@@ -204,13 +201,7 @@ def exact_mww_null_distribution(n1: int, n2: int) -> np.ndarray:
     return _exact_u_probs(n1, n2)
 
 
-def _check_exact_threshold(value: int, name: str = "exact_threshold") -> int:
-    value = _integer(value, name)
-    if not 0 <= value <= _EXACT_MAX_TOTAL:
-        raise InvalidInputError(
-            f"{name} must lie in [0, {_EXACT_MAX_TOTAL}], got {value}"
-        )
-    return value
+_check_exact_threshold = _within(0, _EXACT_MAX_TOTAL, check=_integer)
 
 
 def _mww_block(
@@ -311,7 +302,7 @@ def mww_test(
     min(1, 2 * smaller tail).
     """
     alternative = _member(Alternative)(alternative, "alternative")
-    exact_threshold = _check_exact_threshold(exact_threshold)
+    exact_threshold = _check_exact_threshold(exact_threshold, "exact_threshold")
     continuity_correction = _boolean(continuity_correction, "continuity_correction")
     sizes, scores, labels = _pooled_samples((x, y))
     block = _mww_block(

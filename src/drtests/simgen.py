@@ -10,6 +10,7 @@ match serial ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -18,9 +19,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.signal import lfilter
 
-from .errors import (
-    InvalidInputError, _check_fields, _count, _integer, _list, _member, _number
-)
+from .errors import InvalidInputError, _check_fields, _count, _integer, _list, _member, _within
 from .ranking import CurveSet, _group_labels
 
 __all__ = [
@@ -55,11 +54,7 @@ class NoiseKind(str, Enum):
     AR1 = "ar1"
 
 
-def _uint128(value, name: str) -> int:
-    """value as an int if it is an integer in [0, 2^128): a Philox key or counter half."""
-    if not 0 <= _integer(value, name) < 1 << 128:
-        raise InvalidInputError(f"{name} must lie in [0, 2^128), got {value}")
-    return int(value)
+_uint128 = _within(0, 1 << 128, "[)", _integer, "[0, 2^128)")  # a Philox key or counter half
 
 
 def _groups(value, name: str) -> tuple[int, ...]:
@@ -70,18 +65,8 @@ def _groups(value, name: str) -> tuple[int, ...]:
     return sizes
 
 
-def _scale(value, name: str) -> float:
-    """value as a float if it is a finite number >= 0: a shift scale or a standard error."""
-    if _number(value, name) < 0.0:
-        raise InvalidInputError(f"{name} must be >= 0, got {value}")
-    return float(value)
-
-
-def _correlation(value, name: str) -> float:
-    """value as a float if it is a number in (-1, 1): a lag-one correlation."""
-    if not -1.0 < _number(value, name) < 1.0:
-        raise InvalidInputError(f"{name} must lie in (-1, 1), got {value}")
-    return float(value)
+_scale = _within(0, math.inf, "[)")  # a shift scale or a standard error
+_correlation = _within(-1, 1, "()")  # a lag-one correlation
 
 
 # The check of each SimConfig field (and of the grid config key that sets it)
@@ -214,8 +199,10 @@ def generate_dataset(config: SimConfig, replicate: int = 0) -> CurveSet:
     """Deterministically generate one grouped functional dataset.
 
     Subjects are stored group by group, labelled 1..G. Group 1 curves are
-    centered; groups 2..G receive the configured mean shift. The dataset
-    depends only on the config and the replicate index.
+    centered; groups 2..G receive the configured mean shift. The draws
+    depend only on the config and the replicate index; the curve values
+    are their basis product in BLAS, whose last bits can change with the
+    number of BLAS threads.
     """
     values = _base_values(config, replicate)
     values[config.n_per_group[0] :] += _shift(config, [config.xi])

@@ -1,7 +1,9 @@
 import csv
 import json
+import math
 import multiprocessing
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +29,7 @@ from drtests import (
     read_results,
     run_power,
     run_type1,
+    simgen,
     write_results,
 )
 from tests.helpers import count_pipeline_calls, count_pools, forbid_pool, log_shares
@@ -583,6 +586,14 @@ class TestResultsIo:
                 write_results(results, path)
                 assert read_results(path) == results
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        results = self.sample_results()
+        for fmt in ("csv", "jsonl"):
+            path = tmp_path / f"out.{fmt}"
+            write_results(results, path)
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            assert read_results(path) == results
+
     def test_reads_files_without_preprocess_pve(self, tmp_path):
         results = self.sample_results()
         for fmt in ("csv", "jsonl"):
@@ -845,6 +856,11 @@ class TestGridValidation:
         with pytest.raises(InvalidInputError):
             small_grid(alpha=0.0)
 
+    def test_base_must_be_a_sim_config(self):
+        for base in (None, {"n_per_group": (5, 5), "n_points": 8}):
+            with pytest.raises(InvalidInputError, match="^base must be a SimConfig"):
+                small_grid(base=base)
+
     def test_replicates_positive(self):
         with pytest.raises(InvalidInputError):
             small_grid(replicates=0)
@@ -926,3 +942,57 @@ class TestGridValidation:
         )
         assert spec.summary is SummaryKind.SUFFICIENT
         assert spec.group_sizes == (2, 2)
+
+
+# Each numeric check: the interval its messages show, values it accepts
+# (its closed ends, or just inside an open one) and values it refuses (its
+# open ends, or just past a closed one)
+_INTERVALS = {
+    "n_points": ("[1, inf)", [1], [0]),
+    "n_basis": ("[1, inf)", [1], [0]),
+    "replicates": ("[1, inf)", [1], [0]),
+    "seed": ("[0, 2^128)", [0, 2**128 - 1], [-1, 2**128]),
+    "xi": ("[0, inf)", [0.0], [-1e-9]),
+    "mc_stderr": ("[0, inf)", [0.0], [-1e-9]),
+    "rho": ("(-1, 1)", [-1 + 1e-9, 1 - 1e-9], [-1.0, 1.0]),
+    "alpha": ("(0, 1)", [1e-9, 1 - 1e-9], [0.0, 1.0]),
+    "rejection_rate": ("[0, 1]", [0.0, 1.0], [-1e-9, 1 + 1e-9]),
+    "preprocess_pve": ("(0, 1]", [1e-9, 1.0], [0.0, 1 + 1e-9]),
+    "exact_threshold": ("[0, 60]", [0, 60], [-1, 61]),
+}
+# The checks of an enum member or a list, not of one number
+_NOT_NUMBERS = {
+    "n_per_group", "group_sizes", "coeff_dist", "mean_shape", "noise", "summary",
+    "n_points_values", "group_schemes", "xi_values", "summaries",
+}
+
+
+def _test_config_check(value, name):
+    return getattr(DoublyRankedConfig(**{name: value}), name)
+
+
+@pytest.mark.parametrize(
+    "checks",
+    [
+        simgen._SIM_CHECKS,
+        harness._GRID_CHECKS,
+        harness._ROW,
+        harness._RESULT,
+        dict.fromkeys(("preprocess_pve", "exact_threshold"), _test_config_check),
+    ],
+    ids=["sim", "grid", "row", "result", "test-config"],
+)
+def test_numeric_checks_hold_their_intervals(checks):
+    numbers = {name: check for name, check in checks.items() if name not in _NOT_NUMBERS}
+    assert numbers and set(numbers) <= set(_INTERVALS)
+    for name, check in numbers.items():
+        interval, inside, outside = _INTERVALS[name]
+        for value in inside:
+            assert check(value, name) == value
+        for value in outside:
+            message = rf"^{name} must lie in {re.escape(interval)}, got "
+            with pytest.raises(InvalidInputError, match=message):
+                check(value, name)
+        for value in (True, math.nan, math.inf, -math.inf, "1"):
+            with pytest.raises(InvalidInputError, match=f"^{name} must"):
+                check(value, name)
