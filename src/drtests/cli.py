@@ -143,7 +143,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
     flipped = None
     if args.verbose and result.method is Method.MWW_NORMAL:
         other = replace(config, continuity_correction=not config.continuity_correction)
-        flipped = _score_block(scores, curves.groups, curves.n_groups, other).p_value[0]
+        flipped = _score_block(scores, curves.groups, other).p_value[0]
     if args.format == "json":
         payload = {
             "schema_version": _REPORT_SCHEMA_VERSION,

@@ -50,6 +50,21 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _real_array(value, name: str) -> np.ndarray:
+    """value as a float array if numpy holds it as integers or floats.
+
+    Strings, bools, complex numbers, other objects and ragged nested lists
+    are refused rather than cast.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:  # a ragged nested list
+        raise InvalidInputError(f"{name} must be a rectangular array of numbers") from exc
+    if array.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{name} must hold real numbers, got dtype {array.dtype}")
+    return array.astype(float, copy=False)
+
+
 def _within(low, high, ends: str = "[]", check=_number, text: str | None = None):
     """Check of a value that passes `check` and lies between low and high.
 

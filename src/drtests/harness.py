@@ -94,9 +94,10 @@ _GRID_CHECKS = {
 class ExperimentGrid:
     """Factor grid around a simulation template.
 
-    The template's n_per_group and n_points are overridden by the factor
-    lists here; its distribution, noise model, mean shape, basis size and
-    seed are shared by every cell. preprocess_pve, when set, smooths each
+    The template's n_per_group, n_points and xi are overridden by the
+    factor lists here (a template with xi=2.0 still gives null rows at
+    0.0); its distribution, noise model, mean shape, basis size and seed
+    are shared by every cell. preprocess_pve, when set, smooths each
     simulated dataset before testing.
     """
 
@@ -237,7 +238,7 @@ def _count_rejections(
             values[:, split:] += shifts[cells, None]
             scores, _ = _doubly_ranked_scores(values, grid.summaries, grid.preprocess_pve)
             for j, block in enumerate(scores):
-                p = _score_block(block, labels, len(config.n_per_group), test_config).p_value
+                p = _score_block(block, labels, test_config).p_value
                 own[:, j] += np.bincount(cells[p <= grid.alpha], minlength=m)
     return counts
 

@@ -56,6 +56,12 @@ def exact_pmf(n: int, r: int, z: int) -> float:
     return float(max(hi - lo, 0.0))
 
 
+def _log_coef(n: int, r: int) -> float:
+    # log of Gamma(n+1) / (Gamma(r) Gamma(n-r+1)) / n, the midpoint PMF's
+    # factor that depends on r alone
+    return gammaln(n + 1) - gammaln(r) - gammaln(n - r + 1) - math.log(n)
+
+
 def approx_pmf(n: int, r: int, z: int) -> float:
     """Midpoint-rule approximation to `exact_pmf`.
 
@@ -66,14 +72,7 @@ def approx_pmf(n: int, r: int, z: int) -> float:
     """
     n, r, z = _check_params(n, r, z)
     log_a, log_b = _log_halfcell(z, n)
-    log_p = (
-        gammaln(n + 1)
-        - gammaln(r)
-        - gammaln(n - r + 1)
-        - math.log(n)
-        + (r - 1) * log_a
-        + (n - r) * log_b
-    )
+    log_p = _log_coef(n, r) + (r - 1) * log_a + (n - r) * log_b
     return float(math.exp(log_p))
 
 
@@ -125,9 +124,9 @@ def expfam_parts(n: int, r: int, z: int) -> ExpFamParts:
     """
     n, r, z = _check_params(n, r, z)
     log_a, log_b = _log_halfcell(z, n)
-    c = math.exp(gammaln(n + 1) - gammaln(r) - gammaln(n - r + 1) - math.log(n))
+    c = math.exp(_log_coef(n, r))
     h = math.exp(n * log_b - log_a)
-    return ExpFamParts(h=h, c=c, w=float(r), t=suff_stat(z, n))
+    return ExpFamParts(h=h, c=c, w=float(r), t=float(_log_odds(z, n)))
 
 
 def mean_suff_under_null(n: int) -> float:

@@ -30,13 +30,15 @@ from .errors import (
     _check_fields,
     _count,
     _integer,
-    _list,
     _member,
+    _number,
     _optional,
+    _real_array,
     _within,
 )
 from .preprocess import _check_pve, _fpca
 from .ranking import CurveSet, _group_labels, _midranks
+from .simgen import _SIM_CHECKS
 from .summaries import SummaryKind, _summary_scores
 
 __all__ = [
@@ -83,10 +85,22 @@ class TestResult:
     tie_correction_applied: bool
 
     def __post_init__(self) -> None:
-        checks = {"method": _member(Method), "alternative": _member(Alternative)}
-        _check_fields(self, **checks, group_sizes=_list(_count), p_value=_within(0, 1))
+        _check_fields(
+            self,
+            method=_member(Method),
+            alternative=_member(Alternative),
+            group_sizes=_SIM_CHECKS["n_per_group"],
+            p_value=_within(0, 1),
+            z_or_df=_number,
+            tie_correction_applied=_boolean,
+        )
         if self.method is Method.KW_CHISQ:
             statistic = _within(0, math.inf, "[)")
+        elif len(self.group_sizes) != 2:
+            raise InvalidInputError(
+                f"group_sizes of a {self.method.value} result must list 2 groups, "
+                f"got {self.group_sizes!r}"
+            )
         else:
             n1, n2 = self.group_sizes
             statistic = _within(0, n1 * n2)
@@ -120,9 +134,12 @@ class _Block(NamedTuple):
         )
 
 
-def _pooled_samples(samples: Sequence) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Sizes, the (1, n) pooled score row and its group labels 1..G."""
-    arrays = [np.asarray(a, dtype=float).ravel() for a in samples]
+def _pooled_samples(samples: dict) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Sizes, the (1, n) pooled score row and its group labels 1..G.
+
+    samples maps each group's argument name to its observations.
+    """
+    arrays = [_real_array(a, name).ravel() for name, a in samples.items()]
     sizes = [a.size for a in arrays]
     if min(sizes) < 1:
         raise InvalidInputError("every group must be nonempty")
@@ -201,15 +218,8 @@ def exact_mww_null_distribution(n1: int, n2: int) -> np.ndarray:
     return _exact_u_probs(n1, n2)
 
 
-_check_exact_threshold = _within(0, _EXACT_MAX_TOTAL, check=_integer)
-
-
 def _mww_block(
-    scores: np.ndarray,
-    labels: np.ndarray,
-    alternative: Alternative,
-    exact_threshold: int,
-    continuity_correction: bool,
+    scores: np.ndarray, labels: np.ndarray, config: DoublyRankedConfig
 ) -> _Block:
     """The rank-sum test of group 2 against group 1 on every row of scores.
 
@@ -224,7 +234,7 @@ def _mww_block(
     u = ranks[:, labels == 2].sum(axis=1) - n2 * (n2 + 1) / 2.0
     d = u - n1 * n2 / 2.0
     var = n1 * n2 / 12.0 * ((n + 1) - tie_sum / (n * (n - 1)))
-    exact = ~ties & (n <= exact_threshold)
+    exact = ~ties & (n <= config.exact_threshold)
     # every observation tied with every other: no evidence either way, so
     # both tails stay at 1/2
     normal = ~exact & (var > 0.0)
@@ -238,18 +248,18 @@ def _mww_block(
     if normal.any():
         d_n = d[normal]
         shift = 0.0
-        if continuity_correction:
-            if alternative is Alternative.TWO_SIDED:
+        if config.continuity_correction:
+            if config.alternative is Alternative.TWO_SIDED:
                 shift = 0.5 * np.sign(d_n)
             else:
-                shift = 0.5 if alternative is Alternative.GREATER else -0.5
+                shift = 0.5 if config.alternative is Alternative.GREATER else -0.5
         z[normal] = z_n = (d_n - shift) / np.sqrt(var[normal])
         # one survival-function call; norm.sf(-z) is norm.cdf(z) bit for bit
         lower[normal], upper[normal] = norm.sf([-z_n, z_n])
-    if alternative is Alternative.TWO_SIDED:
+    if config.alternative is Alternative.TWO_SIDED:
         p = np.minimum(1.0, 2.0 * np.minimum(lower, upper))
     else:
-        p = upper if alternative is Alternative.GREATER else lower
+        p = upper if config.alternative is Alternative.GREATER else lower
     method = np.where(exact, Method.MWW_EXACT.value, Method.MWW_NORMAL.value)
     return _Block(u, z, p, method, ties)
 
@@ -299,16 +309,16 @@ def mww_test(
     exact null distribution; larger or tied samples use the normal
     approximation with tie-adjusted variance and, by default, a continuity
     correction of one half toward the mean. Two-sided p-values are
-    min(1, 2 * smaller tail).
+    min(1, 2 * smaller tail). The three options are checked as the
+    DoublyRankedConfig fields of the same names.
     """
-    alternative = _member(Alternative)(alternative, "alternative")
-    exact_threshold = _check_exact_threshold(exact_threshold, "exact_threshold")
-    continuity_correction = _boolean(continuity_correction, "continuity_correction")
-    sizes, scores, labels = _pooled_samples((x, y))
-    block = _mww_block(
-        scores, labels, alternative, exact_threshold, continuity_correction
+    config = DoublyRankedConfig(
+        alternative=alternative,
+        exact_threshold=exact_threshold,
+        continuity_correction=continuity_correction,
     )
-    return block.result(alternative, sizes)
+    sizes, scores, labels = _pooled_samples({"x": x, "y": y})
+    return _mww_block(scores, labels, config).result(config.alternative, sizes)
 
 
 def kruskal_wallis_test(groups: Sequence[np.ndarray]) -> TestResult:
@@ -321,7 +331,8 @@ def kruskal_wallis_test(groups: Sequence[np.ndarray]) -> TestResult:
     """
     if len(groups) < 2:
         raise InvalidInputError(f"need at least 2 groups, got {len(groups)}")
-    sizes, scores, labels = _pooled_samples(groups)
+    named = {f"groups[{g}]": group for g, group in enumerate(groups)}
+    sizes, scores, labels = _pooled_samples(named)
     block = _kw_block(scores, labels, len(sizes))
     return block.result(Alternative.TWO_SIDED, sizes)
 
@@ -348,7 +359,7 @@ class DoublyRankedConfig:
             summary=_member(SummaryKind),
             preprocess_pve=_optional(_check_pve),
             alternative=_member(Alternative),
-            exact_threshold=_check_exact_threshold,
+            exact_threshold=_within(0, _EXACT_MAX_TOTAL, check=_integer),
             continuity_correction=_boolean,
         )
 
@@ -373,22 +384,17 @@ def _doubly_ranked_scores(
 
 
 def _score_block(
-    scores: np.ndarray, labels: np.ndarray, n_groups: int, config: DoublyRankedConfig
+    scores: np.ndarray, labels: np.ndarray, config: DoublyRankedConfig
 ) -> _Block:
-    """Test every row of an (R, n) score block across the groups in labels.
+    """Test every row of an (R, n) score block across the groups 1..G in labels.
 
     Two groups route to the rank-sum test, three or more to the
     Kruskal-Wallis test; config.summary and config.preprocess_pve are not
     used here.
     """
+    n_groups = int(labels.max())
     if n_groups == 2:
-        return _mww_block(
-            scores,
-            labels,
-            config.alternative,
-            config.exact_threshold,
-            config.continuity_correction,
-        )
+        return _mww_block(scores, labels, config)
     if config.alternative is not Alternative.TWO_SIDED:
         raise InvalidInputError(
             "one-sided alternatives are only defined for two groups"
@@ -407,7 +413,7 @@ def _test_curves(
     (scores,), fits = _doubly_ranked_scores(
         curves.values[None], (config.summary,), config.preprocess_pve
     )
-    block = _score_block(scores, curves.groups, curves.n_groups, config)
+    block = _score_block(scores, curves.groups, config)
     result = block.result(config.alternative, curves.group_sizes)
     return result, scores, fits[0] if fits else None
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, _check_fields, _count
+from .errors import InvalidInputError, _check_fields, _count, _real_array
 
 __all__ = ["CurveSet", "RankCurves", "rank_curves"]
 
@@ -41,8 +41,8 @@ class CurveSet:
     groups: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        grid = np.asarray(self.grid, dtype=float).ravel()
+        values = np.atleast_2d(_real_array(self.values, "values"))
+        grid = _real_array(self.grid, "grid").ravel()
         groups = np.asarray(self.groups).ravel()
 
         if values.ndim != 2:

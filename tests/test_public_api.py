@@ -31,6 +31,20 @@ def perfbench_imports():
     return names - submodules
 
 
+def unused_imports(path):
+    """Names a module imports and never reads, leaving out __future__ features."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            # "import a.b" binds a
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
 class TestPublicApi:
     def test_no_duplicates(self):
         assert len(drtests.__all__) == len(set(drtests.__all__))
@@ -49,6 +63,16 @@ class TestPublicApi:
         imported = perfbench_imports()
         assert imported, "no drtests import found under perfbench/"
         assert imported <= set(drtests.__all__)
+
+    def test_no_module_imports_a_name_it_never_uses(self):
+        # the package __init__ imports its modules' names to re-export them
+        modules = Path(drtests.__file__).parent.glob("*.py")
+        unused = {
+            path.name: names
+            for path in modules
+            if path.name != "__init__.py" and (names := unused_imports(path))
+        }
+        assert unused == {}
 
     def test_readme_names_every_export(self):
         # one README line per module: "- `drtests.<module>`: `name`, `name`, ..."

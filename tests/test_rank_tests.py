@@ -223,6 +223,54 @@ class TestMwwTest:
         with pytest.raises(InvalidInputError):
             mww_test([1.0], [np.nan])
 
+    @pytest.mark.parametrize(
+        "x, y, name",
+        [
+            (["a"], [1.0], "x"),
+            ([1 + 2j], [1.0], "x"),
+            # a string is not read as the number it spells
+            ("12", [1.0, 3.0], "x"),
+            ([1.0], [True, False], "y"),
+            ([1.0], [None], "y"),
+            ([[1.0, 2.0], [3.0]], [1.0], "x"),
+        ],
+    )
+    def test_rejects_non_numeric_observations(self, x, y, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} must"):
+            mww_test(x, y)
+
+
+class TestResultFields:
+    """A TestResult checks every field, whoever builds it."""
+
+    FIELDS = {
+        "method": "kw-chisq",
+        "statistic": 1.0,
+        "z_or_df": 1.0,
+        "p_value": 0.5,
+        "alternative": "two-sided",
+        "group_sizes": (5, 5),
+        "tie_correction_applied": False,
+    }
+
+    def test_checks_every_field(self):
+        result = rank_tests.TestResult(**self.FIELDS)
+        assert result.method is Method.KW_CHISQ
+        assert result.alternative is Alternative.TWO_SIDED
+        bad = {"z_or_df": "abc", "group_sizes": (5,), "tie_correction_applied": "no"}
+        with pytest.raises(InvalidInputError):
+            rank_tests.TestResult(**{**self.FIELDS, **bad})
+        for name, value in bad.items():
+            with pytest.raises(InvalidInputError, match=f"^{name} must"):
+                rank_tests.TestResult(**{**self.FIELDS, name: value})
+
+    @pytest.mark.parametrize("method", ["mww-exact", "mww-normal"])
+    @pytest.mark.parametrize("sizes", [(5,), (5, 5, 5)])
+    def test_two_group_methods_need_two_sizes(self, method, sizes):
+        fields = {**self.FIELDS, "method": method, "group_sizes": sizes}
+        with pytest.raises(InvalidInputError, match="^group_sizes"):
+            rank_tests.TestResult(**fields)
+
 
 class TestScipyOracle:
     """mww_test and kruskal_wallis_test against scipy's implementations.
@@ -301,7 +349,12 @@ class TestBatchedCore:
         for sizes, decimals, threshold in cases:
             scores, labels = self.block(rng, sizes, decimals)
             for alt, correct in itertools.product(Alternative, (True, False)):
-                block = rank_tests._mww_block(scores, labels, alt, threshold, correct)
+                config = DoublyRankedConfig(
+                    alternative=alt,
+                    exact_threshold=threshold,
+                    continuity_correction=correct,
+                )
+                block = rank_tests._mww_block(scores, labels, config)
                 for r, row in enumerate(scores):
                     x, y = row[labels == 1], row[labels == 2]
                     one = mww_test(
@@ -390,6 +443,10 @@ class TestKruskalWallis:
     def test_rejects_single_group(self):
         with pytest.raises(InvalidInputError):
             kruskal_wallis_test([[1.0, 2.0]])
+
+    def test_rejects_non_numeric_observations(self):
+        with pytest.raises(InvalidInputError, match=r"^groups\[2\] must"):
+            kruskal_wallis_test([[1.0], [2.0], ["3"]])
 
     def test_rejects_empty_group(self):
         with pytest.raises(InvalidInputError):

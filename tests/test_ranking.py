@@ -55,6 +55,20 @@ class TestCurveSet:
         with pytest.raises(InvalidInputError):
             make_curves([[np.inf], [0.0]])
 
+    @pytest.mark.parametrize(
+        "values, grid, name",
+        [
+            ([["1"], ["2"]], [0.5], "values"),
+            ([[1.0], [2 + 1j]], [0.5], "values"),
+            ([[1.0, 2.0], [3.0]], [0.5, 1.0], "values"),
+            ([[1.0], [2.0]], ["0.5"], "grid"),
+            ([[1.0], [2.0]], [True], "grid"),
+        ],
+    )
+    def test_rejects_non_numeric_values_and_grid(self, values, grid, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} must"):
+            CurveSet(values=values, grid=grid, groups=[1, 2])
+
     def test_rejects_non_increasing_grid(self):
         with pytest.raises(InvalidInputError):
             CurveSet(
