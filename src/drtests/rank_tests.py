@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import chi2, norm
+from scipy.special import chdtrc, ndtr
 
 from .errors import (
     InvalidInputError,
@@ -73,7 +73,9 @@ class TestResult:
     and H for the chi-square method (nonnegative). z_or_df holds the
     standard-normal deviate for the two-group methods (for the exact
     method the uncorrected deviate is reported for reference) and the
-    degrees of freedom G-1 for the chi-square method.
+    degrees of freedom G-1 for the chi-square method. The fields must
+    agree: a chi-square result is two-sided, and an exact result was
+    computed without a tie correction.
     """
 
     method: Method
@@ -96,10 +98,26 @@ class TestResult:
         )
         if self.method is Method.KW_CHISQ:
             statistic = _within(0, math.inf, "[)")
+            df = len(self.group_sizes) - 1
+            if self.z_or_df != df:
+                raise InvalidInputError(
+                    f"z_or_df of a kw-chisq result must be its degrees of freedom {df}, "
+                    f"got {self.z_or_df}"
+                )
+            if self.alternative is not Alternative.TWO_SIDED:
+                raise InvalidInputError(
+                    "alternative of a kw-chisq result must be two-sided, "
+                    f"got {self.alternative.value!r}"
+                )
         elif len(self.group_sizes) != 2:
             raise InvalidInputError(
                 f"group_sizes of a {self.method.value} result must list 2 groups, "
                 f"got {self.group_sizes!r}"
+            )
+        elif self.method is Method.MWW_EXACT and self.tie_correction_applied:
+            raise InvalidInputError(
+                "tie_correction_applied of an mww-exact result must be False: "
+                "the exact null holds for tie-free samples only"
             )
         else:
             n1, n2 = self.group_sizes
@@ -134,12 +152,23 @@ class _Block(NamedTuple):
         )
 
 
+def _sample(value, name: str) -> np.ndarray:
+    """value as a 1-d float array if it is a number or a 1-d array of them.
+
+    More dimensions are refused rather than flattened.
+    """
+    array = _real_array(value, name)
+    if array.ndim > 1:
+        raise InvalidInputError(f"{name} must be a number or a 1-d array, got shape {array.shape}")
+    return array.ravel()
+
+
 def _pooled_samples(samples: dict) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Sizes, the (1, n) pooled score row and its group labels 1..G.
 
     samples maps each group's argument name to its observations.
     """
-    arrays = [_real_array(a, name).ravel() for name, a in samples.items()]
+    arrays = [_sample(a, name) for name, a in samples.items()]
     sizes = [a.size for a in arrays]
     if min(sizes) < 1:
         raise InvalidInputError("every group must be nonempty")
@@ -254,8 +283,9 @@ def _mww_block(
             else:
                 shift = 0.5 if config.alternative is Alternative.GREATER else -0.5
         z[normal] = z_n = (d_n - shift) / np.sqrt(var[normal])
-        # one survival-function call; norm.sf(-z) is norm.cdf(z) bit for bit
-        lower[normal], upper[normal] = norm.sf([-z_n, z_n])
+        # both tails in one call of the normal CDF, which scipy's norm.cdf and
+        # norm.sf (as ndtr(-z)) call after their argument checks: same bits
+        lower[normal], upper[normal] = ndtr([z_n, -z_n])
     if config.alternative is Alternative.TWO_SIDED:
         p = np.minimum(1.0, 2.0 * np.minimum(lower, upper))
     else:
@@ -287,7 +317,8 @@ def _kw_block(scores: np.ndarray, labels: np.ndarray, n_groups: int) -> _Block:
     h[varied] /= divisor[varied]
     p = np.ones(h.size)
     if varied.any():
-        p[varied] = chi2.sf(h[varied], n_groups - 1)
+        # the chi-square survival function that scipy's chi2.sf calls
+        p[varied] = chdtrc(n_groups - 1, h[varied])
     df = np.full(h.size, float(n_groups - 1))
     method = np.full(h.size, Method.KW_CHISQ.value)
     return _Block(h, df, p, method, tie_sum > 0.0)
@@ -309,8 +340,9 @@ def mww_test(
     exact null distribution; larger or tied samples use the normal
     approximation with tie-adjusted variance and, by default, a continuity
     correction of one half toward the mean. Two-sided p-values are
-    min(1, 2 * smaller tail). The three options are checked as the
-    DoublyRankedConfig fields of the same names.
+    min(1, 2 * smaller tail). x and y are each a number or a 1-d array;
+    a sample with more dimensions is refused, not flattened. The three
+    options are checked as the DoublyRankedConfig fields of the same names.
     """
     config = DoublyRankedConfig(
         alternative=alternative,
@@ -327,7 +359,8 @@ def kruskal_wallis_test(groups: Sequence[np.ndarray]) -> TestResult:
     H = [12 / (n(n+1))] * sum_g n_g (Rbar_g - (n+1)/2)^2, divided by the
     tie correction 1 - sum(t^3 - t)/(n^3 - n), referred to chi-square with
     G-1 degrees of freedom. Samples in which every value is identical give
-    H = 0 and p = 1.
+    H = 0 and p = 1. Each group is a number or a 1-d array; a group with
+    more dimensions is refused, not flattened.
     """
     if len(groups) < 2:
         raise InvalidInputError(f"need at least 2 groups, got {len(groups)}")

@@ -8,7 +8,9 @@ as floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,36 +153,63 @@ def _group_labels(sizes) -> np.ndarray:
     return np.repeat(np.arange(1, len(sizes) + 1), sizes)
 
 
+# Tie-free rank rows are kept for blocks of at most this many values (1 MiB
+# of float64), so the 16 kept shapes hold at most 16 MiB
+_KEEP_MAX = 1 << 17
+
+
+@lru_cache(maxsize=16)
+def _tie_free_ranks(rows: int, n: int) -> np.ndarray:
+    """The ranks 1..n of each of rows tie-free rows, flat; read-only.
+
+    The cache keeps one array per block shape for the process's lifetime.
+    Built inside a shape's first block, it also pins the top of the C heap:
+    without a long-lived allocation there, the allocator hands each block's
+    freed scratch back to the system and the next block faults it in again
+    (about 240 minor page faults per power_pool pass, against none with it).
+    """
+    ranks = np.tile(np.arange(1.0, n + 1.0), rows)
+    ranks.flags.writeable = False
+    return ranks
+
+
 def _midranks(values: np.ndarray, axis: int) -> np.ndarray:
     """Mid-ranks of values along axis: tied values share their mean rank.
 
-    The ranked axis is swapped last, sorted once, and each sorted position
-    gets its rank: k + 1 when no row has equal neighbours, else one plus
-    the mean of the first and last positions of its run of equal values.
-    Mid-ranks are exact half-integers, so any correct algorithm gives the
-    same bits as scipy's average-method ranking. The result is a view in
-    the memory layout scipy returns too (the ranked axis innermost), so
-    reductions over it round the same way. The values are trusted to be
-    finite.
+    The ranked axis is swapped last and copied into a contiguous
+    (rows, n) block, which is sorted once; its sort order, offset by each
+    row's start, holds flat indices that gather the sorted values and
+    scatter the ranks back. Each sorted position gets rank k + 1 when no
+    row has equal neighbours, else one plus the mean of the first and last
+    positions of its run of equal values. Mid-ranks are exact
+    half-integers, so any correct algorithm gives the same bits as scipy's
+    average-method ranking. The result is a view in the memory layout
+    scipy returns too (the ranked axis innermost), so reductions over it
+    round the same way. The values are trusted to be finite.
     """
     a = np.swapaxes(values, axis, -1)
     n = a.shape[-1]
-    order = np.argsort(a, axis=-1)
-    ordered = np.take_along_axis(a, order, axis=-1)
-    first = np.ones(a.shape, dtype=bool)  # starts a run of equal values
-    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=first[..., 1:])
-    pos = np.arange(n)
-    if first.all():
-        sorted_ranks = np.broadcast_to(pos + 1.0, a.shape)
-    else:
-        last = np.ones(a.shape, dtype=bool)  # ends a run
-        last[..., :-1] = first[..., 1:]
+    rows = math.prod(a.shape[:-1])
+    block = np.ascontiguousarray(a).reshape(rows, n)
+    order = np.argsort(block, axis=-1)
+    order += np.arange(0, rows * n, n)[:, None]
+    ordered = block.take(order)
+    ranks = np.empty(rows * n)
+    same = ordered[:, 1:] == ordered[:, :-1]
+    if same.any():
+        first = np.ones((rows, n), dtype=bool)  # starts a run of equal values
+        np.logical_not(same, out=first[:, 1:])
+        last = np.ones((rows, n), dtype=bool)  # ends a run
+        last[:, :-1] = first[:, 1:]
+        pos = np.arange(n)
         start = np.maximum.accumulate(np.where(first, pos, 0), axis=-1)
-        end = np.minimum.accumulate(np.where(last, pos, n - 1)[..., ::-1], axis=-1)
-        sorted_ranks = (start + end[..., ::-1]) / 2.0 + 1.0
-    ranks = np.empty(a.shape)
-    np.put_along_axis(ranks, order, sorted_ranks, axis=-1)
-    return np.swapaxes(ranks, axis, -1)
+        end = np.minimum.accumulate(np.where(last, pos, n - 1)[:, ::-1], axis=-1)
+        ranks[order.ravel()] = ((start + end[:, ::-1]) / 2.0 + 1.0).ravel()
+    elif rows * n <= _KEEP_MAX:
+        ranks[order.ravel()] = _tie_free_ranks(rows, n)
+    else:
+        ranks[order] = np.arange(1.0, n + 1.0)
+    return np.swapaxes(ranks.reshape(a.shape), axis, -1)
 
 
 def rank_curves(curves: CurveSet) -> RankCurves:

@@ -83,6 +83,12 @@ _SIM_CHECKS = {
 }
 
 
+# The most values (2^27 float64, 1 GiB) one of a replicate's arrays may
+# hold: its n x K coefficients, the K x S basis or its n x S curves. A config
+# past it is refused when built, before anything is drawn or allocated.
+_MAX_VALUES = 1 << 27
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation cell.
@@ -91,7 +97,8 @@ class SimConfig:
     n_basis the truncation of the coefficient expansion, xi the scale of
     the mean shift applied to every group after the first, and rho the
     lag-one correlation when noise is AR(1). The seed plus a replicate
-    index fully determine a dataset.
+    index fully determine a dataset. Each of n x K, K x S and n x S (n
+    the subjects) must be at most _MAX_VALUES = 2^27.
     """
 
     n_per_group: tuple[int, ...]
@@ -106,6 +113,17 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         _check_fields(self, **_SIM_CHECKS)
+        n, k, s = self.n_subjects, self.n_basis, self.n_points
+        for product, size in (
+            ("sum(n_per_group) x n_basis", n * k),
+            ("n_basis x n_points", k * s),
+            ("sum(n_per_group) x n_points", n * s),
+        ):
+            if size > _MAX_VALUES:
+                raise InvalidInputError(
+                    f"{product} = {size} exceeds the {_MAX_VALUES} values "
+                    "a replicate's array may hold"
+                )
 
     @property
     def n_subjects(self) -> int:

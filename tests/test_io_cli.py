@@ -695,6 +695,24 @@ class TestCliGrids:
         assert code == 2
         assert "error" in err
 
+    def test_sizes_past_the_budget_exit_2(self, tmp_path, capsys, monkeypatch):
+        # refused when the config is built: nothing is drawn or allocated
+        monkeypatch.setattr(harness, "_count_rejections", None)
+        monkeypatch.setattr(cli, "generate_dataset", None)
+        huge = "9999999999999999999999"
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(f'{{"seed": 1, "n_basis": {huge}}}')
+        out = str(tmp_path / "x.csv")
+        for argv in (
+            ["type1", "--config", str(cfg), "--out", out],
+            ["simulate", "--seed", "1", "--n-basis", huge, "--out", out],
+            ["simulate", "--seed", "1", "--n-points", huge, "--out", out],
+            ["power", "--seed", "1", "--n-points", huge, "--out", out],
+        ):
+            code, _, err = run_cli(capsys, argv)
+            assert code == 2
+            assert "values a replicate's array may hold" in err and "Traceback" not in err
+
     def test_bad_out_exits_2_before_running(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "run_type1", lambda *a, **k: calls.append(a))

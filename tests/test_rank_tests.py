@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import kruskal, mannwhitneyu
+from scipy.stats import chi2, kruskal, mannwhitneyu, norm
 
 from drtests import (
     Alternative,
@@ -239,6 +239,18 @@ class TestMwwTest:
         with pytest.raises(InvalidInputError, match=f"^{name} must"):
             mww_test(x, y)
 
+    @pytest.mark.parametrize(
+        "x, y, name",
+        [(np.arange(6.0).reshape(3, 2), [1.5], "x"), ([1.0], [[2.0, 3.0]], "y")],
+    )
+    def test_rejects_multi_dimensional_samples(self, x, y, name):
+        # a matrix is refused, not read as one pooled sample
+        with pytest.raises(InvalidInputError, match=f"^{name} must be a number or a 1-d array"):
+            mww_test(x, y)
+
+    def test_accepts_numbers_and_vectors(self):
+        assert mww_test(1.0, np.array([2.0, 3.0])) == mww_test([1.0], [2.0, 3.0])
+
 
 class TestResultFields:
     """A TestResult checks every field, whoever builds it."""
@@ -270,6 +282,28 @@ class TestResultFields:
         fields = {**self.FIELDS, "method": method, "group_sizes": sizes}
         with pytest.raises(InvalidInputError, match="^group_sizes"):
             rank_tests.TestResult(**fields)
+
+    @pytest.mark.parametrize(
+        "changes, name",
+        [
+            ({"z_or_df": 7.0, "group_sizes": (5, 5, 5)}, "z_or_df"),
+            ({"z_or_df": 2.0}, "z_or_df"),
+            ({"alternative": "less"}, "alternative"),
+            ({"alternative": "greater", "group_sizes": (5, 5, 5), "z_or_df": 2.0}, "alternative"),
+            ({"method": "mww-exact", "tie_correction_applied": True}, "tie_correction_applied"),
+        ],
+    )
+    def test_fields_must_agree(self, changes, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} of an? [a-z-]+ result must"):
+            rank_tests.TestResult(**{**self.FIELDS, **changes})
+
+    def test_agreeing_fields_are_accepted(self):
+        kw = {**self.FIELDS, "z_or_df": 2.0, "group_sizes": (5, 5, 5)}
+        assert rank_tests.TestResult(**kw).z_or_df == 2.0
+        for method, ties in (("mww-exact", False), ("mww-normal", True)):
+            fields = {**self.FIELDS, "method": method, "alternative": "less"}
+            result = rank_tests.TestResult(**{**fields, "tie_correction_applied": ties})
+            assert result.tie_correction_applied is ties
 
 
 class TestScipyOracle:
@@ -403,6 +437,26 @@ class TestBatchedCore:
                     ref = kruskal(*groups)
                     assert one.p_value == pytest.approx(ref.pvalue, rel=0, abs=1e-12)
 
+    @pytest.mark.parametrize("sizes", [(9, 12), (30, 25), (3, 4, 5), (4, 1, 6, 3)])
+    def test_p_values_are_scipy_distribution_tails_bit_for_bit(self, sizes):
+        # the normal path (exact_threshold=0) against norm.sf, the chi-square
+        # path against chi2.sf, on tie-free, tied and all-tied rows
+        rng = np.random.default_rng(313)
+        scores, labels = self.block(rng, sizes, 1)
+        for alt in Alternative if len(sizes) == 2 else [Alternative.TWO_SIDED]:
+            config = DoublyRankedConfig(alternative=alt, exact_threshold=0)
+            block = rank_tests._score_block(scores, labels, config)
+            if len(sizes) > 2:
+                want = chi2.sf(block.statistic, len(sizes) - 1)
+            else:
+                lower, upper = norm.sf(-block.z_or_df), norm.sf(block.z_or_df)
+                want = {
+                    Alternative.TWO_SIDED: np.minimum(1.0, 2.0 * np.minimum(lower, upper)),
+                    Alternative.LESS: lower,
+                    Alternative.GREATER: upper,
+                }[alt]
+            assert block.p_value.tobytes() == want.tobytes()
+
 
 class TestKruskalWallis:
     def test_hand_computed(self):
@@ -447,6 +501,14 @@ class TestKruskalWallis:
     def test_rejects_non_numeric_observations(self):
         with pytest.raises(InvalidInputError, match=r"^groups\[2\] must"):
             kruskal_wallis_test([[1.0], [2.0], ["3"]])
+
+    def test_rejects_multi_dimensional_samples(self):
+        with pytest.raises(InvalidInputError, match=r"^groups\[1\] must be a number or a 1-d"):
+            kruskal_wallis_test([[1.0, 4.0], [[2.0, 5.0]], [3.0]])
+        # a number is a sample of one
+        assert kruskal_wallis_test([1.0, 2.0, [3.0, 4.0]]) == kruskal_wallis_test(
+            [[1.0], [2.0], [3.0, 4.0]]
+        )
 
     def test_rejects_empty_group(self):
         with pytest.raises(InvalidInputError):

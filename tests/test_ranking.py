@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.stats import rankdata
 
-from drtests import CurveSet, InvalidInputError, RankCurves, rank_curves
+from drtests import CurveSet, InvalidInputError, RankCurves, rank_curves, ranking
 from drtests.ranking import _midranks
 from tests.helpers import make_curves
 
@@ -183,8 +183,12 @@ class TestMidranks:
     @staticmethod
     def check(values, axis):
         ranks = _midranks(values, axis)
-        assert np.array_equal(ranks, rankdata(values, method="average", axis=axis))
+        expected = rankdata(values, method="average", axis=axis)
+        assert np.array_equal(ranks, expected)
         assert ranks.shape == values.shape
+        # the ranked axis innermost, as in scipy's result, so that means
+        # over it round the same way
+        assert ranks.strides == expected.strides
 
     @pytest.mark.parametrize(
         "shape, axis",
@@ -195,6 +199,28 @@ class TestMidranks:
         self.check(values, axis)
         self.check(np.round(values, 1), axis)
         self.check(np.full(shape, 2.5), axis)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_non_contiguous_views(self, axis):
+        values = np.random.default_rng(31).normal(size=(5, 8, 6))
+        for view in (values.T, values[::-1, :, ::-2], np.round(values, 1)[:, ::-1].T):
+            assert not view.flags.c_contiguous
+            self.check(view, axis)
+
+    def test_tie_free_rows_are_kept_read_only(self):
+        values = np.random.default_rng(37).normal(size=(3, 9, 4))
+        self.check(values, 1)
+        kept = ranking._tie_free_ranks(12, 9)
+        assert ranking._tie_free_ranks(12, 9) is kept
+        assert not kept.flags.writeable
+        # the same shape again reads the kept rows, which stay 1..n
+        self.check(values[::-1], 1)
+        assert np.array_equal(kept, np.tile(np.arange(1.0, 10.0), 12))
+        # a block above the bound is ranked without keeping its rows
+        big = np.random.default_rng(41).normal(size=(2, ranking._KEEP_MAX // 2 + 1))
+        before = ranking._tie_free_ranks.cache_info()
+        self.check(big, 0)
+        assert ranking._tie_free_ranks.cache_info() == before
 
     @pytest.mark.parametrize("shape", [(3, 1, 5), (3, 6, 1), (1, 1, 1)])
     def test_single_subject_or_occasion(self, shape):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -291,6 +292,26 @@ class TestGenerateDataset:
         ):
             with pytest.raises(InvalidInputError, match=f"^{key} must"):
                 SimConfig(**{"n_per_group": (5, 5), "n_points": 4, key: value})
+
+    @pytest.mark.parametrize(
+        "sizes, product",
+        [
+            ({"n_per_group": (2**14, 2**14), "n_basis": 2**13}, "sum(n_per_group) x n_basis"),
+            ({"n_per_group": (1, 1), "n_basis": 2**14, "n_points": 2**14}, "n_basis x n_points"),
+            (
+                {"n_per_group": (2**14, 2**14), "n_basis": 1, "n_points": 2**13},
+                "sum(n_per_group) x n_points",
+            ),
+            ({"n_per_group": (2, 2), "n_basis": 9999999999999999999999}, "n_basis"),
+        ],
+    )
+    def test_size_budget(self, sizes, product):
+        # a config allocates nothing when built, so sizes past the budget
+        # are refused here without any array being made
+        with pytest.raises(InvalidInputError, match=re.escape(product)):
+            SimConfig(**{"n_points": 1, **sizes})
+        # 2^27 values in each array is the budget itself
+        SimConfig(n_per_group=(2**13, 2**13), n_points=2**13, n_basis=2**13)
 
     def test_non_finite_xi_rejected(self):
         # an infinite shift would put NaN scores into the rank tests
