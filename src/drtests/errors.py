@@ -50,11 +50,12 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
-def _real_array(value, name: str) -> np.ndarray:
-    """value as a float array if numpy holds it as integers or floats.
+def _frozen(value, name: str, flat: bool = False) -> np.ndarray:
+    """A read-only float copy of value (flattened when flat) if numpy holds it as ints or floats.
 
     Strings, bools, complex numbers, other objects and ragged nested lists
-    are refused rather than cast.
+    are refused rather than cast. The copy keeps value's memory layout, so
+    reductions over it round as they would over value.
     """
     try:
         array = np.asarray(value)
@@ -62,7 +63,9 @@ def _real_array(value, name: str) -> np.ndarray:
         raise InvalidInputError(f"{name} must be a rectangular array of numbers") from exc
     if array.dtype.kind not in "iuf":
         raise InvalidInputError(f"{name} must hold real numbers, got dtype {array.dtype}")
-    return array.astype(float, copy=False)
+    array = np.array(array.ravel() if flat else array, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 def _within(low, high, ends: str = "[]", check=_number, text: str | None = None):
@@ -97,6 +100,14 @@ def _list(check):
         return tuple(check(item, name) for item in value)
 
     return parse
+
+
+def _groups(value, name: str) -> tuple[int, ...]:
+    """value as a tuple of ints if it lists two or more group sizes >= 1."""
+    sizes = _list(_count)(value, name)
+    if len(sizes) < 2:
+        raise InvalidInputError(f"{name} must list at least 2 groups, got {value!r}")
+    return sizes
 
 
 def _member(kind):

@@ -45,7 +45,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import (
-    InvalidInputError, _check_fields, _count, _list, _member, _number, _optional, _within
+    InvalidInputError, _check_fields, _count, _groups, _list, _member, _number, _optional, _within
 )
 from .preprocess import _check_pve
 from .rank_tests import DoublyRankedConfig, _doubly_ranked_scores, _score_block
@@ -81,7 +81,7 @@ _rate = _within(0, 1)  # a rejection rate
 # The check of each ExperimentGrid factor (and of the grid config key that sets it)
 _GRID_CHECKS = {
     "n_points_values": _list(_count),
-    "group_schemes": _list(_SIM_CHECKS["n_per_group"]),
+    "group_schemes": _list(_groups),
     "xi_values": _list(_SIM_CHECKS["xi"]),
     "replicates": _count,
     "alpha": _level,
@@ -123,7 +123,7 @@ class ExperimentGrid:
 _ROW = {
     **{k: _SIM_CHECKS[k] for k in ("coeff_dist", "mean_shape", "xi", "noise", "rho")},
     **{k: _SIM_CHECKS[k] for k in ("n_points", "n_basis")},
-    "group_sizes": _SIM_CHECKS["n_per_group"],
+    "group_sizes": _groups,
     "summary": _member(SummaryKind),
     "alpha": _level,
     "seed": _SIM_CHECKS["seed"],
@@ -243,6 +243,31 @@ def _count_rejections(
     return counts
 
 
+def _share_bounds(costs: Sequence[int], per_shape: int, workers: int) -> list[int]:
+    """Share bounds of a run whose shape k holds per_shape positions of n·S costs[k].
+
+    There are at most `workers` shares and at most one per _SHARE_MIN curve
+    values. A position joins share floor(workers · mid / total n·S), mid
+    the middle of its n·S in the run, so mixed shapes load processes
+    evenly; empty shares are dropped. Each share's first position is found
+    per shape in Python integers: nothing is built per position.
+    """
+    positions, total = len(costs) * per_shape, sum(costs) * per_shape
+    workers = max(1, min(workers, positions, total // _SHARE_MIN))
+    starts, before, k = [], 0, 0  # before: the n·S of the shapes ahead of shape k
+    for target in range(0, 2 * total * workers, 2 * total):
+        # share target // (2 · total) starts at the first position whose doubled
+        # middle, 2 · before + (2o + 1) · costs[k] at offset o, times workers reaches target
+        while k < len(costs) and workers * (2 * before + (2 * per_shape - 1) * costs[k]) < target:
+            before += costs[k] * per_shape
+            k += 1
+        if k == len(costs):
+            break
+        offset = -(-(target - workers * (2 * before + costs[k])) // (2 * workers * costs[k]))
+        starts.append(k * per_shape + max(0, offset))
+    return sorted({*starts, positions})
+
+
 def _cell_spec(config: SimConfig, summary: SummaryKind, grid: ExperimentGrid) -> CellSpec:
     shared = {name: getattr(config, name) for name in _ROW if name in _SIM_CHECKS}
     return CellSpec(
@@ -291,21 +316,14 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
         for n_points in grid.n_points_values
     ]
     m = len(grid.xi_values)
-    positions = len(shapes) * m * grid.replicates
     workers = _count(workers, "workers")
     if workers > _MAX_WORKERS:
         raise InvalidInputError(f"workers must be at most {_MAX_WORKERS}, got {workers}")
-    # a position joins share floor(workers * m / total n·S), m the middle of its
-    # n·S in the run, so mixed shapes load processes evenly; empty shares are
-    # dropped. Each share holds at least _SHARE_MIN curve values.
-    cost = np.repeat([c.n_subjects * c.n_points for c in shapes], m * grid.replicates)
-    workers = max(1, min(workers, positions, int(cost.sum()) // _SHARE_MIN))
-    twice_middles = 2 * cost.cumsum() - cost
-    starts = np.searchsorted(twice_middles * workers, 2 * cost.sum() * np.arange(workers))
-    bounds = np.unique([*starts, positions]).tolist()
+    costs = [c.n_subjects * c.n_points for c in shapes]
+    bounds = _share_bounds(costs, m * grid.replicates, workers)
     count = partial(_count_rejections, grid, shapes)
     if len(bounds) == 2:
-        cell_counts = count(0, positions)
+        cell_counts = count(*bounds)
     else:
         # map submits every task before this process counts share 0
         with ProcessPoolExecutor(max_workers=len(bounds) - 2) as pool:

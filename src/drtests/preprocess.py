@@ -11,11 +11,12 @@ curves equally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import InvalidInputError, _check_fields, _count, _within
-from .ranking import CurveSet, _readonly
+from .errors import InvalidInputError, _check_fields, _count, _frozen, _within
+from .ranking import CurveSet
 
 __all__ = ["FpcaResult", "fpca_smooth"]
 
@@ -39,11 +40,9 @@ class FpcaResult:
 
     def __post_init__(self) -> None:
         _check_fields(self, components_kept=_count, pve_achieved=_check_pve)
-        smoothed = _readonly(self.smoothed)
-        if not np.all(np.isfinite(smoothed)):
+        _check_fields(self, smoothed=_frozen, mean_curve=partial(_frozen, flat=True))
+        if not np.all(np.isfinite(self.smoothed)):
             raise InvalidInputError("smoothed matrix must be finite")
-        object.__setattr__(self, "smoothed", smoothed)
-        object.__setattr__(self, "mean_curve", _readonly(np.ravel(self.mean_curve)))
 
 
 def fpca_smooth(curves: CurveSet, pve: float) -> FpcaResult:

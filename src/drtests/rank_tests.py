@@ -29,16 +29,16 @@ from .errors import (
     _boolean,
     _check_fields,
     _count,
+    _frozen,
+    _groups,
     _integer,
     _member,
     _number,
     _optional,
-    _real_array,
     _within,
 )
 from .preprocess import _check_pve, _fpca
 from .ranking import CurveSet, _group_labels, _midranks
-from .simgen import _SIM_CHECKS
 from .summaries import SummaryKind, _summary_scores
 
 __all__ = [
@@ -91,7 +91,7 @@ class TestResult:
             self,
             method=_member(Method),
             alternative=_member(Alternative),
-            group_sizes=_SIM_CHECKS["n_per_group"],
+            group_sizes=_groups,
             p_value=_within(0, 1),
             z_or_df=_number,
             tie_correction_applied=_boolean,
@@ -157,7 +157,7 @@ def _sample(value, name: str) -> np.ndarray:
 
     More dimensions are refused rather than flattened.
     """
-    array = _real_array(value, name)
+    array = _frozen(value, name)
     if array.ndim > 1:
         raise InvalidInputError(f"{name} must be a number or a 1-d array, got shape {array.shape}")
     return array.ravel()
@@ -359,9 +359,12 @@ def kruskal_wallis_test(groups: Sequence[np.ndarray]) -> TestResult:
     H = [12 / (n(n+1))] * sum_g n_g (Rbar_g - (n+1)/2)^2, divided by the
     tie correction 1 - sum(t^3 - t)/(n^3 - n), referred to chi-square with
     G-1 degrees of freedom. Samples in which every value is identical give
-    H = 0 and p = 1. Each group is a number or a 1-d array; a group with
-    more dimensions is refused, not flattened.
+    H = 0 and p = 1. groups is a list, tuple or array of the samples;
+    each is a number or a 1-d array, and a sample with more dimensions is
+    refused, not flattened.
     """
+    if not isinstance(groups, (list, tuple, np.ndarray)) or getattr(groups, "ndim", 1) == 0:
+        raise InvalidInputError(f"groups must be a list or array of samples, got {groups!r}")
     if len(groups) < 2:
         raise InvalidInputError(f"need at least 2 groups, got {len(groups)}")
     named = {f"groups[{g}]": group for g, group in enumerate(groups)}

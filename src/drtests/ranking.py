@@ -14,15 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError, _check_fields, _count, _real_array
+from .errors import InvalidInputError, _check_fields, _count, _frozen
 
 __all__ = ["CurveSet", "RankCurves", "rank_curves"]
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -36,6 +30,8 @@ class CurveSet:
     groups
         integer label per subject; labels must be exactly 1..G with every
         label present and G >= 2.
+
+    Each array is kept as a read-only float copy.
     """
 
     values: np.ndarray
@@ -43,9 +39,9 @@ class CurveSet:
     groups: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        values = np.atleast_2d(_real_array(self.values, "values"))
-        grid = _real_array(self.grid, "grid").ravel()
-        groups = np.asarray(self.groups).ravel()
+        values = np.atleast_2d(_frozen(self.values, "values"))
+        grid = _frozen(self.grid, "grid", flat=True)
+        groups = _frozen(self.groups, "groups", flat=True)
 
         if values.ndim != 2:
             raise InvalidInputError("values must be a 2-d matrix")
@@ -68,32 +64,15 @@ class CurveSet:
             raise InvalidInputError(
                 f"got {groups.size} group labels for {n} subjects"
             )
-        if not np.issubdtype(groups.dtype, np.integer):
-            try:
-                # complex labels are refused before a cast drops their
-                # imaginary part; nan and inf raise rather than cast with a warning
-                if np.iscomplexobj(groups):
-                    raise TypeError
-                with np.errstate(invalid="raise"):
-                    as_int = groups.astype(int)
-            except (ValueError, TypeError, FloatingPointError):
-                as_int = None
-            if as_int is None or not np.array_equal(as_int, groups):
-                raise InvalidInputError("group labels must be integers")
-            groups = as_int
-        n_groups = int(groups.max()) if groups.size else 0
+        # sized by the distinct labels, not by their values
         present = np.unique(groups)
-        if n_groups < 2 or not np.array_equal(present, np.arange(1, n_groups + 1)):
+        if present.size < 2 or not np.array_equal(present, np.arange(1, present.size + 1)):
             raise InvalidInputError(
-                "group labels must be exactly 1..G with G >= 2 and every "
+                "group labels must be integers 1..G with G >= 2 and every "
                 f"label present; saw {present.tolist()}"
             )
-
-        object.__setattr__(self, "values", _readonly(values))
-        object.__setattr__(self, "grid", _readonly(grid))
-        groups = groups.astype(int, copy=True)
-        groups.flags.writeable = False
-        object.__setattr__(self, "groups", groups)
+        for name, array in (("values", values), ("grid", grid), ("groups", groups)):
+            object.__setattr__(self, name, array)
 
     @property
     def n_subjects(self) -> int:
@@ -118,8 +97,12 @@ class CurveSet:
 class RankCurves:
     """Per-occasion mid-ranks of a curve set: one rank curve per subject.
 
-    Every column is a mid-rank assignment of {1..n}, so it sums to
-    n(n+1)/2 and entries lie in [1, n].
+    ranks must be an n x n_points matrix of mid-ranks: each column is a
+    mid-rank assignment of {1..n} (tied entries share the mean of the
+    ranks they span). That holds exactly when ranking each column leaves
+    the matrix unchanged, which is the check made: a matrix with an entry
+    that is not finite, lies outside [1, n] or breaks a column's mid-ranks
+    is refused.
     """
 
     ranks: np.ndarray
@@ -128,24 +111,17 @@ class RankCurves:
 
     def __post_init__(self) -> None:
         _check_fields(self, n=_count, n_points=_count)
-        ranks = np.atleast_2d(np.asarray(self.ranks, dtype=float))
+        ranks = np.atleast_2d(_frozen(self.ranks, "ranks"))
         if ranks.shape != (self.n, self.n_points):
             raise InvalidInputError(
                 f"rank matrix shape {ranks.shape} does not match "
                 f"({self.n}, {self.n_points})"
             )
-        if not np.all(np.isfinite(ranks)):
-            raise InvalidInputError("ranks must be finite")
-        if np.any(ranks < 1.0) or np.any(ranks > self.n):
-            raise InvalidInputError("ranks must lie in [1, n]")
-        target = self.n * (self.n + 1) / 2.0
-        sums = ranks.sum(axis=0)
-        if not np.allclose(sums, target, rtol=0.0, atol=1e-8 * max(1.0, target)):
+        if not np.array_equal(_midranks(ranks, axis=0), ranks):
             raise InvalidInputError(
-                "each rank column must sum to n(n+1)/2; "
-                f"saw column sums {sums.tolist()}"
+                "ranks must be mid-ranks of each column, a matrix that ranking leaves unchanged"
             )
-        object.__setattr__(self, "ranks", _readonly(ranks))
+        object.__setattr__(self, "ranks", ranks)
 
 
 def _group_labels(sizes) -> np.ndarray:

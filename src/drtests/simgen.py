@@ -19,7 +19,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.signal import lfilter
 
-from .errors import InvalidInputError, _check_fields, _count, _integer, _list, _member, _within
+from .errors import InvalidInputError, _check_fields, _count, _groups, _integer, _member, _within
 from .ranking import CurveSet, _group_labels
 
 __all__ = [
@@ -55,14 +55,6 @@ class NoiseKind(str, Enum):
 
 
 _uint128 = _within(0, 1 << 128, "[)", _integer, "[0, 2^128)")  # a Philox key or counter half
-
-
-def _groups(value, name: str) -> tuple[int, ...]:
-    """value as a tuple of ints if it lists two or more group sizes >= 1."""
-    sizes = _list(_count)(value, name)
-    if len(sizes) < 2:
-        raise InvalidInputError(f"{name} must list at least 2 groups, got {value!r}")
-    return sizes
 
 
 _scale = _within(0, math.inf, "[)")  # a shift scale or a standard error

@@ -13,9 +13,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, _check_fields, _count, _member
+from .errors import InvalidInputError, _check_fields, _count, _frozen, _member
 from .orderstat import _log_odds
-from .ranking import RankCurves, _readonly
+from .ranking import RankCurves
 
 __all__ = [
     "SummaryKind",
@@ -58,7 +58,7 @@ class SummaryScores:
 
     def __post_init__(self) -> None:
         _check_fields(self, kind=_member(SummaryKind), n=_count, n_points=_count)
-        scores = _readonly(np.ravel(self.scores))
+        scores = _frozen(self.scores, "scores", flat=True)
         if scores.shape != (self.n,):
             raise InvalidInputError(
                 f"expected {self.n} scores, got {scores.size}"

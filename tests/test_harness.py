@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -474,6 +475,64 @@ class TestRunPower:
         monkeypatch.setattr(harness, "_SHARE_MIN", total // 2)
         run_power(grid, workers=3)
         assert len(log.take()) == 2
+
+    @staticmethod
+    def per_position_bounds(grid, workers):
+        """Share bounds by the formula over one n·S entry per position."""
+        shapes = [sum(g) * s for g in grid.group_schemes for s in grid.n_points_values]
+        cost = np.repeat(shapes, len(grid.xi_values) * grid.replicates)
+        workers = max(1, min(workers, cost.size, int(cost.sum()) // harness._SHARE_MIN))
+        twice_middles = 2 * cost.cumsum() - cost
+        starts = np.searchsorted(twice_middles * workers, 2 * cost.sum() * np.arange(workers))
+        return np.unique([*starts, cost.size]).tolist()
+
+    @pytest.mark.parametrize(
+        "factors, floor",
+        [
+            # n·S of 80 and 800; then 4000, 800, 400, 80, 400 and 80
+            (dict(group_schemes=((5, 5), (50, 50)), xi_values=(0.0, 1.0, 2.0), replicates=10), 1),
+            (
+                dict(
+                    group_schemes=((50, 50), (5, 5), (3, 3, 4)),
+                    n_points_values=(40, 8),
+                    xi_values=(0.0,),
+                    replicates=3,
+                ),
+                1,
+            ),
+            # the paper's 3 x 3 x 26 grid at 2000 replicates and the shipped floor
+            (
+                dict(
+                    n_points_values=(40, 120, 360),
+                    group_schemes=((10, 10), (25, 25), (50, 50)),
+                    xi_values=harness._DEFAULT_XI,
+                    replicates=2000,
+                ),
+                harness._SHARE_MIN,
+            ),
+        ],
+    )
+    def test_cut_matches_the_per_position_formula(self, monkeypatch, tmp_path, factors, floor):
+        grid = small_grid(**factors)
+        monkeypatch.setattr(harness, "_SHARE_MIN", floor)
+        log = log_shares(monkeypatch, tmp_path, count=False)
+        for workers in (1, 2, 3, 4):
+            run_power(grid, workers=workers)
+            bounds = self.per_position_bounds(grid, workers)
+            assert log.take() == list(zip(bounds[:-1], bounds[1:]))
+
+    def test_cut_builds_nothing_per_position(self, monkeypatch, tmp_path):
+        # 10^6 positions over two shapes; one int64 per position would be 7.6 MiB
+        grid = small_grid(group_schemes=((5, 5), (6, 6)), xi_values=(0.0,), replicates=500_000)
+        log = log_shares(monkeypatch, tmp_path, count=False)
+        tracemalloc.start()
+        try:
+            run_power(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert log.take() == [(0, 1_000_000)]
+        assert peak < 1 << 20
 
     def test_floor_leaves_counts_unchanged(self, monkeypatch, tmp_path):
         # two shapes of 3 shifts: 4560 curve values per replicate, so 130

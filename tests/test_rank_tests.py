@@ -514,6 +514,19 @@ class TestKruskalWallis:
         with pytest.raises(InvalidInputError):
             kruskal_wallis_test([[1.0], []])
 
+    @pytest.mark.parametrize(
+        "groups", [5, None, (x for x in [[1.0], [2.0]]), np.array(3.0), "12"]
+    )
+    def test_rejects_groups_that_are_not_a_list_of_samples(self, groups):
+        with pytest.raises(InvalidInputError, match="^groups must be a list or array of samples"):
+            kruskal_wallis_test(groups)
+
+    def test_takes_a_list_tuple_or_array_of_samples(self):
+        samples = [[1.0, 4.0, 2.5], [2.0, 5.0, 7.0]]
+        result = kruskal_wallis_test(samples)
+        assert kruskal_wallis_test(tuple(samples)) == result
+        assert kruskal_wallis_test(np.array(samples)) == result
+
 
 class TestDoublyRanked:
     def test_single_occasion_reduces_to_mww(self):

@@ -92,19 +92,20 @@ class TestCurveSet:
             CurveSet(values=[[1.0], [2.0]], grid=[0.5], groups=[1.0, 1.5])
 
     @pytest.mark.parametrize(
-        "groups",
+        "groups, message",
         [
-            ["a", "b", "a", "b"],
-            [1.0, np.nan, 2.0, 1.0],
-            [1.0, 2.0, np.inf, 2.0],
+            (["a", "b", "a", "b"], "^groups must"),
+            ([1.0, np.nan, 2.0, 1.0], "group labels must be integers"),
+            ([1.0, 2.0, np.inf, 2.0], "group labels must be integers"),
             # complex, even with zero imaginary parts
-            np.array([1, 1, 2, 2], dtype=complex),
+            (np.array([1, 1, 2, 2], dtype=complex), "^groups must"),
         ],
+        ids=["groups0", "groups1", "groups2", "groups3"],
     )
-    def test_rejects_non_integer_labels(self, groups):
+    def test_rejects_non_integer_labels(self, groups, message):
         # the suite turns warnings into errors, so a cast warning fails here too
         values = [[1.0], [2.0], [3.0], [4.0]]
-        with pytest.raises(InvalidInputError, match="group labels must be integers"):
+        with pytest.raises(InvalidInputError, match=message):
             CurveSet(values=values, grid=[0.5], groups=groups)
 
 
