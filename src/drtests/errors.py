@@ -50,12 +50,15 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
-def _frozen(value, name: str, flat: bool = False) -> np.ndarray:
-    """A read-only float copy of value (flattened when flat) if numpy holds it as ints or floats.
+def _frozen(value, name: str, ndim: int) -> np.ndarray:
+    """A read-only float copy of value in ndim (1 or 2) dims if numpy holds it as ints or floats.
 
-    Strings, bools, complex numbers, other objects and ragged nested lists
-    are refused rather than cast. The copy keeps value's memory layout, so
-    reductions over it round as they would over value.
+    A value of fewer dimensions is widened as np.atleast_1d/np.atleast_2d
+    widen it, so at ndim 1 a number is a 1-d array of one value; a value
+    of more dimensions is refused rather than flattened. Strings, bools,
+    complex numbers, other objects and ragged nested lists are refused
+    rather than cast. The copy keeps value's memory layout, so reductions
+    over it round as they would over value.
     """
     try:
         array = np.asarray(value)
@@ -63,7 +66,11 @@ def _frozen(value, name: str, flat: bool = False) -> np.ndarray:
         raise InvalidInputError(f"{name} must be a rectangular array of numbers") from exc
     if array.dtype.kind not in "iuf":
         raise InvalidInputError(f"{name} must hold real numbers, got dtype {array.dtype}")
-    array = np.array(array.ravel() if flat else array, dtype=float)
+    if array.ndim > ndim:
+        raise InvalidInputError(
+            f"{name} must be a number or a {ndim}-d array, got shape {array.shape}"
+        )
+    array = np.array(array, dtype=float, ndmin=ndim)
     array.flags.writeable = False
     return array
 

@@ -11,7 +11,6 @@ curves equally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -31,6 +30,8 @@ class FpcaResult:
     it is the smallest ratio at or above the requested proportion. For
     centered data with zero total variance there is nothing to truncate and
     the input is returned unchanged with a single nominal component.
+    mean_curve holds one value per column of the n x S matrix smoothed, and
+    components_kept is at most min(n, S).
     """
 
     smoothed: np.ndarray
@@ -40,9 +41,18 @@ class FpcaResult:
 
     def __post_init__(self) -> None:
         _check_fields(self, components_kept=_count, pve_achieved=_check_pve)
-        _check_fields(self, smoothed=_frozen, mean_curve=partial(_frozen, flat=True))
-        if not np.all(np.isfinite(self.smoothed)):
+        smoothed = _frozen(self.smoothed, "smoothed", 2)
+        mean_curve = _frozen(self.mean_curve, "mean_curve", 1)
+        if not np.all(np.isfinite(smoothed)):
             raise InvalidInputError("smoothed matrix must be finite")
+        if mean_curve.shape != smoothed.shape[1:] or not np.all(np.isfinite(mean_curve)):
+            raise InvalidInputError("mean_curve must hold one finite value per column of smoothed")
+        if self.components_kept > min(smoothed.shape):
+            raise InvalidInputError(
+                f"components_kept must be at most min(smoothed.shape) = {min(smoothed.shape)}"
+            )
+        object.__setattr__(self, "smoothed", smoothed)
+        object.__setattr__(self, "mean_curve", mean_curve)
 
 
 def fpca_smooth(curves: CurveSet, pve: float) -> FpcaResult:

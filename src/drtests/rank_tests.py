@@ -152,23 +152,12 @@ class _Block(NamedTuple):
         )
 
 
-def _sample(value, name: str) -> np.ndarray:
-    """value as a 1-d float array if it is a number or a 1-d array of them.
-
-    More dimensions are refused rather than flattened.
-    """
-    array = _frozen(value, name)
-    if array.ndim > 1:
-        raise InvalidInputError(f"{name} must be a number or a 1-d array, got shape {array.shape}")
-    return array.ravel()
-
-
 def _pooled_samples(samples: dict) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Sizes, the (1, n) pooled score row and its group labels 1..G.
 
     samples maps each group's argument name to its observations.
     """
-    arrays = [_sample(a, name) for name, a in samples.items()]
+    arrays = [_frozen(a, name, 1) for name, a in samples.items()]
     sizes = [a.size for a in arrays]
     if min(sizes) < 1:
         raise InvalidInputError("every group must be nonempty")

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError, _check_fields, _count, _frozen
+from .errors import InvalidInputError, _frozen
 
 __all__ = ["CurveSet", "RankCurves", "rank_curves"]
 
@@ -39,12 +39,10 @@ class CurveSet:
     groups: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        values = np.atleast_2d(_frozen(self.values, "values"))
-        grid = _frozen(self.grid, "grid", flat=True)
-        groups = _frozen(self.groups, "groups", flat=True)
+        values = _frozen(self.values, "values", 2)
+        grid = _frozen(self.grid, "grid", 1)
+        groups = _frozen(self.groups, "groups", 1)
 
-        if values.ndim != 2:
-            raise InvalidInputError("values must be a 2-d matrix")
         n, s = values.shape
         if n < 2:
             raise InvalidInputError(f"need at least 2 subjects, got {n}")
@@ -97,7 +95,7 @@ class CurveSet:
 class RankCurves:
     """Per-occasion mid-ranks of a curve set: one rank curve per subject.
 
-    ranks must be an n x n_points matrix of mid-ranks: each column is a
+    ranks must be a nonempty n x S matrix of mid-ranks: each column is a
     mid-rank assignment of {1..n} (tied entries share the mean of the
     ranks they span). That holds exactly when ranking each column leaves
     the matrix unchanged, which is the check made: a matrix with an entry
@@ -106,17 +104,11 @@ class RankCurves:
     """
 
     ranks: np.ndarray
-    n: int
-    n_points: int
 
     def __post_init__(self) -> None:
-        _check_fields(self, n=_count, n_points=_count)
-        ranks = np.atleast_2d(_frozen(self.ranks, "ranks"))
-        if ranks.shape != (self.n, self.n_points):
-            raise InvalidInputError(
-                f"rank matrix shape {ranks.shape} does not match "
-                f"({self.n}, {self.n_points})"
-            )
+        ranks = _frozen(self.ranks, "ranks", 2)
+        if ranks.size == 0:
+            raise InvalidInputError(f"ranks must not be empty, got shape {ranks.shape}")
         if not np.array_equal(_midranks(ranks, axis=0), ranks):
             raise InvalidInputError(
                 "ranks must be mid-ranks of each column, a matrix that ranking leaves unchanged"
@@ -191,4 +183,4 @@ def _midranks(values: np.ndarray, axis: int) -> np.ndarray:
 def rank_curves(curves: CurveSet) -> RankCurves:
     """Rank subjects within each occasion, ignoring group labels."""
     ranks = _midranks(curves.values, axis=0)
-    return RankCurves(ranks=ranks, n=curves.n_subjects, n_points=curves.n_points)
+    return RankCurves(ranks)

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, _check_fields, _count, _frozen, _member
+from .errors import InvalidInputError, _check_fields, _frozen, _member
 from .orderstat import _log_odds
 from .ranking import RankCurves
 
@@ -45,25 +45,22 @@ _SUMMARIES = {
 class SummaryScores:
     """One score per subject plus the summary used to produce it.
 
-    Sufficient scores lie in [-log(2n-1), log(2n-1)]; the endpoints are
-    attained by a subject ranked first (or last) at every occasion.
-    Average-rank scores lie in [1, n], and their grand mean is always
-    exactly (n+1)/2 because every rank column sums to n(n+1)/2.
+    With n the number of scores, sufficient scores lie in
+    [-log(2n-1), log(2n-1)]; the endpoints are attained by a subject
+    ranked first (or last) at every occasion. Average-rank scores lie in
+    [1, n], and their grand mean is always exactly (n+1)/2 because every
+    rank column sums to n(n+1)/2.
     """
 
     scores: np.ndarray
     kind: SummaryKind
-    n: int
-    n_points: int
 
     def __post_init__(self) -> None:
-        _check_fields(self, kind=_member(SummaryKind), n=_count, n_points=_count)
-        scores = _frozen(self.scores, "scores", flat=True)
-        if scores.shape != (self.n,):
-            raise InvalidInputError(
-                f"expected {self.n} scores, got {scores.size}"
-            )
-        lo, hi = _SUMMARIES[self.kind][1](self.n)
+        _check_fields(self, kind=_member(SummaryKind))
+        scores = _frozen(self.scores, "scores", 1)
+        if scores.size == 0:
+            raise InvalidInputError("scores must not be empty")
+        lo, hi = _SUMMARIES[self.kind][1](scores.size)
         # the interval is finite, so NaN and infinite scores fail too
         if not np.all((scores >= lo) & (scores <= hi)):
             raise InvalidInputError(f"{self.kind.value} scores must lie in [{lo}, {hi}]")
@@ -88,10 +85,10 @@ def _summary_scores(ranks: np.ndarray, kind: SummaryKind) -> np.ndarray:
 def sufficient_summary(ranks: RankCurves) -> SummaryScores:
     """Average the rank sufficient statistic over each subject's occasions."""
     scores = _summary_scores(ranks.ranks, SummaryKind.SUFFICIENT)
-    return SummaryScores(scores, SummaryKind.SUFFICIENT, ranks.n, ranks.n_points)
+    return SummaryScores(scores, SummaryKind.SUFFICIENT)
 
 
 def average_rank_summary(ranks: RankCurves) -> SummaryScores:
     """Average each subject's ranks over occasions."""
     scores = _summary_scores(ranks.ranks, SummaryKind.AVERAGE_RANK)
-    return SummaryScores(scores, SummaryKind.AVERAGE_RANK, ranks.n, ranks.n_points)
+    return SummaryScores(scores, SummaryKind.AVERAGE_RANK)

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 
-from drtests import CurveSet, RankCurves, harness, rank_tests, ranking
+from drtests import CurveSet, harness, rank_tests, ranking
 
 # the real counter, looked up here so that a ShareLog pickles without it
 _count_rejections = harness._count_rejections
@@ -18,11 +18,6 @@ def make_curves(values, groups=None, grid=None):
     if grid is None:
         grid = np.arange(1, s + 1) / s
     return CurveSet(values=values, grid=grid, groups=groups)
-
-
-def ranks_from(matrix):
-    matrix = np.asarray(matrix, dtype=float)
-    return RankCurves(ranks=matrix, n=matrix.shape[0], n_points=matrix.shape[1])
 
 
 def forbid_pool(monkeypatch):

@@ -9,14 +9,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drtests import (
     CellResult,
     CellSpec,
+    CoeffDist,
     CurveSet,
     DoublyRankedConfig,
     ExperimentGrid,
     InvalidInputError,
+    MeanShape,
     NoiseKind,
     SimConfig,
     SummaryKind,
@@ -1055,3 +1059,123 @@ def test_numeric_checks_hold_their_intervals(checks):
         for value in (True, math.nan, math.inf, -math.inf, "1"):
             with pytest.raises(InvalidInputError, match=f"^{name} must"):
                 check(value, name)
+
+
+# The boundary fuzzers: every drawn grid config and every mutated results
+# file either reads or raises InvalidInputError, never another exception.
+_WORDS = [m.value for kind in (CoeffDist, MeanShape, NoiseKind, SummaryKind) for m in kind]
+# what json.load can return, with the keys of an xi range among its keys
+_JSON = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 2**130),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from(_WORDS),
+        st.text(max_size=3),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["start", "stop", "step", "x"]), inner, max_size=4),
+    ),
+    max_leaves=8,
+)
+_SMALL = st.integers(1, 12)
+# a value of each grid config key that its check accepts, so that a spec
+# mixing them with wrong values reaches every check
+_GRID_VALUES = {
+    "seed": st.integers(0, 2**128 - 1),
+    "coeff_dist": st.sampled_from([m.value for m in CoeffDist]),
+    "mean_shape": st.sampled_from([m.value for m in MeanShape]),
+    "noise": st.sampled_from([m.value for m in NoiseKind]),
+    "rho": st.floats(-0.99, 0.99),
+    "n_basis": _SMALL,
+    "n_points": st.lists(_SMALL, min_size=1, max_size=3),
+    "groups": st.lists(st.lists(_SMALL, min_size=2, max_size=3), min_size=1, max_size=2),
+    "xi": st.one_of(
+        st.lists(st.floats(0, 5), min_size=1, max_size=3),
+        st.fixed_dictionaries(
+            {"stop": st.floats(0, 50), "step": st.floats(0.05, 2)},
+            optional={"start": st.floats(0, 5)},
+        ),
+    ),
+    "replicates": _SMALL,
+    "alpha": st.floats(0.01, 0.5),
+    "summaries": st.lists(st.sampled_from([m.value for m in SummaryKind]), min_size=1),
+    "preprocess_pve": st.one_of(st.none(), st.floats(0.01, 1)),
+}
+assert set(_GRID_VALUES) == set(harness._GRID_KEYS)
+_VALID_SPECS = st.fixed_dictionaries(
+    {"seed": _GRID_VALUES["seed"]},
+    optional={key: values for key, values in _GRID_VALUES.items() if key != "seed"},
+)
+
+
+@st.composite
+def grid_specs(draw):
+    """A grid config whose values are valid but for up to two drawn at random."""
+    spec = draw(_VALID_SPECS)
+    for key in draw(st.lists(st.sampled_from([*_GRID_VALUES, "bogus"]), max_size=2)):
+        spec[key] = draw(_JSON)
+    return spec
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(grid_specs())
+def test_grid_from_dict_raises_only_invalid_input(spec):
+    try:
+        assert isinstance(grid_from_dict(spec), ExperimentGrid)
+    except InvalidInputError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def results_files(tmp_path_factory):
+    """The bytes of a small run's eight results, as CSV and as JSON lines."""
+    folder = tmp_path_factory.mktemp("results")
+    grid = small_grid(
+        n_points_values=(8, 12),
+        group_schemes=((5, 5), (3, 3, 3)),
+        replicates=2,
+        preprocess_pve=0.9,
+    )
+    results = run_type1(grid)
+    assert len(results) == 8
+    files = {}
+    for fmt in ("csv", "jsonl"):
+        write_results(results, folder / f"out.{fmt}")
+        files[fmt] = (folder / f"out.{fmt}").read_bytes()
+    return folder, files
+
+
+# bytes that the two formats give meaning to, a byte-order mark and a byte
+# that is not UTF-8
+_BYTES = st.one_of(
+    st.sampled_from([bytes([b]) for b in b',\n\r"{}[]:+-.e0159 ']),
+    st.sampled_from([b"NaN", b"inf", b"null", b"true", b"\xef\xbb\xbf", b"\xff"]),
+)
+# each edit replaces, inserts or deletes at a fraction of the file's length
+_EDITS = st.lists(
+    st.tuples(st.floats(0, 1), st.sampled_from(["replace", "insert", "delete"]), _BYTES),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["csv", "jsonl"]), _EDITS)
+def test_read_results_raises_only_invalid_input(results_files, fmt, edits):
+    folder, files = results_files
+    data = bytearray(files[fmt])
+    for where, edit, piece in edits:
+        at = int(where * len(data))
+        if edit == "insert":
+            data[at:at] = piece
+        else:
+            data[at : at + len(piece)] = piece if edit == "replace" else b""
+    path = folder / f"fuzzed.{fmt}"
+    path.write_bytes(bytes(data))
+    try:
+        read_results(path)
+    except InvalidInputError:
+        pass

@@ -123,7 +123,7 @@ def test_negating_values(dataset):
         sufficient_summary(flipped).scores, -sufficient_summary(ranks).scores
     )
     assert average_rank_summary(flipped).scores == pytest.approx(
-        ranks.n + 1 - average_rank_summary(ranks).scores, rel=1e-12
+        len(values) + 1 - average_rank_summary(ranks).scores, rel=1e-12
     )
     for less, greater in (
         (Alternative.LESS, Alternative.GREATER),

@@ -1,8 +1,9 @@
 """The four records that hold arrays, at their boundary.
 
-Every array field is kept as a checked read-only float copy, so each
-refuses what the shared check refuses, naming the field; the fuzzer
-requires every constructor call to return or raise InvalidInputError.
+Every array field is kept as a checked read-only float copy of its stated
+dimension, so each refuses what the shared check refuses, naming the
+field; the fuzzer requires every constructor call to return or raise
+InvalidInputError.
 """
 
 import tracemalloc
@@ -24,20 +25,20 @@ from drtests import (
 )
 from tests.helpers import make_curves
 
-# Valid arguments of each record, and the fields among them that hold arrays
+# Valid arguments of each record, and the dimensions of its array fields
 VALID = {
     CurveSet: dict(values=[[1.0], [2.0]], grid=[0.5], groups=[1, 2]),
-    RankCurves: dict(ranks=[[1.0], [2.0]], n=2, n_points=1),
-    SummaryScores: dict(scores=[1.0, 2.0], kind="average_rank", n=2, n_points=1),
+    RankCurves: dict(ranks=[[1.0], [2.0]]),
+    SummaryScores: dict(scores=[1.0, 2.0], kind="average_rank"),
     FpcaResult: dict(
         smoothed=[[1.0], [2.0]], mean_curve=[1.5], components_kept=1, pve_achieved=1.0
     ),
 }
 ARRAYS = {
-    CurveSet: ("values", "grid", "groups"),
-    RankCurves: ("ranks",),
-    SummaryScores: ("scores",),
-    FpcaResult: ("smoothed", "mean_curve"),
+    CurveSet: {"values": 2, "grid": 1, "groups": 1},
+    RankCurves: {"ranks": 2},
+    SummaryScores: {"scores": 1},
+    FpcaResult: {"smoothed": 2, "mean_curve": 1},
 }
 FIELDS = [(record, name) for record, names in ARRAYS.items() for name in names]
 
@@ -65,6 +66,15 @@ class TestArrayFields:
         with pytest.raises(InvalidInputError, match=f"^{name} must"):
             record(**{**VALID[record], name: bad})
 
+    def test_refuses_more_dimensions(self, record, name):
+        # a vector field is not flattened from a matrix, nor a matrix from a stack
+        ndim = ARRAYS[record][name]
+        bad = np.asarray(VALID[record][name])[None]
+        assert bad.ndim == ndim + 1
+        message = rf"^{name} must be a number or a {ndim}-d array, got shape \(1,"
+        with pytest.raises(InvalidInputError, match=message):
+            record(**{**VALID[record], name: bad})
+
 
 class TestRecordContracts:
     @pytest.mark.parametrize(
@@ -79,7 +89,7 @@ class TestRecordContracts:
     )
     def test_rank_curves_refuse_what_is_not_mid_ranks(self, ranks):
         with pytest.raises(InvalidInputError, match="^ranks must be mid-ranks"):
-            RankCurves(ranks=ranks, n=2, n_points=1)
+            RankCurves(ranks=ranks)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -94,13 +104,38 @@ class TestRecordContracts:
         ranks = rank_curves(make_curves(values)).ranks
         assert np.array_equal(ranks, rankdata(values, axis=0))
         n, s = ranks.shape
-        assert np.array_equal(RankCurves(ranks=ranks, n=n, n_points=s).ranks, ranks)
+        assert np.array_equal(RankCurves(ranks).ranks, ranks)
         # one changed entry changes its column's sum, which mid-ranks fix
         i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, s - 1))
         changed = ranks.copy()
         changed[i, j] += data.draw(st.sampled_from([-1.0, -0.5, 0.1, 0.5, 1.0]))
         with pytest.raises(InvalidInputError):
-            RankCurves(ranks=changed, n=n, n_points=s)
+            RankCurves(changed)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+    def test_rank_curves_refuse_an_empty_matrix(self, shape):
+        with pytest.raises(InvalidInputError, match="^ranks must not be empty"):
+            RankCurves(np.empty(shape))
+
+    @pytest.mark.parametrize("kind", ["sufficient", "average_rank"])
+    def test_summary_scores_refuse_an_empty_vector(self, kind):
+        with pytest.raises(InvalidInputError, match="^scores must not be empty"):
+            SummaryScores([], kind)
+
+    @pytest.mark.parametrize(
+        "mean_curve", [[1.5, 2.5], [], [np.nan], [np.inf]], ids=["long", "empty", "nan", "inf"]
+    )
+    def test_fpca_result_refuses_a_mean_curve_unlike_its_columns(self, mean_curve):
+        with pytest.raises(InvalidInputError, match="^mean_curve must hold one finite value"):
+            FpcaResult(**{**VALID[FpcaResult], "mean_curve": mean_curve})
+
+    def test_fpca_result_keeps_at_most_min_shape_components(self):
+        smoothed = np.arange(6.0).reshape(3, 2)
+        fields = dict(smoothed=smoothed, mean_curve=[2.0, 3.0], pve_achieved=1.0)
+        assert FpcaResult(**fields, components_kept=2).components_kept == 2
+        for kept in (3, 5):
+            with pytest.raises(InvalidInputError, match=r"^components_kept must be at most"):
+                FpcaResult(**fields, components_kept=kept)
 
     def test_curve_set_label_check_is_sized_by_the_distinct_labels(self):
         # a range up to the largest label would hold 7.6 MiB here
@@ -146,8 +181,6 @@ def record_calls(draw):
     """A record and its arguments, with one array field drawn at random."""
     record, name = draw(st.sampled_from(FIELDS))
     kwargs = {**VALID[record], name: draw(ARRAY_ARGUMENTS)}
-    if record in (RankCurves, SummaryScores):
-        kwargs.update(n=draw(st.integers(1, 4)), n_points=draw(st.integers(1, 4)))
     if record is SummaryScores:
         kwargs["kind"] = draw(st.sampled_from(["sufficient", "average_rank"]))
     return record, kwargs

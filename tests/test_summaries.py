@@ -5,6 +5,7 @@ import pytest
 
 from drtests import (
     InvalidInputError,
+    RankCurves,
     SummaryKind,
     SummaryScores,
     average_rank_summary,
@@ -13,23 +14,23 @@ from drtests import (
     sufficient_summary,
 )
 from drtests.summaries import _SUMMARIES
-from tests.helpers import make_curves, ranks_from
+from tests.helpers import make_curves
 
 
 class TestSufficientSummary:
     def test_central_ranks_give_zero(self):
-        rc = ranks_from([[2.0, 2.0], [2.0, 2.0], [2.0, 2.0]])
+        rc = RankCurves([[2.0, 2.0], [2.0, 2.0], [2.0, 2.0]])
         scores = sufficient_summary(rc)
         assert scores.kind is SummaryKind.SUFFICIENT
         assert np.all(scores.scores == 0.0)
 
     def test_antisymmetric_terms_cancel(self):
         # subject holding ranks (1, 3) with n=3: the two terms negate
-        rc = ranks_from([[1.0, 3.0], [2.0, 2.0], [3.0, 1.0]])
+        rc = RankCurves([[1.0, 3.0], [2.0, 2.0], [3.0, 1.0]])
         assert sufficient_summary(rc).scores[0] == 0.0
 
     def test_single_occasion_equals_suff_stat(self):
-        rc = ranks_from([[1.0], [2.0], [3.0]])
+        rc = RankCurves([[1.0], [2.0], [3.0]])
         assert sufficient_summary(rc).scores[0] == pytest.approx(
             suff_stat(1, 3), abs=1e-15
         )
@@ -56,20 +57,20 @@ class TestSufficientSummary:
             ranks = np.column_stack(
                 [rng.permutation(n) + 1.0 for _ in range(s)]
             )
-            total += sufficient_summary(ranks_from(ranks)).scores[0]
+            total += sufficient_summary(RankCurves(ranks)).scores[0]
         # var of one score is about var(t)/s; average over reps shrinks more
         assert abs(total / reps) < 0.05
 
 
 class TestAverageRankSummary:
     def test_constant_rank(self):
-        rc = ranks_from([[3.0, 3.0], [1.5, 1.5], [1.5, 1.5], [4.0, 4.0]])
+        rc = RankCurves([[3.0, 3.0], [1.5, 1.5], [1.5, 1.5], [4.0, 4.0]])
         scores = average_rank_summary(rc)
         assert scores.kind is SummaryKind.AVERAGE_RANK
         assert scores.scores[0] == 3.0
 
     def test_arithmetic_mean(self):
-        rc = ranks_from([[1.0, 3.0], [2.0, 2.0], [3.0, 1.0]])
+        rc = RankCurves([[1.0, 3.0], [2.0, 2.0], [3.0, 1.0]])
         assert average_rank_summary(rc).scores[0] == 2.0
 
     def test_grand_mean_identity_exact(self):
@@ -93,7 +94,7 @@ class TestAverageRankSummary:
                 ranks = rng.permuted(
                     np.tile(np.arange(1.0, n + 1), (s, 1)), axis=1
                 ).T
-                vals[i] = average_rank_summary(ranks_from(ranks)).scores[0]
+                vals[i] = average_rank_summary(RankCurves(ranks)).scores[0]
             return vals.var()
 
         assert score_var(360) < score_var(40)
@@ -113,33 +114,17 @@ class TestSummaryScores:
 
     def test_sufficient_bound_attained_and_enforced(self):
         n = 5
-        extreme = ranks_from(
+        extreme = RankCurves(
             [[5.0, 5.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]]
         )
         scores = sufficient_summary(extreme).scores
         assert scores[0] == pytest.approx(math.log(2 * n - 1))
         with pytest.raises(InvalidInputError):
-            SummaryScores(
-                scores=[math.log(2 * n - 1) + 0.01, 0, 0, 0, 0],
-                kind=SummaryKind.SUFFICIENT,
-                n=n,
-                n_points=2,
-            )
+            SummaryScores([math.log(2 * n - 1) + 0.01, 0, 0, 0, 0], SummaryKind.SUFFICIENT)
 
     def test_average_rank_bounds_enforced(self):
         with pytest.raises(InvalidInputError):
-            SummaryScores(
-                scores=[0.5, 2.0], kind=SummaryKind.AVERAGE_RANK, n=2, n_points=1
-            )
-
-    def test_length_checked(self):
-        with pytest.raises(InvalidInputError):
-            SummaryScores(
-                scores=[1.0, 2.0, 1.5],
-                kind=SummaryKind.AVERAGE_RANK,
-                n=2,
-                n_points=1,
-            )
+            SummaryScores(scores=[0.5, 2.0], kind=SummaryKind.AVERAGE_RANK)
 
     def test_every_kind_has_a_table_entry(self):
         assert set(_SUMMARIES) == set(SummaryKind)
@@ -150,13 +135,7 @@ class TestSummaryScores:
         lo, hi = _SUMMARIES[kind][1](n)
         for edge, outside in ((lo, -np.inf), (hi, np.inf)):
             inside = [edge, (lo + hi) / 2, (lo + hi) / 2, (lo + hi) / 2]
-            SummaryScores(inside, kind, n=n, n_points=3)
+            SummaryScores(inside, kind)
             for bad in (np.nextafter(edge, outside), outside, np.nan):
                 with pytest.raises(InvalidInputError, match=f"{kind.value} scores must lie"):
-                    SummaryScores([bad, *inside[1:]], kind, n=n, n_points=3)
-
-    @pytest.mark.parametrize("field, bad", [("n", 2.0), ("n", "2"), ("n_points", 0)])
-    def test_rejects_bad_sizes(self, field, bad):
-        fields = dict(scores=[1.0, 2.0], kind=SummaryKind.AVERAGE_RANK, n=2, n_points=1)
-        with pytest.raises(InvalidInputError, match=f"^{field} must"):
-            SummaryScores(**{**fields, field: bad})
+                    SummaryScores([bad, *inside[1:]], kind)
