@@ -66,8 +66,6 @@ def _parse_groups(text: str) -> tuple[tuple[int, ...], ...]:
         raise InvalidInputError(
             f"--groups expects sizes like '10,10;25,25', got {text!r}"
         ) from None
-    if not schemes:
-        raise InvalidInputError("--groups must list at least one scheme")
     return schemes
 
 
@@ -98,16 +96,6 @@ _GRID_TEXT = {
     "summaries": partial(_parse_list, "--summaries", _SUMMARY_FLAGS.__getitem__),
     "preprocess_pve": _parse_preprocess,
 }
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
 
 
 def _statistic_name(method: Method) -> str:
@@ -167,7 +155,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
         }
         if args.verbose:
             payload["p_value_flipped"] = flipped
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         deviate_label = "df" if result.method is Method.KW_CHISQ else "z"
         print("doubly ranked test")
@@ -189,12 +177,13 @@ def _cmd_test(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     sim = {f.name: getattr(args, f.name) for f in fields(SimConfig) if f.name in args}
-    sim["n_per_group"], *others = _parse_groups(args.n_per_group)
-    if others:
+    schemes = _parse_groups(args.n_per_group)
+    if len(schemes) != 1:
         raise InvalidInputError(
             "drt simulate --groups takes one scheme like '10,10', "
             f"got {args.n_per_group!r}"
         )
+    sim["n_per_group"] = schemes[0]
     curves = generate_dataset(SimConfig(**sim), replicate=args.replicate)
     write_curves_csv(curves, args.out)
     print(
@@ -267,7 +256,7 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float)
     p.add_argument("--summaries")
     p.add_argument("--preprocess", dest="preprocess_pve", help="'none' or 'pve=<p>'")
-    p.add_argument("--workers", type=_positive_int, default=1,
+    p.add_argument("--workers", type=int, default=1,
                    help="the most processes, counting this one")
     _add_sim_flags(p)
 

@@ -51,14 +51,16 @@ def _number(value, name: str) -> float:
 
 
 def _frozen(value, name: str, ndim: int) -> np.ndarray:
-    """A read-only float copy of value in ndim (1 or 2) dims if numpy holds it as ints or floats.
+    """A read-only float copy of value in ndim (1 or 2) dims if it holds finite numbers.
 
-    A value of fewer dimensions is widened as np.atleast_1d/np.atleast_2d
-    widen it, so at ndim 1 a number is a 1-d array of one value; a value
-    of more dimensions is refused rather than flattened. Strings, bools,
-    complex numbers, other objects and ragged nested lists are refused
-    rather than cast. The copy keeps value's memory layout, so reductions
-    over it round as they would over value.
+    This is the package's one check of an array argument. A value of
+    fewer dimensions is widened as np.atleast_1d/np.atleast_2d widen it,
+    so at ndim 1 a number is a 1-d array of one value; a value of more
+    dimensions is refused rather than flattened. Strings, bools, complex
+    numbers, other objects and ragged nested lists are refused rather than
+    cast, and so are an empty array and one holding NaN or an infinity.
+    The copy keeps value's memory layout, so reductions over it round as
+    they would over value.
     """
     try:
         array = np.asarray(value)
@@ -71,6 +73,10 @@ def _frozen(value, name: str, ndim: int) -> np.ndarray:
             f"{name} must be a number or a {ndim}-d array, got shape {array.shape}"
         )
     array = np.array(array, dtype=float, ndmin=ndim)
+    if array.size == 0:
+        raise InvalidInputError(f"{name} must not be empty, got shape {array.shape}")
+    if not np.all(np.isfinite(array)):
+        raise InvalidInputError(f"{name} must be finite")
     array.flags.writeable = False
     return array
 
@@ -99,11 +105,11 @@ _count = _within(1, math.inf, "[)", _integer)  # a size or a count
 
 
 def _list(check):
-    """Check of a list or tuple (not a string) whose items each pass `check`."""
+    """Check of a nonempty list or tuple (not a string) whose items each pass `check`."""
 
     def parse(value, name: str) -> tuple:
-        if not isinstance(value, (list, tuple)):
-            raise InvalidInputError(f"{name} must be a list, got {value!r}")
+        if not isinstance(value, (list, tuple)) or not value:
+            raise InvalidInputError(f"{name} must be a nonempty list, got {value!r}")
         return tuple(check(item, name) for item in value)
 
     return parse

@@ -114,9 +114,6 @@ class ExperimentGrid:
         if not isinstance(self.base, SimConfig):
             raise InvalidInputError(f"base must be a SimConfig, got {self.base!r}")
         _check_fields(self, **_GRID_CHECKS)
-        factors = (self.n_points_values, self.group_schemes, self.xi_values, self.summaries)
-        if not all(factors):
-            raise InvalidInputError("factor lists and summaries must be nonempty")
 
 
 # The check of each CellSpec field: a result row's cell columns, in file order
@@ -310,15 +307,15 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     then adds their counts to its own. Each result row is a copy of one
     checked CellSpec per (shape, summary) at its shift scale.
     """
+    workers = _count(workers, "workers")
+    if workers > _MAX_WORKERS:
+        raise InvalidInputError(f"workers must be at most {_MAX_WORKERS}, got {workers}")
     shapes = [
         replace(grid.base, n_per_group=scheme, n_points=n_points)
         for scheme in grid.group_schemes
         for n_points in grid.n_points_values
     ]
     m = len(grid.xi_values)
-    workers = _count(workers, "workers")
-    if workers > _MAX_WORKERS:
-        raise InvalidInputError(f"workers must be at most {_MAX_WORKERS}, got {workers}")
     costs = [c.n_subjects * c.n_points for c in shapes]
     bounds = _share_bounds(costs, m * grid.replicates, workers)
     count = partial(_count_rejections, grid, shapes)

@@ -43,10 +43,8 @@ class FpcaResult:
         _check_fields(self, components_kept=_count, pve_achieved=_check_pve)
         smoothed = _frozen(self.smoothed, "smoothed", 2)
         mean_curve = _frozen(self.mean_curve, "mean_curve", 1)
-        if not np.all(np.isfinite(smoothed)):
-            raise InvalidInputError("smoothed matrix must be finite")
-        if mean_curve.shape != smoothed.shape[1:] or not np.all(np.isfinite(mean_curve)):
-            raise InvalidInputError("mean_curve must hold one finite value per column of smoothed")
+        if mean_curve.shape != smoothed.shape[1:]:
+            raise InvalidInputError("mean_curve must hold one value per column of smoothed")
         if self.components_kept > min(smoothed.shape):
             raise InvalidInputError(
                 f"components_kept must be at most min(smoothed.shape) = {min(smoothed.shape)}"
@@ -71,10 +69,15 @@ def _fpca(x: np.ndarray, pve: float) -> tuple[np.ndarray, int, float]:
     """`fpca_smooth` of an n x S matrix with n >= 2, trusting its inputs.
 
     Returns the smoothed matrix (x itself when nothing is truncated), the
-    components kept and the variance ratio they achieve.
+    components kept and the variance ratio they achieve. It works on x
+    scaled by the power of two that brings max|x| into [1/2, 1), so no
+    square overflows or underflows at any scale; the scaling is exact, so
+    where unscaled squares stay in range the bits are the same.
     """
-    mean_curve = x.mean(axis=0)
-    centered = x - mean_curve
+    exponent = np.frexp(max(x.max(), -x.min()))[1]
+    centered = np.ldexp(x, -exponent)
+    mean_curve = centered.mean(axis=0)
+    centered -= mean_curve
     if float(np.sum(centered**2)) == 0.0:
         return x, 1, 1.0
 
@@ -86,4 +89,4 @@ def _fpca(x: np.ndarray, pve: float) -> tuple[np.ndarray, int, float]:
     ratio /= ratio[-1]
     kept = min(int(np.searchsorted(ratio, pve, side="left")) + 1, s.size)
     smoothed = mean_curve + (u[:, :kept] * s[:kept]) @ vt[:kept]
-    return smoothed, kept, float(ratio[kept - 1])
+    return np.ldexp(smoothed, exponent, out=smoothed), kept, float(ratio[kept - 1])

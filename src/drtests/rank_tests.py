@@ -159,12 +159,7 @@ def _pooled_samples(samples: dict) -> tuple[list[int], np.ndarray, np.ndarray]:
     """
     arrays = [_frozen(a, name, 1) for name, a in samples.items()]
     sizes = [a.size for a in arrays]
-    if min(sizes) < 1:
-        raise InvalidInputError("every group must be nonempty")
-    combined = np.concatenate(arrays)
-    if not np.all(np.isfinite(combined)):
-        raise InvalidInputError("observations must be finite")
-    return sizes, combined[None, :], _group_labels(sizes)
+    return sizes, np.concatenate(arrays)[None, :], _group_labels(sizes)
 
 
 def _pooled_ranks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -414,16 +409,12 @@ def _score_block(
     """Test every row of an (R, n) score block across the groups 1..G in labels.
 
     Two groups route to the rank-sum test, three or more to the
-    Kruskal-Wallis test; config.summary and config.preprocess_pve are not
-    used here.
+    Kruskal-Wallis test, which takes config.alternative to be two-sided;
+    config.summary and config.preprocess_pve are not used here.
     """
     n_groups = int(labels.max())
     if n_groups == 2:
         return _mww_block(scores, labels, config)
-    if config.alternative is not Alternative.TWO_SIDED:
-        raise InvalidInputError(
-            "one-sided alternatives are only defined for two groups"
-        )
     return _kw_block(scores, labels, n_groups)
 
 
@@ -435,6 +426,11 @@ def _test_curves(
     Returns the TestResult, the (1, n) scores it tested, and the
     smoothing's (components kept, variance ratio achieved) or None.
     """
+    if curves.n_groups > 2 and config.alternative is not Alternative.TWO_SIDED:
+        raise InvalidInputError(
+            f"alternative must be two-sided for {curves.n_groups} groups, "
+            f"got {config.alternative.value!r}"
+        )
     (scores,), fits = _doubly_ranked_scores(
         curves.values[None], (config.summary,), config.preprocess_pve
     )

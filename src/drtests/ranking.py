@@ -31,7 +31,8 @@ class CurveSet:
         integer label per subject; labels must be exactly 1..G with every
         label present and G >= 2.
 
-    Each array is kept as a read-only float copy.
+    Each array must be nonempty and finite; it is kept as a read-only
+    float copy.
     """
 
     values: np.ndarray
@@ -46,17 +47,11 @@ class CurveSet:
         n, s = values.shape
         if n < 2:
             raise InvalidInputError(f"need at least 2 subjects, got {n}")
-        if s < 1:
-            raise InvalidInputError("need at least 1 measurement occasion")
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError("curve values must all be finite")
         if grid.shape != (s,):
             raise InvalidInputError(
                 f"grid length {grid.size} does not match {s} value columns"
             )
-        if not np.all(np.isfinite(grid)):
-            raise InvalidInputError("grid values must be finite")
-        if s > 1 and not np.all(np.diff(grid) > 0):
+        if not np.all(np.diff(grid) > 0):
             raise InvalidInputError("grid must be strictly increasing")
         if groups.shape != (n,):
             raise InvalidInputError(
@@ -99,16 +94,13 @@ class RankCurves:
     mid-rank assignment of {1..n} (tied entries share the mean of the
     ranks they span). That holds exactly when ranking each column leaves
     the matrix unchanged, which is the check made: a matrix with an entry
-    that is not finite, lies outside [1, n] or breaks a column's mid-ranks
-    is refused.
+    that lies outside [1, n] or breaks a column's mid-ranks is refused.
     """
 
     ranks: np.ndarray
 
     def __post_init__(self) -> None:
         ranks = _frozen(self.ranks, "ranks", 2)
-        if ranks.size == 0:
-            raise InvalidInputError(f"ranks must not be empty, got shape {ranks.shape}")
         if not np.array_equal(_midranks(ranks, axis=0), ranks):
             raise InvalidInputError(
                 "ranks must be mid-ranks of each column, a matrix that ranking leaves unchanged"

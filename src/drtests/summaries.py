@@ -58,10 +58,7 @@ class SummaryScores:
     def __post_init__(self) -> None:
         _check_fields(self, kind=_member(SummaryKind))
         scores = _frozen(self.scores, "scores", 1)
-        if scores.size == 0:
-            raise InvalidInputError("scores must not be empty")
         lo, hi = _SUMMARIES[self.kind][1](scores.size)
-        # the interval is finite, so NaN and infinite scores fail too
         if not np.all((scores >= lo) & (scores <= hi)):
             raise InvalidInputError(f"{self.kind.value} scores must lie in [{lo}, {hi}]")
         object.__setattr__(self, "scores", scores)

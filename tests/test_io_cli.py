@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drtests import (
     CsvFormatError,
@@ -17,7 +21,7 @@ from drtests import (
 from drtests import cli, harness
 from drtests.cli import build_parser, main
 from drtests.harness import _GRID_KEYS
-from tests.helpers import count_pipeline_calls, forbid_pool, make_curves
+from tests.helpers import count_pipeline_calls, forbid_pool, log_shares, make_curves
 
 
 def write_text(path, text):
@@ -244,6 +248,10 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def simulate_file(tmp_path, capsys, name="sim.csv", **flags):
     defaults = {
         "--seed": "9",
@@ -280,6 +288,17 @@ class TestCliTest:
         assert payload["pve_achieved"] is None
         assert payload["n_subjects"] == 12
         assert payload["n_points"] == 5
+
+    def test_json_report_is_strict_json_at_any_scale(self, tmp_path, capsys):
+        # squares of values near 1e200 overflow, which once made the
+        # achieved ratio NaN, a token that strict JSON does not have
+        curves, _ = read_curves_csv(simulate_file(tmp_path, capsys))
+        path = tmp_path / "huge.csv"
+        write_curves_csv(make_curves(curves.values * 1e200, curves.groups), path)
+        code, out, err = run_cli(capsys, ["test", str(path), "--format", "json"])
+        assert code == 0 and "Traceback" not in err
+        payload = json.loads(out, parse_constant=refuse_constant)
+        assert 0.99 <= payload["pve_achieved"] <= 1.0 and payload["components_kept"] > 1
 
     def test_text_report(self, tmp_path, capsys):
         path = simulate_file(tmp_path, capsys)
@@ -729,6 +748,11 @@ class TestCliGrids:
         for command, flag, value, named in (
             ("type1", "--n-points", "a", "--n-points"),
             ("type1", "--summaries", "foo", "--summaries"),
+            # an empty list is refused for its key
+            ("type1", "--n-points", ",", "'n_points' must be a nonempty list"),
+            ("type1", "--summaries", "", "'summaries' must be a nonempty list"),
+            ("type1", "--groups", ";", "'groups' must be a nonempty list"),
+            ("power", "--xi", "", "'xi' must be a nonempty list"),
             ("type1", "--preprocess", "pve=1.5", "preprocess_pve"),
             ("power", "--xi", "inf", "xi"),
             ("power", "--xi", "0:inf:1", "xi"),
@@ -743,17 +767,23 @@ class TestCliGrids:
 
     def test_bad_workers_exit_2(self, tmp_path, capsys, monkeypatch):
         argv = ["type1", "--seed", "1", "--out", str(tmp_path / "x.csv")]
-        for workers in ("0", "-3", "x"):
-            with pytest.raises(SystemExit) as excinfo:
-                main(argv + ["--workers", workers])
-            assert excinfo.value.code == 2
-            assert "--workers" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--workers", "x"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
-        # a count above the ceiling is refused before a pool opens
+        # run_power refuses a count below 1 or above the ceiling before a
+        # pool opens
         forbid_pool(monkeypatch)
-        code, _, err = run_cli(capsys, argv + ["--workers", "100000"])
-        assert code == 2
-        assert "workers must be at most" in err and "Traceback" not in err
+        for workers, message in (
+            ("0", "workers must lie in [1, inf), got 0"),
+            ("-3", "workers must lie in [1, inf), got -3"),
+            ("100000", "workers must be at most"),
+        ):
+            code, _, err = run_cli(capsys, argv + ["--workers", workers])
+            assert code == 2
+            assert message in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_workers_flag_matches_serial(self, tmp_path, capsys, monkeypatch):
         # a share of a single curve value, so the two-worker run forks
@@ -796,3 +826,150 @@ class TestCliTopLevel:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+# A size far past the budget of values a replicate's array may hold; every
+# other size below is small, so no accepted case allocates much
+_HUGE = "9999999999999999999999"
+_SIM_FLAGS = {
+    "--dist": ["gaussian", "t2", "normal"],
+    "--noise": ["none", "white", "ar1", "x"],
+    "--rho": ["0.5", "1", "nan"],
+    "--n-basis": ["4", "0", _HUGE],
+}
+_GRID_FLAGS = {
+    **_SIM_FLAGS,
+    "--config": ["grid.json", "huge.json", "bad.json", "missing.json"],
+    "--reps": ["1", "3", "0", "x", _HUGE],
+    "--n-points": ["3", "2,3", ",", "0", "a", _HUGE],
+    "--groups": ["3,3", "2,2;3,3,3", ";", "3", "x"],
+    "--alpha": ["0.05", "0", "x"],
+    "--summaries": ["suff", "avg,suff", "", "foo"],
+    "--preprocess": ["none", "pve=0.5", "pve=2", "x"],
+    "--workers": ["1", "0", "-3", "x", "100000"],
+}
+# each command's flags and the values drawn for them (None for a switch)
+_COMMAND_FLAGS = {
+    "test": {
+        "--summary": ["suff", "avg", "x"],
+        "--preprocess": ["none", "pve=0.5", "pve=1", "pve=0", "pve=x"],
+        "--alternative": ["two-sided", "less", "greater", "up"],
+        "--format": ["text", "json"],
+        "--exact-threshold": ["0", "60", "61", "-1", "x"],
+        "--no-continuity-correction": None,
+        "--verbose": None,
+    },
+    "simulate": {
+        **_SIM_FLAGS,
+        "--groups": ["3,3", "2,2,2", "3,3;4,4", "", ";", "0,3", "x"],
+        "--n-points": ["3", "0", _HUGE],
+        "--mean": ["linear", "parabola", "x"],
+        "--xi": ["0", "1.5", "-1", "inf"],
+        "--replicate": ["0", "-1", str(2**128)],
+    },
+    "type1": _GRID_FLAGS,
+    "power": {
+        **_GRID_FLAGS,
+        "--mean": ["linear", "beta-bump", "x"],
+        "--xi": ["0,1", "0:1:0.5", "", "inf", "0:1:1e-9", "2:1:0.5"],
+    },
+}
+# the inputs of drt test, the paths --out writes to, and --config files
+_INPUTS = ["wide.csv", "long.csv", "three.csv", "huge.csv", "bad.csv", "missing.csv", "."]
+_OUTS = ["out.csv", "out.jsonl", ".", "missing/out.csv"]
+_CONFIGS = {
+    "grid.json": '{"seed": 1, "n_points": [3], "groups": [[3, 3]], "replicates": 2}',
+    "huge.json": f'{{"seed": 1, "n_basis": {_HUGE}}}',
+    "bad.json": "{",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_folder(tmp_path_factory):
+    """A folder holding every file the argv fuzzer's cases read."""
+    folder = tmp_path_factory.mktemp("cli")
+    values = np.random.default_rng(5).normal(size=(8, 4)) + np.repeat([0.0, 1.0], 4)[:, None]
+    write_curves_csv(make_curves(values), folder / "wide.csv")
+    # values near 1e200, whose squares overflow
+    write_curves_csv(make_curves(values * 1e200), folder / "huge.csv")
+    write_curves_csv(make_curves(values[:6], [1, 1, 2, 2, 3, 3]), folder / "three.csv")
+    rows = [f"{i},{g},{s},{v!r}" for i, g, row in zip(range(8), [1] * 4 + [2] * 4, values)
+            for s, v in enumerate(row.tolist())]
+    (folder / "long.csv").write_text("\n".join(["id,group,s,value", *rows]) + "\n")
+    (folder / "bad.csv").write_text("id,group,0,1\na,x,1,oops\nb,y,3,4\n")
+    for name, text in _CONFIGS.items():
+        (folder / name).write_text(text)
+    return folder
+
+
+@st.composite
+def cli_argvs(draw):
+    """A drt command line, its tokens drawn from each command's fixed lists."""
+    command = draw(st.sampled_from(list(_COMMAND_FLAGS)))
+    flags = _COMMAND_FLAGS[command]
+    argv = [command]
+    if command == "test":
+        argv.append(draw(st.sampled_from(_INPUTS)))
+    else:
+        argv += ["--out", draw(st.sampled_from(_OUTS))]
+        argv += ["--seed", draw(st.sampled_from(["1", "2", "-1"]))]
+    for flag in draw(st.lists(st.sampled_from(list(flags)), unique=True, max_size=4)):
+        argv += [flag] if flags[flag] is None else [flag, draw(st.sampled_from(flags[flag]))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cli_argvs())
+def test_cli_exits_0_or_2_without_a_traceback(cli_folder, argv):
+    # every path is relative to the folder, so main must run from there
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(cli_folder)
+        # a grid of any size counts nothing, and no pool is opened
+        forbid_pool(mp)
+        log_shares(mp, cli_folder, count=False)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing the command line
+                code = exc.code
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+# bytes that CSV gives meaning to, a byte-order mark, a NUL and bytes that
+# are not UTF-8
+_CSV_BYTES = st.sampled_from(
+    [b",", b"\n", b"\r\n", b"\n\n", b'"', b" ", b"\x00", b"\xef\xbb\xbf", b"\xff", b"\xc3"]
+)
+# each edit replaces, inserts or deletes at a fraction of the file's
+# length, or repeats the line there, so that an id appears twice
+_CSV_EDITS = st.lists(
+    st.tuples(
+        st.floats(0, 1), st.sampled_from(["replace", "insert", "delete", "repeat"]), _CSV_BYTES
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["wide.csv", "long.csv"]), _CSV_EDITS)
+def test_read_curves_csv_raises_only_csv_format_error(cli_folder, name, edits):
+    data = bytearray((cli_folder / name).read_bytes())
+    for where, edit, piece in edits:
+        at = int(where * len(data))
+        if edit == "insert":
+            data[at:at] = piece
+        elif edit == "repeat":
+            start = data.rfind(b"\n", 0, at) + 1
+            end = data.find(b"\n", at) + 1 or len(data)
+            data[start:start] = data[start:end]
+        else:
+            data[at : at + len(piece)] = piece if edit == "replace" else b""
+    path = cli_folder / f"fuzzed-{name}"
+    path.write_bytes(bytes(data))
+    try:
+        read_curves_csv(path)
+    except CsvFormatError:
+        pass

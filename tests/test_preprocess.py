@@ -3,9 +3,11 @@ import pytest
 
 from drtests import (
     CoeffDist,
+    DoublyRankedConfig,
     FpcaResult,
     InvalidInputError,
     SimConfig,
+    doubly_ranked_test,
     fpca_smooth,
     generate_dataset,
 )
@@ -101,6 +103,21 @@ class TestFpcaSmooth:
         assert np.array_equal(res.smoothed, values)
         assert res.components_kept == 1
         assert res.pve_achieved == 1.0
+
+    @pytest.mark.parametrize("power", [520, 600, -1000])
+    def test_any_power_of_two_scale_smooths_and_tests_alike(self, power):
+        # squares of the raw values would overflow above |x| ~ 1e154 and
+        # underflow to zero below ~1e-162
+        rng = np.random.default_rng(151)
+        values = rng.normal(size=(20, 30))
+        values[10:] += 0.8
+        config = DoublyRankedConfig(preprocess_pve=0.9)
+        plain, scaled = make_curves(values), make_curves(np.ldexp(values, power))
+        a, b = fpca_smooth(plain, pve=0.9), fpca_smooth(scaled, pve=0.9)
+        assert (b.components_kept, b.pve_achieved) == (a.components_kept, a.pve_achieved)
+        assert 1 < a.components_kept < 20
+        assert np.array_equal(b.smoothed, np.ldexp(a.smoothed, power))
+        assert doubly_ranked_test(scaled, config) == doubly_ranked_test(plain, config)
 
     def test_pve_validation(self):
         curves = make_curves(np.random.default_rng(139).normal(size=(4, 3)))

@@ -45,6 +45,16 @@ def unused_imports(path):
     return sorted(imported - read)
 
 
+def finiteness_callers():
+    """The package's modules that name isfinite, as np.isfinite or imported."""
+    callers = set()
+    for path in Path(drtests.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if getattr(node, "attr", None) == "isfinite" or getattr(node, "id", None) == "isfinite":
+                callers.add(path.name)
+    return callers
+
+
 class TestPublicApi:
     def test_no_duplicates(self):
         assert len(drtests.__all__) == len(set(drtests.__all__))
@@ -81,3 +91,8 @@ class TestPublicApi:
         listed = {module: sorted(re.findall(r"`(\w+)`", names)) for module, names in lines}
         exports = {module: sorted(names) for module, names in module_exports().items()}
         assert listed == exports
+
+    def test_only_the_shared_check_and_the_csv_reader_test_finiteness(self):
+        # errors._frozen holds the package's one nonempty, finite rule; io
+        # keeps its own call so that it can name the bad row and column
+        assert finiteness_callers() == {"errors.py", "io.py"}

@@ -19,7 +19,7 @@ from drtests import (
     mww_test,
     rank_tests,
 )
-from tests.helpers import make_curves
+from tests.helpers import count_pipeline_calls, make_curves
 
 
 def brute_force_u_probs(n1, n2):
@@ -218,10 +218,16 @@ class TestMwwTest:
                 mww_test(x, y, exact_threshold=bad)
 
     def test_rejects_empty_group(self):
-        with pytest.raises(InvalidInputError):
-            mww_test([], [1.0])
-        with pytest.raises(InvalidInputError):
-            mww_test([1.0], [np.nan])
+        # each empty or non-finite sample is named
+        for x, y, message in (
+            ([], [1.0], "^x must not be empty"),
+            ([1.0], [], "^y must not be empty"),
+            ([1.0, np.nan], [2.0], "^x must be finite"),
+            ([1.0], [np.nan], "^y must be finite"),
+            ([1.0], [2.0, -np.inf], "^y must be finite"),
+        ):
+            with pytest.raises(InvalidInputError, match=message):
+                mww_test(x, y)
 
     @pytest.mark.parametrize(
         "x, y, name",
@@ -511,8 +517,14 @@ class TestKruskalWallis:
         )
 
     def test_rejects_empty_group(self):
-        with pytest.raises(InvalidInputError):
-            kruskal_wallis_test([[1.0], []])
+        # each empty or non-finite sample is named by its index
+        for groups, message in (
+            ([[1.0], []], r"^groups\[1\] must not be empty"),
+            ([[], [1.0]], r"^groups\[0\] must not be empty"),
+            ([[1.0], [2.0], [3.0, np.inf]], r"^groups\[2\] must be finite"),
+        ):
+            with pytest.raises(InvalidInputError, match=message):
+                kruskal_wallis_test(groups)
 
     @pytest.mark.parametrize(
         "groups", [5, None, (x for x in [[1.0], [2.0]]), np.array(3.0), "12"]
@@ -616,14 +628,17 @@ class TestDoublyRanked:
         assert res.method is Method.KW_CHISQ
         assert res.z_or_df == 2.0
 
-    def test_one_sided_rejected_for_three_groups(self):
+    def test_one_sided_rejected_for_three_groups(self, monkeypatch):
         rng = np.random.default_rng(107)
         values = rng.normal(size=(6, 3))
         curves = make_curves(values, groups=[1, 1, 2, 2, 3, 3])
-        with pytest.raises(InvalidInputError):
-            doubly_ranked_test(
-                curves, DoublyRankedConfig(alternative=Alternative.GREATER)
-            )
+        # refused before any smoothing or ranking
+        calls = count_pipeline_calls(monkeypatch)
+        for alternative in (Alternative.GREATER, Alternative.LESS):
+            config = DoublyRankedConfig(alternative=alternative, preprocess_pve=0.9)
+            with pytest.raises(InvalidInputError, match="^alternative must be two-sided"):
+                doubly_ranked_test(curves, config)
+        assert calls == {"smoothings": 0, "ranked_datasets": 0}
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):

@@ -95,8 +95,8 @@ class TestCurveSet:
         "groups, message",
         [
             (["a", "b", "a", "b"], "^groups must"),
-            ([1.0, np.nan, 2.0, 1.0], "group labels must be integers"),
-            ([1.0, 2.0, np.inf, 2.0], "group labels must be integers"),
+            ([1.0, np.nan, 2.0, 1.0], "^groups must be finite"),
+            ([1.0, 2.0, np.inf, 2.0], "^groups must be finite"),
             # complex, even with zero imaginary parts
             (np.array([1, 1, 2, 2], dtype=complex), "^groups must"),
         ],

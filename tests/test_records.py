@@ -78,17 +78,19 @@ class TestArrayFields:
 
 class TestRecordContracts:
     @pytest.mark.parametrize(
-        "ranks",
+        "ranks, message",
         [
-            [[1.2], [1.8]],  # the right column sum, but not mid-ranks
-            [[0.5], [2.5]],
-            [[2.0], [2.0]],
-            [[1.0], [np.nan]],
-            [[np.inf], [1.0]],
+            # the right column sum, but not mid-ranks
+            ([[1.2], [1.8]], "^ranks must be mid-ranks"),
+            ([[0.5], [2.5]], "^ranks must be mid-ranks"),
+            ([[2.0], [2.0]], "^ranks must be mid-ranks"),
+            ([[1.0], [np.nan]], "^ranks must be finite"),
+            ([[np.inf], [1.0]], "^ranks must be finite"),
         ],
+        ids=["ranks0", "ranks1", "ranks2", "ranks3", "ranks4"],
     )
-    def test_rank_curves_refuse_what_is_not_mid_ranks(self, ranks):
-        with pytest.raises(InvalidInputError, match="^ranks must be mid-ranks"):
+    def test_rank_curves_refuse_what_is_not_mid_ranks(self, ranks, message):
+        with pytest.raises(InvalidInputError, match=message):
             RankCurves(ranks=ranks)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -123,10 +125,17 @@ class TestRecordContracts:
             SummaryScores([], kind)
 
     @pytest.mark.parametrize(
-        "mean_curve", [[1.5, 2.5], [], [np.nan], [np.inf]], ids=["long", "empty", "nan", "inf"]
+        "mean_curve, message",
+        [
+            ([1.5, 2.5], "^mean_curve must hold one value per column of smoothed"),
+            ([], "^mean_curve must not be empty"),
+            ([np.nan], "^mean_curve must be finite"),
+            ([np.inf], "^mean_curve must be finite"),
+        ],
+        ids=["long", "empty", "nan", "inf"],
     )
-    def test_fpca_result_refuses_a_mean_curve_unlike_its_columns(self, mean_curve):
-        with pytest.raises(InvalidInputError, match="^mean_curve must hold one finite value"):
+    def test_fpca_result_refuses_a_mean_curve_unlike_its_columns(self, mean_curve, message):
+        with pytest.raises(InvalidInputError, match=message):
             FpcaResult(**{**VALID[FpcaResult], "mean_curve": mean_curve})
 
     def test_fpca_result_keeps_at_most_min_shape_components(self):

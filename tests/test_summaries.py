@@ -136,6 +136,12 @@ class TestSummaryScores:
         for edge, outside in ((lo, -np.inf), (hi, np.inf)):
             inside = [edge, (lo + hi) / 2, (lo + hi) / 2, (lo + hi) / 2]
             SummaryScores(inside, kind)
-            for bad in (np.nextafter(edge, outside), outside, np.nan):
-                with pytest.raises(InvalidInputError, match=f"{kind.value} scores must lie"):
-                    SummaryScores([bad, *inside[1:]], kind)
+            with pytest.raises(InvalidInputError, match=f"{kind.value} scores must lie"):
+                SummaryScores([np.nextafter(edge, outside), *inside[1:]], kind)
+
+    @pytest.mark.parametrize("kind", list(SummaryKind))
+    def test_rejects_a_score_that_is_not_finite(self, kind):
+        lo, hi = _SUMMARIES[kind][1](4)
+        for bad in (-np.inf, np.inf, np.nan):
+            with pytest.raises(InvalidInputError, match="^scores must be finite"):
+                SummaryScores([bad, lo, hi, hi], kind)
