@@ -51,7 +51,8 @@ from .preprocess import _check_pve
 from .rank_tests import DoublyRankedConfig, _doubly_ranked_scores, _score_block
 from .ranking import _group_labels
 from .simgen import (
-    _SIM_CHECKS, CoeffDist, MeanShape, NoiseKind, SimConfig, _base_values, _scale, _shift
+    _SIM_CHECKS, CoeffDist, MeanShape, NoiseKind, SimConfig, _ar1_filter, _base_values,
+    _scale, _shift
 )
 from .summaries import SummaryKind
 
@@ -322,6 +323,8 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     if len(bounds) == 2:
         cell_counts = count(*bounds)
     else:
+        if grid.base.noise is NoiseKind.AR1:
+            _ar1_filter()  # imported once here, so the forked processes inherit it
         # map submits every task before this process counts share 0
         with ProcessPoolExecutor(max_workers=len(bounds) - 2) as pool:
             rest = pool.map(count, bounds[1:-1], bounds[2:])

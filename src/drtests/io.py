@@ -164,7 +164,7 @@ def _parse_wide(header: list[str], rows: _Rows) -> tuple[CurveSet, CurveTableInf
         grid = np.array([float(h) for h in value_cols])
     except ValueError:
         grid = None
-    if grid is not None and np.all(np.diff(grid) > 0):
+    if grid is not None and np.isfinite(grid).all() and (grid[1:] > grid[:-1]).all():
         grid_source = "header"
     else:
         grid = np.linspace(0.0, 1.0, num=len(value_cols))

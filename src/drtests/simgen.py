@@ -17,7 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.signal import lfilter
 
 from .errors import InvalidInputError, _check_fields, _count, _groups, _integer, _member, _within
 from .ranking import CurveSet, _group_labels
@@ -151,6 +150,15 @@ _SHAPES = {
 }
 
 
+@lru_cache(maxsize=1)
+def _ar1_filter():
+    """scipy.signal's lfilter, imported at the first AR(1) draw: scipy.signal
+    and the scipy.stats it imports are most of a cold import of the package."""
+    from scipy.signal import lfilter
+
+    return lfilter
+
+
 def _noise_matrix(
     kind: NoiseKind, shape: tuple[int, int], rng: Generator, rho: float
 ) -> np.ndarray:
@@ -162,7 +170,7 @@ def _noise_matrix(
     # stationary AR(1): e_1 = eta_1, e_t = rho e_{t-1} + sqrt(1-rho^2) eta_t,
     # run as an IIR filter along the occasion axis
     draws[:, 1:] *= np.sqrt(1.0 - rho**2)
-    return lfilter([1.0], [1.0, -rho], draws, axis=1)
+    return _ar1_filter()([1.0], [1.0, -rho], draws, axis=1)
 
 
 def replicate_stream(seed: int, replicate: int) -> Generator:

@@ -69,6 +69,19 @@ class TestWideCsv:
         _, info = read_curves_csv(path)
         assert info.grid_source == "default"
 
+    @pytest.mark.parametrize("header", ["inf,inf", "-inf,inf", "1,nan", "inf"])
+    def test_non_finite_header_defaults_grid(self, tmp_path, header):
+        # checked finite before it is compared, so no numpy warning is raised
+        width = header.count(",") + 1
+        row = ",".join(["1"] * width)
+        path = write_text(
+            tmp_path / "w.csv", f"id,group,{header}\na,x,{row}\nb,y,{row}\n"
+        )
+        curves, info = read_curves_csv(path)
+        assert np.array_equal(curves.grid, np.linspace(0, 1, width))
+        assert info.grid_source == "default"
+        assert len(info.warnings) == 1
+
     def test_group_labels_numeric_sort(self, tmp_path):
         path = write_text(
             tmp_path / "w.csv",
