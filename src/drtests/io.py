@@ -5,6 +5,12 @@ row per subject. Long: header `id,group,s,value`, one row per measurement.
 Curves must be complete (every subject measured at every location). Group
 labels may be arbitrary strings; they are mapped to 1..G in sorted order
 (numeric when every label parses as a number, lexicographic otherwise).
+
+A wide file without quotes is read in one `np.loadtxt` pass. Any file that
+pass declines (the long layout, quotes, a NUL, text that is not UTF-8, or
+any cell, row or id the pass cannot take as it stands) is read by the csv
+module instead, which gives the same table, or names the row and column at
+fault.
 """
 
 from __future__ import annotations
@@ -22,6 +28,9 @@ __all__ = ["CsvFormatError", "CurveTableInfo", "read_curves_csv", "write_curves_
 
 # (line number, fields) of each data row
 _Rows = list[tuple[int, list[str]]]
+# a wide table read by either path: its value-column headers, the line
+# number of its first data row, and its ids, raw group labels and values
+_Wide = tuple[list[str], int, list[str], list[str], np.ndarray]
 
 
 class CsvFormatError(InvalidInputError):
@@ -64,9 +73,12 @@ def _parse_floats(
 ) -> np.ndarray:
     """The cells as a finite float matrix, one row per data row.
 
-    numpy converts each cell as float() does, padding included; only when
-    that fails does the per-cell loop run, to name the bad cell. A cell
-    that parses to nan or inf raises too, naming the first such cell.
+    This is the csv path's conversion. numpy converts each cell as float()
+    does, padding included; only when that fails does the per-cell loop
+    run, to name the bad cell. A cell that parses to nan or inf raises too,
+    naming the first such cell. The one-pass wide read takes a subset of
+    these cells, to the same values, and leaves every other file to this
+    path.
     """
     try:
         values = np.array(cells, dtype=float)
@@ -153,12 +165,90 @@ def _curve_table(
     )
 
 
-def _parse_wide(header: list[str], rows: _Rows) -> tuple[CurveSet, CurveTableInfo]:
+def _is_long(header: list[str]) -> bool:
+    """Whether the header names the long layout: id, group, s, value in any order and case."""
+    return sorted(h.lower() for h in header) == ["group", "id", "s", "value"]
+
+
+def _loadtxt_wide(path: str | os.PathLike) -> _Wide | None:
+    """The wide table read in one `np.loadtxt` pass, or None to leave it to the csv path.
+
+    Without quotes or a NUL, the csv module splits records only where
+    universal newlines end a line, and fields only at commas, as here; and
+    loadtxt takes a subset of the cells float() takes, to the same value.
+    So a table this pass returns is the one the csv path returns. It
+    returns None wherever the csv path might read otherwise or raise: the
+    long layout, quotes, a NUL, text that is not UTF-8, no data row, a
+    field past the csv module's size limit, a cell or row loadtxt refuses,
+    a non-finite value or a repeated id.
+    """
+    try:
+        # universal newlines: \r\n and \r end a line as \n does
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if '"' in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    header, body = [h.strip() for h in lines[0].split(",")], lines[1:]
+    limit = csv.field_size_limit()
+    if (
+        _is_long(header)
+        or len(header) < 3
+        or not any(body)
+        or any(len(line) > limit and max(map(len, line.split(","))) > limit for line in lines)
+    ):
+        return None
+    dtype = np.dtype(
+        [("id", object), ("group", object), ("values", float, (len(header) - 2,))]
+    )
+    try:
+        # loadtxt skips an empty line, as the csv path skips a blank row,
+        # and refuses a row of spaces or bare commas, which that path skips
+        table = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    ids = [subject.strip() for subject in table["id"]]
+    values = table["values"]
+    if len(set(ids)) < len(ids) or not np.isfinite(values).all():
+        return None
+    first_row = next(line_no for line_no, line in enumerate(body, start=2) if line)
+    return header[2:], first_row, ids, [group.strip() for group in table["group"]], values
+
+
+def _parse_wide(header: list[str], rows: _Rows) -> _Wide:
+    """The wide table in the csv module's rows; CsvFormatError names its first fault."""
     if len(header) < 3:
         raise CsvFormatError(
             "wide layout needs id, group and at least one value column"
         )
     value_cols = header[2:]
+    line_nos = [line_no for line_no, _ in rows]
+    ids = [row[0].strip() for _, row in rows]
+    seen = set()
+    for line_no, subject in zip(line_nos, ids):
+        if subject in seen:
+            raise CsvFormatError(f"duplicate subject id {subject!r}", row=line_no)
+        seen.add(subject)
+    values = _parse_floats([row[2:] for _, row in rows], line_nos, value_cols)
+    groups = [row[1].strip() for _, row in rows]
+    return value_cols, rows[0][0], ids, groups, values
+
+
+def _wide_table(
+    value_cols: list[str],
+    first_row: int,
+    ids: list[str],
+    raw_groups: list[str],
+    values: np.ndarray,
+) -> tuple[CurveSet, CurveTableInfo]:
+    """The curve set of a wide table read by either path.
+
+    The value-column headers become the grid when they are finite and
+    strictly increasing numbers; otherwise the grid is the default one,
+    with a warning.
+    """
     warnings: tuple[str, ...] = ()
     try:
         grid = np.array([float(h) for h in value_cols])
@@ -174,17 +264,7 @@ def _parse_wide(header: list[str], rows: _Rows) -> tuple[CurveSet, CurveTableInf
             "grid defaulted to equally spaced on [0, 1] (the tests never "
             "consult grid spacing)",
         )
-
-    line_nos = [line_no for line_no, _ in rows]
-    ids = [row[0].strip() for _, row in rows]
-    seen = set()
-    for line_no, subject in zip(line_nos, ids):
-        if subject in seen:
-            raise CsvFormatError(f"duplicate subject id {subject!r}", row=line_no)
-        seen.add(subject)
-    values = _parse_floats([row[2:] for _, row in rows], line_nos, value_cols)
-    groups = [row[1].strip() for _, row in rows]
-    return _curve_table(rows[0][0], ids, groups, values, grid, grid_source, warnings)
+    return _curve_table(first_row, ids, raw_groups, values, grid, grid_source, warnings)
 
 
 def _parse_long(header: list[str], rows: _Rows) -> tuple[CurveSet, CurveTableInfo]:
@@ -235,12 +315,17 @@ def read_curves_csv(path: str | os.PathLike) -> tuple[CurveSet, CurveTableInfo]:
     """Parse a curve table in the layout its header names.
 
     A header consisting of exactly id, group, s, value (any order, any
-    case) is read as long form; anything else as wide form.
+    case) is read as long form; anything else as wide form. A wide file is
+    read in one numpy pass where that pass can take it, and by the csv
+    module otherwise, with the same result either way.
     """
-    header, rows = _read_rows(path)
-    if sorted(h.lower() for h in header) == ["group", "id", "s", "value"]:
-        return _parse_long(header, rows)
-    return _parse_wide(header, rows)
+    wide = _loadtxt_wide(path)
+    if wide is None:
+        header, rows = _read_rows(path)
+        if _is_long(header):
+            return _parse_long(header, rows)
+        wide = _parse_wide(header, rows)
+    return _wide_table(*wide)
 
 
 def write_curves_csv(curves: CurveSet, path: str | os.PathLike) -> None:

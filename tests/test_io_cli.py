@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import drtests.io as curve_io
 from drtests import (
     CsvFormatError,
     DoublyRankedConfig,
@@ -253,6 +254,83 @@ class TestLongCsv:
             assert info == plain[1]
             for attr in ("values", "grid", "groups"):
                 assert np.array_equal(getattr(curves, attr), getattr(plain[0], attr))
+
+
+def count_csv_reads(monkeypatch):
+    """The paths read through the csv module, a list that fills in as files are read."""
+    calls = []
+    read_rows = curve_io._read_rows
+
+    def counted(path):
+        calls.append(path)
+        return read_rows(path)
+
+    monkeypatch.setattr(curve_io, "_read_rows", counted)
+    return calls
+
+
+class TestWideCsvPath:
+    """A wide file without quotes is read in one numpy pass; any other by the csv module."""
+
+    @pytest.mark.parametrize("variant", ["crlf", "lf", "cr", "bom"])
+    def test_unquoted_file_takes_the_numpy_pass(self, tmp_path, monkeypatch, variant):
+        curves = make_curves(np.random.default_rng(3).normal(size=(6, 4)))
+        path = tmp_path / "crlf.csv"
+        write_curves_csv(curves, path)
+        crlf = path.read_bytes()
+        assert crlf.count(b"\r\n") == 7
+        data = {
+            "crlf": crlf,
+            "lf": crlf.replace(b"\r\n", b"\n"),
+            "cr": crlf.replace(b"\r\n", b"\r"),
+            "bom": b"\xef\xbb\xbf" + crlf,
+        }[variant]
+        path = tmp_path / f"{variant}.csv"
+        path.write_bytes(data)
+        calls = count_csv_reads(monkeypatch)
+        back, info = read_curves_csv(path)
+        assert calls == []
+        for name in ("values", "grid", "groups"):
+            assert np.array_equal(getattr(back, name), getattr(curves, name))
+        assert info == curve_io.CurveTableInfo(
+            group_labels=("1", "2"),
+            subject_ids=("1", "2", "3", "4", "5", "6"),
+            grid_source="header",
+            warnings=(),
+        )
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ('id,group,0,1\n"a",x,1,2\nb,y,3,4\n', [[1.0, 2.0], [3.0, 4.0]]),
+            ("id,group,0,1\na,x,1\x00,2\nb,y,3,4\n",
+             "expected a number, saw '1\\x00' (row 2, column '0')"),
+            # float() reads 1_0 as 10; loadtxt refuses it
+            ("id,group,0,1\na,x,1_0,2\nb,y,3,4\n", [[10.0, 2.0], [3.0, 4.0]]),
+            ("id,group,0,1\na,x,1,2\n  \nb,y,3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+            ("id,group,0,1\na,x,1,2\nb,y,3,nan\n",
+             "expected a finite number, saw 'nan' (row 3, column '1')"),
+            ("id,group,0,1\na,x,1,2\na,y,3,4\n", "duplicate subject id 'a' (row 3)"),
+            # a finite number the csv module refuses for its length
+            ("id,group,0,1\na,x,1,2\nb,y,0." + "0" * 131_072 + ",4\n",
+             "field larger than field limit (131072) (row 3)"),
+        ],
+        ids=["quoted", "nul", "underscore", "spaces-row", "nan", "duplicate-id", "overlong"],
+    )
+    def test_other_files_take_the_csv_path(self, tmp_path, monkeypatch, text, expected):
+        path = tmp_path / "w.csv"
+        path.write_text(text, newline="")
+        calls = count_csv_reads(monkeypatch)
+        if isinstance(expected, str):
+            with pytest.raises(CsvFormatError) as excinfo:
+                read_curves_csv(path)
+            assert str(excinfo.value) == expected
+        else:
+            curves, info = read_curves_csv(path)
+            assert curves.values.tolist() == expected
+            assert info.subject_ids == ("a", "b")
+            assert info.group_labels == ("x", "y")
+        assert calls == [path]
 
 
 def run_cli(capsys, argv):
@@ -950,10 +1028,12 @@ def test_cli_exits_0_or_2_without_a_traceback(cli_folder, argv):
     assert "Traceback" not in err.getvalue()
 
 
-# bytes that CSV gives meaning to, a byte-order mark, a NUL and bytes that
-# are not UTF-8
+# bytes that CSV gives meaning to, a byte-order mark, a NUL, bytes that
+# are not UTF-8, and bytes float() and loadtxt read differently: padding,
+# an underscore, a bare exponent and a full-width digit
 _CSV_BYTES = st.sampled_from(
     [b",", b"\n", b"\r\n", b"\n\n", b'"', b" ", b"\x00", b"\xef\xbb\xbf", b"\xff", b"\xc3"]
+    + [b"\r", b"\t", b"_", b"e", b"\xef\xbc\x91"]
 )
 # each edit replaces, inserts or deletes at a fraction of the file's
 # length, or repeats the line there, so that an id appears twice
@@ -964,6 +1044,16 @@ _CSV_EDITS = st.lists(
     min_size=1,
     max_size=4,
 )
+
+
+def _read_outcome(path):
+    """The bits of each array read_curves_csv returns and its info, or its error's text."""
+    try:
+        curves, info = read_curves_csv(path)
+    except CsvFormatError as exc:
+        return str(exc)
+    arrays = (curves.values, curves.grid, curves.groups)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays], info
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -982,7 +1072,9 @@ def test_read_curves_csv_raises_only_csv_format_error(cli_folder, name, edits):
             data[at : at + len(piece)] = piece if edit == "replace" else b""
     path = cli_folder / f"fuzzed-{name}"
     path.write_bytes(bytes(data))
-    try:
-        read_curves_csv(path)
-    except CsvFormatError:
-        pass
+    outcome = _read_outcome(path)
+    with pytest.MonkeyPatch.context() as mp:
+        # the csv path alone, as every file was read before the numpy pass
+        mp.setattr(curve_io, "_loadtxt_wide", lambda path: None)
+        assert outcome == _read_outcome(path)
+

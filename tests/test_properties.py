@@ -4,6 +4,7 @@ Values are small integers, so ties are common and every increasing
 transform below maps them to distinct floats in the same order.
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 from drtests import (
     Alternative,
     DoublyRankedConfig,
+    Method,
     SummaryKind,
     average_rank_summary,
     doubly_ranked_test,
@@ -23,6 +25,7 @@ from drtests import (
     rank_curves,
     sufficient_summary,
 )
+from drtests.rank_tests import _doubly_ranked_scores, _test_curves
 from tests.helpers import make_curves
 
 _INCREASING = (
@@ -132,3 +135,66 @@ def test_negating_values(dataset):
         p_flipped = _test(-values, labels, replace(config, alternative=less)).p_value
         p = _test(values, labels, replace(config, alternative=greater)).p_value
         assert p_flipped == pytest.approx(p, rel=1e-12)
+
+
+def _tie_free_values(rng, n, n_points, pve):
+    """The first (n, n_points) normal draw whose scores tie under neither summary."""
+    while True:
+        values = rng.normal(size=(n, n_points))
+        scores, _ = _doubly_ranked_scores(values[None], tuple(SummaryKind), pve)
+        if all(np.unique(block).size == n for block in scores):
+            return values
+
+
+@pytest.mark.parametrize("pve", [None, 0.9])
+@pytest.mark.parametrize("n_points", [1, 5, 12])
+@pytest.mark.parametrize("sizes", [(4, 4), (5, 6)])
+def test_exact_path_is_the_label_permutation_test(sizes, n_points, pve):
+    # ranks, summaries and smoothing never read the labels, so on tie-free
+    # scores the exact rank-sum test is the test over every relabelling
+    n1, n2 = sizes
+    n = n1 + n2
+    rng = np.random.default_rng([n1, n2, n_points])
+    values = _tie_free_values(rng, n, n_points, pve)
+    labels = rng.permutation(np.repeat([1, 2], sizes))
+    curves = make_curves(values, groups=labels)
+    # each relabelling's group 2, as subject indices
+    group2 = np.array(list(itertools.combinations(range(n), n2)))
+    for summary in SummaryKind:
+        (scores,), _ = _doubly_ranked_scores(values[None], (summary,), pve)
+        ranks = np.argsort(np.argsort(scores[0])) + 1
+        u_all = ranks[group2].sum(axis=1) - n2 * (n2 + 1) // 2
+        u = ranks[labels == 2].sum() - n2 * (n2 + 1) // 2
+        lower, upper = np.mean(u_all <= u), np.mean(u_all >= u)
+        enumerated = {
+            Alternative.LESS: lower,
+            Alternative.GREATER: upper,
+            Alternative.TWO_SIDED: min(1.0, 2.0 * min(lower, upper)),
+        }
+        for alternative, p in enumerated.items():
+            config = DoublyRankedConfig(
+                summary=summary, preprocess_pve=pve, alternative=alternative
+            )
+            result, tested, _ = _test_curves(curves, config)
+            assert np.array_equal(tested, scores)
+            assert result.method is Method.MWW_EXACT
+            assert result.statistic == u
+            # the exact tail sums its pmf's terms, the enumeration counts
+            # once: the two round apart by at most an ulp or so
+            assert result.p_value == pytest.approx(p, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("pve", [None, 0.9])
+def test_three_groups_score_alike_under_every_relabelling(pve):
+    rng = np.random.default_rng(333)
+    values = _tie_free_values(rng, 9, 6, pve)
+    labels = np.repeat([1, 2, 3], 3)
+    for summary in SummaryKind:
+        config = DoublyRankedConfig(summary=summary, preprocess_pve=pve)
+        _, scores, _ = _test_curves(make_curves(values, groups=labels), config)
+        for _ in range(20):
+            relabelled = rng.permutation(labels)
+            result, tested, _ = _test_curves(make_curves(values, groups=relabelled), config)
+            assert np.array_equal(tested, scores)
+            by_group = [scores[0, relabelled == g] for g in (1, 2, 3)]
+            assert result == kruskal_wallis_test(by_group)
