@@ -19,18 +19,21 @@ the run takes one task for each other share meanwhile, so a single share
 opens no pool. A share draws each of its replicates once, so a share
 boundary inside a replicate's cells costs one extra draw. It runs in
 blocks of at most 2^15 curve values (a fixed memory budget, not a
-setting; a shape whose n·S exceeds it runs one position per block): the
-whole block is ranked, summarized and tested in one batched pass, and
+setting; a shape whose n·S exceeds it runs one position per block): a
+block draws its replicates in one `_base_values` call (one re-pointed
+generator, one noise filter call), gathers its positions from them with
+one index, and is ranked, summarized and tested in one batched pass;
 each row's rejection is credited to its cell. Because substream r
-depends only on (seed, r), the shifted values are the same IEEE sums
-wherever they are formed, every test treats each row on its own, and a
-run sums its shares' integer counts, results are identical for any
-worker count and any block size.
+depends only on (seed, r) and a re-pointed generator is in the state a
+new one for r starts in, the filter treats each curve on its own, the
+shifted values are the same IEEE sums wherever they are formed, the
+scores add each subject's occasions in one fixed order, every test
+treats each row on its own, and a run sums its shares' integer counts,
+results are identical for any worker count and any block size.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 import math
@@ -206,9 +209,10 @@ def _count_rejections(
     offset o among them is replicate o // m of shift o % m. A row rejects
     when p <= alpha. Positions run in blocks of at most
     max(1, _BUDGET // (n·S)) within one shape, whose m shifts come from one
-    `_shift` call. A block draws each replicate it needs once (one the
-    previous block drew is kept), copies it to each of its cells and adds
-    that cell's shift to groups 2..G; each position is smoothed on its own
+    `_shift` call. A block draws the replicates it needs in one
+    `_base_values` call (one the previous block drew is kept), gathers a
+    copy for each of its positions with one index and adds each cell's
+    shift to groups 2..G; each position is smoothed on its own
     when grid.preprocess_pve is set, then the block is ranked once, scored
     under every summary, and each summary's scores are tested in one pass.
     No CurveSet or TestResult is built.
@@ -224,15 +228,17 @@ def _count_rejections(
         step = max(1, _BUDGET // (config.n_subjects * config.n_points))
         shifts = _shift(config, grid.xi_values)
         split, labels = config.n_per_group[0], _group_labels(config.n_per_group)
-        drawn: dict[int, np.ndarray] = {}
+        last = -1  # the last replicate the previous block drew
         for begin in range(lo, hi, step):
             offsets = np.arange(begin, min(begin + step, hi)) - first
             replicates, cells = np.divmod(offsets, m)
-            drawn = {
-                r: drawn[r] if r in drawn else _base_values(config, r)
-                for r in range(replicates[0], replicates[-1] + 1)
-            }
-            values = np.stack([drawn[r] for r in replicates.tolist()])
+            low, high = int(replicates[0]), int(replicates[-1]) + 1
+            if low == last:  # a block boundary cut replicate low's cells
+                drawn = np.concatenate((drawn[-1:], _base_values(config, range(low + 1, high))))
+            else:
+                drawn = _base_values(config, range(low, high))
+            last = high - 1
+            values = drawn[replicates - low]
             values[:, split:] += shifts[cells, None]
             scores, _ = _doubly_ranked_scores(values, grid.summaries, grid.preprocess_pve)
             for j, block in enumerate(scores):
@@ -279,8 +285,8 @@ def _cell_spec(config: SimConfig, summary: SummaryKind, grid: ExperimentGrid) ->
 
 def _at_xi(spec: CellSpec, xi: float) -> CellSpec:
     """A copy of a checked spec at the checked shift scale xi, not checked again."""
-    row = copy.copy(spec)
-    object.__setattr__(row, "xi", xi)
+    row = object.__new__(CellSpec)
+    row.__dict__.update(vars(spec), xi=xi)
     return row
 
 

@@ -38,8 +38,8 @@ from .errors import (
     _within,
 )
 from .preprocess import _check_pve, _fpca
-from .ranking import CurveSet, _group_labels, _midranks
-from .summaries import SummaryKind, _summary_scores
+from .ranking import CurveSet, _group_labels, _scatter_ranks, _sort_order
+from .summaries import SummaryKind, _block_scores
 
 __all__ = [
     "Alternative",
@@ -169,7 +169,10 @@ def _pooled_ranks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     0 exactly when the row has no ties. Mid-ranks give
     sum(t^3 - t) = n^3 - n - 12 sum((r - (n+1)/2)^2).
     """
-    ranks = _midranks(scores, axis=1)
+    order, mid, tied = _sort_order(scores, axis=1)
+    ranks = _scatter_ranks(order, mid).reshape(scores.shape)
+    if not tied:
+        return ranks, np.zeros(len(ranks))
     n = ranks.shape[1]
     # every term is a multiple of 1/4, so the sum is exact while n^3 < 2^53
     tie_sum = n**3 - n - 12.0 * np.sum((ranks - (n + 1) / 2.0) ** 2, axis=1)
@@ -398,9 +401,7 @@ def _doubly_ranked_scores(
     fits = [] if pve is None else [_fpca(x, pve) for x in values]
     if fits:
         values = np.stack([x for x, _, _ in fits])
-    ranks = _midranks(values, axis=1)
-    scores = [_summary_scores(ranks, kind) for kind in summaries]
-    return scores, [(kept, achieved) for _, kept, achieved in fits]
+    return _block_scores(values, summaries), [(kept, achieved) for _, kept, achieved in fits]
 
 
 def _score_block(

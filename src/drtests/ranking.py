@@ -133,19 +133,21 @@ def _tie_free_ranks(rows: int, n: int) -> np.ndarray:
     return ranks
 
 
-def _midranks(values: np.ndarray, axis: int) -> np.ndarray:
-    """Mid-ranks of values along axis: tied values share their mean rank.
+def _sort_order(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Each row's sort order along axis, its sorted mid-ranks, and whether any tie.
 
-    The ranked axis is swapped last and copied into a contiguous
-    (rows, n) block, which is sorted once; its sort order, offset by each
-    row's start, holds flat indices that gather the sorted values and
-    scatter the ranks back. Each sorted position gets rank k + 1 when no
-    row has equal neighbours, else one plus the mean of the first and last
-    positions of its run of equal values. Mid-ranks are exact
-    half-integers, so any correct algorithm gives the same bits as scipy's
-    average-method ranking. The result is a view in the memory layout
-    scipy returns too (the ranked axis innermost), so reductions over it
-    round the same way. The values are trusted to be finite.
+    The ranked axis is swapped last and copied into a contiguous (rows, n)
+    block, which is sorted once. The returned (rows, n) order, offset by
+    each row's start, holds flat indices into that block: position k of
+    row i holds the index of the row's (k + 1)-th smallest value. The tie
+    test runs on the flat sorted block, so equal values straddling a row
+    boundary send the block down the tied path too, whose mid-ranks are
+    exact for tie-free rows as well: position k gets one plus the mean of
+    the first and last positions of its run of equal values. With no equal
+    neighbours the sorted mid-ranks are 1..n in every row, read-only: the
+    kept rows of `_tie_free_ranks`, built inside the shape's first sort,
+    for a block of at most _KEEP_MAX values, else a broadcast row. The
+    values are trusted to be finite.
     """
     a = np.swapaxes(values, axis, -1)
     n = a.shape[-1]
@@ -153,23 +155,44 @@ def _midranks(values: np.ndarray, axis: int) -> np.ndarray:
     block = np.ascontiguousarray(a).reshape(rows, n)
     order = np.argsort(block, axis=-1)
     order += np.arange(0, rows * n, n)[:, None]
-    ordered = block.take(order)
-    ranks = np.empty(rows * n)
-    same = ordered[:, 1:] == ordered[:, :-1]
-    if same.any():
-        first = np.ones((rows, n), dtype=bool)  # starts a run of equal values
-        np.logical_not(same, out=first[:, 1:])
-        last = np.ones((rows, n), dtype=bool)  # ends a run
-        last[:, :-1] = first[:, 1:]
-        pos = np.arange(n)
-        start = np.maximum.accumulate(np.where(first, pos, 0), axis=-1)
-        end = np.minimum.accumulate(np.where(last, pos, n - 1)[:, ::-1], axis=-1)
-        ranks[order.ravel()] = ((start + end[:, ::-1]) / 2.0 + 1.0).ravel()
-    elif rows * n <= _KEEP_MAX:
-        ranks[order.ravel()] = _tie_free_ranks(rows, n)
-    else:
-        ranks[order] = np.arange(1.0, n + 1.0)
-    return np.swapaxes(ranks.reshape(a.shape), axis, -1)
+    ordered = block.take(order.ravel())
+    same = ordered[1:] == ordered[:-1]
+    if not same.any():
+        if rows * n <= _KEEP_MAX:
+            return order, _tie_free_ranks(rows, n).reshape(rows, n), False
+        return order, np.broadcast_to(np.arange(1.0, n + 1.0), (rows, n)), False
+    first = np.ones(rows * n, dtype=bool)  # starts a run of equal values
+    np.logical_not(same, out=first[1:])
+    first[::n] = True
+    first = first.reshape(rows, n)
+    last = np.ones((rows, n), dtype=bool)  # ends a run
+    last[:, :-1] = first[:, 1:]
+    pos = np.arange(n)
+    start = np.maximum.accumulate(np.where(first, pos, 0), axis=-1)
+    end = np.minimum.accumulate(np.where(last, pos, n - 1)[:, ::-1], axis=-1)
+    return order, (start + end[:, ::-1]) / 2.0 + 1.0, True
+
+
+def _scatter_ranks(order: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """The flat mid-ranks of a `_sort_order` block, in the block's own layout."""
+    ranks = np.empty(order.size)
+    ranks[order] = mid
+    return ranks
+
+
+def _midranks(values: np.ndarray, axis: int) -> np.ndarray:
+    """Mid-ranks of values along axis: tied values share their mean rank.
+
+    `_sort_order` sorts the block and `_scatter_ranks` writes each sorted
+    position's rank back through the same flat indices. Mid-ranks are
+    exact half-integers, so any correct algorithm gives the same bits as
+    scipy's average-method ranking. The result is a view in the memory
+    layout scipy returns too (the ranked axis innermost), so reductions
+    over it round the same way. The values are trusted to be finite.
+    """
+    a = np.swapaxes(values, axis, -1)
+    order, mid, _ = _sort_order(values, axis)
+    return np.swapaxes(_scatter_ranks(order, mid).reshape(a.shape), axis, -1)
 
 
 def rank_curves(curves: CurveSet) -> RankCurves:

@@ -10,12 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, _check_fields, _frozen, _member
 from .orderstat import _log_odds
-from .ranking import RankCurves
+from .ranking import _KEEP_MAX, RankCurves, _sort_order, _tie_free_ranks
 
 __all__ = [
     "SummaryKind",
@@ -75,8 +77,54 @@ def _summary_scores(ranks: np.ndarray, kind: SummaryKind) -> np.ndarray:
     """
     term, interval = _SUMMARIES[kind]
     n = ranks.shape[-2]
-    # numpy's pairwise-summed mean keeps long grids from accumulating drift
+    # numpy's mean adds pairwise along a contiguous occasion axis, and in
+    # occasion order along the strided one of `_midranks`'s layout, which
+    # `_block_scores` repeats
     return np.clip(term(ranks, n).mean(axis=-1), *interval(n))
+
+
+@lru_cache(maxsize=16)
+def _tie_free_terms(kind: SummaryKind, rows: int, n: int) -> np.ndarray:
+    """The kind's term of the kept ranks 1..n of rows tie-free rows, flat; read-only.
+
+    Kept per (kind, rows, n) for blocks of at most ranking._KEEP_MAX
+    values, like the rank rows; the average-rank terms are those rows.
+    """
+    terms = _SUMMARIES[kind][0](_tie_free_ranks(rows, n), n)
+    terms.flags.writeable = False
+    return terms
+
+
+def _block_scores(values: np.ndarray, kinds: Sequence[SummaryKind]) -> list[np.ndarray]:
+    """The (R, n) scores under each kind of an (R, n, S) block of curves.
+
+    The block is ranked per occasion by `ranking._sort_order`, and the
+    ranks are never scattered: position k of the sorted row of replicate
+    r at occasion s adds the term of its rank to bin r·n + i, i the
+    subject it holds, in one weighted bincount per kind. A bin takes its
+    subject's occasions in the order s = 0..S-1, the sequence in which the
+    strided mean of `_summary_scores` adds them, so the scores are its
+    bits: `_summary_scores(_midranks(values, 1), kind)`. The values are
+    trusted.
+    """
+    reps, n, s = values.shape
+    order, mid, tied = _sort_order(values, axis=1)
+    rows = reps * s
+    # order holds the flat index (r·S + s)·n + i; subtracting
+    # n·(row - r) from each row, row = r·S + s, leaves the bin r·n + i
+    row = np.arange(rows)
+    order -= (n * (row - row // s))[:, None]
+    bins = order.ravel()
+    scores = []
+    for kind in kinds:
+        term, interval = _SUMMARIES[kind]
+        if tied or rows * n > _KEEP_MAX:
+            terms = term(mid, n).ravel()
+        else:
+            terms = _tie_free_terms(kind, rows, n)
+        sums = np.bincount(bins, terms, minlength=reps * n).reshape(reps, n)
+        scores.append(np.clip(sums / s, *interval(n)))
+    return scores
 
 
 def sufficient_summary(ranks: RankCurves) -> SummaryScores:

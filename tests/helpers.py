@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 
-from drtests import CurveSet, harness, rank_tests, ranking
+from drtests import CurveSet, harness, rank_tests
 
 # the real counter, looked up here so that a ShareLog pickles without it
 _count_rejections = harness._count_rejections
@@ -52,19 +52,17 @@ def count_pools(monkeypatch):
 
 
 def count_pipeline_calls(monkeypatch):
-    """Count the doubly ranked pipeline's smoothings and ranked datasets.
+    """Count the doubly ranked pipeline's smoothings and scored datasets.
 
     Returns a dict that fills in as the pipeline runs: "smoothings" counts
     calls to the FPCA core `_fpca` (each returns the smoothed matrix, the
     components kept and the variance ratio achieved), "ranked_datasets"
-    the datasets ranked per occasion by the package's one ranker,
-    `ranking._midranks`. A 3-d stack of replicates ranked along axis 1
-    counts its leading size, a 2-d curve matrix ranked along axis 0
-    counts 1. The pooled ranking of the final test step (2-d score rows
-    along axis 1) is not counted.
+    the datasets ranked per occasion and scored by the block scorer
+    `summaries._block_scores`: an (R, n, S) block counts R. The pooled
+    ranking of the final test step is not counted.
     """
     calls = {"smoothings": 0, "ranked_datasets": 0}
-    smooth, rank = rank_tests._fpca, ranking._midranks
+    smooth, score = rank_tests._fpca, rank_tests._block_scores
 
     def counted_smooth(x, pve):
         calls["smoothings"] += 1
@@ -72,16 +70,12 @@ def count_pipeline_calls(monkeypatch):
         assert smoothed.shape == x.shape and kept >= 1 and 0.0 < achieved <= 1.0
         return fit
 
-    def counted_rank(values, axis):
-        if values.ndim == 3 and axis == 1:
-            calls["ranked_datasets"] += values.shape[0]
-        elif values.ndim == 2 and axis == 0:
-            calls["ranked_datasets"] += 1
-        return rank(values, axis)
+    def counted_score(values, kinds):
+        calls["ranked_datasets"] += values.shape[0]
+        return score(values, kinds)
 
     monkeypatch.setattr(rank_tests, "_fpca", counted_smooth)
-    for module in (ranking, rank_tests):
-        monkeypatch.setattr(module, "_midranks", counted_rank)
+    monkeypatch.setattr(rank_tests, "_block_scores", counted_score)
     return calls
 
 

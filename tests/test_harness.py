@@ -238,9 +238,9 @@ class TestPipelineCalls:
         drawn = []
         base_values = harness._base_values
 
-        def counted(config, replicate):
-            drawn.append((config.n_per_group, replicate))
-            return base_values(config, replicate)
+        def counted(config, replicates):
+            drawn.extend((config.n_per_group, r) for r in replicates)
+            return base_values(config, replicates)
 
         monkeypatch.setattr(harness, "_base_values", counted)
         # blocks of 3 positions cut through the 4 shift cells of a replicate
@@ -565,10 +565,10 @@ class TestRunPower:
         # process's share, 4..7 the pool's
         draw = harness._base_values
 
-        def failing_draw(config, r):
-            if r == replicate:
-                raise RuntimeError(f"replicate {r} failed")
-            return draw(config, r)
+        def failing_draw(config, replicates):
+            if replicate in replicates:
+                raise RuntimeError(f"replicate {replicate} failed")
+            return draw(config, replicates)
 
         monkeypatch.setattr(harness, "_base_values", failing_draw)
         monkeypatch.setattr(harness, "_SHARE_MIN", 1)

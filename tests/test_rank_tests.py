@@ -443,6 +443,29 @@ class TestBatchedCore:
                     ref = kruskal(*groups)
                     assert one.p_value == pytest.approx(ref.pvalue, rel=0, abs=1e-12)
 
+    @pytest.mark.parametrize("sizes", [(4, 6), (3, 3, 4)])
+    def test_rows_equal_only_across_a_row_boundary_are_tie_free(self, sizes):
+        # each row's largest score is the next row's smallest: the sorted
+        # block has equal neighbours, but no row has a tie
+        rng = np.random.default_rng(317)
+        n = sum(sizes)
+        scores = np.array([rng.permutation(n) + r * (n - 1.0) for r in range(5)])
+        labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+        ranks, tie_sum = rank_tests._pooled_ranks(scores)
+        assert np.array_equal(ranks, scores - scores.min(axis=1, keepdims=True) + 1.0)
+        assert tie_sum.tobytes() == np.zeros(5).tobytes()
+        block = rank_tests._score_block(scores, labels, DoublyRankedConfig())
+        assert not block.ties.any()
+        for r, row in enumerate(scores):
+            one = (
+                mww_test(row[labels == 1], row[labels == 2])
+                if len(sizes) == 2
+                else kruskal_wallis_test([row[labels == g] for g in (1, 2, 3)])
+            )
+            assert one.method.value == block.method[r] != Method.MWW_NORMAL.value
+            assert block.p_value[r].hex() == one.p_value.hex()
+            assert block.statistic[r].hex() == one.statistic.hex()
+
     @pytest.mark.parametrize("sizes", [(9, 12), (30, 25), (3, 4, 5), (4, 1, 6, 3)])
     def test_p_values_are_scipy_distribution_tails_bit_for_bit(self, sizes):
         # the normal path (exact_threshold=0) against norm.sf, the chi-square

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from drtests import (
     CoeffDist,
@@ -14,7 +15,10 @@ from drtests import (
     generate_dataset,
     replicate_stream,
 )
-from drtests.simgen import _SHAPES, _basis, _grid, _noise_matrix, _shift
+from drtests import simgen
+from drtests.simgen import (
+    _SHAPES, _base_values, _basis, _basis_matrix, _grid, _noise_matrix, _shift
+)
 
 
 def mean_fn(shape, s, xi):
@@ -138,36 +142,108 @@ class TestMeanFn:
 
 
 class TestNoiseVector:
-    """Noise curves drawn by `_noise_matrix`, one at a time or k at once."""
+    """Noise curves made by `_noise_matrix` from a block of standard normal draws."""
 
-    def test_none_is_zero_and_consumes_nothing(self):
-        for shape in ((1, 5), (3, 5)):
-            rng = replicate_stream(1, 0)
-            out = _noise_matrix(NoiseKind.NONE, shape, rng, 0.5)
-            assert out.shape == shape
-            assert np.all(out == 0.0)
-            # stream untouched: same next draw as a fresh stream
-            assert rng.standard_normal() == replicate_stream(1, 0).standard_normal()
+    def test_none_is_zero_and_consumes_nothing(self, monkeypatch):
+        # a noise-free replicate is its coefficient product alone, and its
+        # stream is left where the coefficients end
+        streams, real = [], simgen._replicate_streams
+
+        def kept(seed, replicates):
+            for rng in real(seed, replicates):
+                streams.append(rng)
+                yield rng
+
+        monkeypatch.setattr(simgen, "_replicate_streams", kept)
+        config = SimConfig(n_per_group=(1, 2), n_points=5, n_basis=4, seed=1)
+        values = _base_values(config, [3])
+        fresh = replicate_stream(1, 3)
+        coeffs = fresh.standard_normal((3, 4))
+        assert values.shape == (1, 3, 5)
+        assert values[0].tobytes() == (coeffs @ _basis_matrix(4, 5)).tobytes()
+        assert streams[-1].standard_normal() == fresh.standard_normal()
 
     def test_ar1_zero_rho_equals_white(self):
-        for shape in ((1, 50), (4, 50)):
-            a = _noise_matrix(NoiseKind.AR1, shape, replicate_stream(2, 0), 0.0)
-            b = _noise_matrix(NoiseKind.WHITE, shape, replicate_stream(2, 0), 0.0)
+        for shape in ((1, 1, 50), (2, 4, 50)):
+            draws = replicate_stream(2, 0).standard_normal(shape)
+            a = _noise_matrix(NoiseKind.AR1, draws.copy(), 0.0)
+            b = _noise_matrix(NoiseKind.WHITE, draws.copy(), 0.0)
             assert np.array_equal(a, b)
 
     def test_ar1_lag_one_correlation(self):
-        # 200 one-curve draws from a stream equal one 200-curve draw from it
-        rng = replicate_stream(3, 0)
-        rows = [_noise_matrix(NoiseKind.AR1, (1, 360), rng, 0.5)[0] for _ in range(200)]
-        draws = _noise_matrix(NoiseKind.AR1, (200, 360), replicate_stream(3, 0), 0.5)
+        # 200 curves filtered one at a time equal them filtered as one block
+        eta = replicate_stream(3, 0).standard_normal((200, 360))
+        rows = [_noise_matrix(NoiseKind.AR1, eta[i : i + 1].copy(), 0.5)[0] for i in range(200)]
+        block = _noise_matrix(NoiseKind.AR1, eta.reshape(4, 50, 360).copy(), 0.5)
+        draws = block.reshape(200, 360)
         assert np.array_equal(np.array(rows), draws)
         x, y = draws[:, :-1].ravel(), draws[:, 1:].ravel()
         corr = np.corrcoef(x, y)[0, 1]
         assert corr == pytest.approx(0.5, abs=0.02)
 
     def test_ar1_unit_marginal_variance(self):
-        draws = _noise_matrix(NoiseKind.AR1, (300, 100), replicate_stream(4, 0), 0.5)
+        eta = replicate_stream(4, 0).standard_normal((300, 100)).reshape(3, 100, 100)
+        draws = _noise_matrix(NoiseKind.AR1, eta, 0.5)
         assert draws.var() == pytest.approx(1.0, abs=0.03)
+
+
+def one_replicate(config, replicate):
+    """A replicate's unshifted values drawn from its own new `replicate_stream`."""
+    rng = replicate_stream(config.seed, replicate)
+    n, k, s = config.n_subjects, config.n_basis, config.n_points
+    if config.coeff_dist is CoeffDist.GAUSSIAN:
+        coeffs = rng.standard_normal((n, k))
+    else:
+        coeffs = rng.standard_t(2.0, size=(n, k))
+    values = coeffs @ _basis_matrix(k, s)
+    if config.noise is NoiseKind.WHITE:
+        values += rng.standard_normal((n, s))
+    elif config.noise is NoiseKind.AR1:
+        eta = rng.standard_normal((n, s))
+        eta[:, 1:] *= np.sqrt(1.0 - config.rho**2)
+        values += lfilter([1.0], [1.0, -config.rho], eta, axis=1)
+    return values
+
+
+class TestBlockDraw:
+    """`_base_values` draws a block of replicates from one re-pointed generator."""
+
+    @pytest.mark.parametrize("coeff_dist", list(CoeffDist))
+    @pytest.mark.parametrize("noise", list(NoiseKind))
+    @pytest.mark.parametrize(
+        "seed, replicates",
+        [
+            (7, [0]),
+            (7, [0, 1, 2]),
+            (2**70 + 3, [5, 2, 9]),
+            (11, [2**64 - 1, 2**64, 2**64 + 3, 2**127 + 1]),
+        ],
+    )
+    def test_equals_one_stream_per_replicate(self, coeff_dist, noise, seed, replicates):
+        # an off-by-one counter word, a reused buffer or a skipped draw
+        # changes every later value
+        config = SimConfig(
+            n_per_group=(3, 4),
+            n_points=9,
+            n_basis=6,
+            coeff_dist=coeff_dist,
+            noise=noise,
+            rho=-0.3,
+            seed=seed,
+        )
+        block = _base_values(config, replicates)
+        expected = np.stack([one_replicate(config, r) for r in replicates])
+        assert block.tobytes() == expected.tobytes()
+
+    def test_empty_block(self):
+        config = SimConfig(n_per_group=(2, 2), n_points=3, n_basis=4, noise="ar1")
+        assert _base_values(config, range(4, 4)).shape == (0, 4, 3)
+
+    def test_generate_dataset_draws_a_block_of_one(self):
+        config = SimConfig(n_per_group=(2, 3), n_points=6, n_basis=5, noise="ar1", seed=8)
+        for replicate in (0, 2**64 + 1):
+            values = generate_dataset(config, replicate).values
+            assert values.tobytes() == one_replicate(config, replicate).tobytes()
 
 
 class TestGenerateDataset:

@@ -13,7 +13,9 @@ from drtests import (
     suff_stat,
     sufficient_summary,
 )
-from drtests.summaries import _SUMMARIES
+from drtests import ranking, summaries
+from drtests.ranking import _midranks, _sort_order
+from drtests.summaries import _SUMMARIES, _block_scores, _summary_scores
 from tests.helpers import make_curves
 
 
@@ -145,3 +147,52 @@ class TestSummaryScores:
         for bad in (-np.inf, np.inf, np.nan):
             with pytest.raises(InvalidInputError, match="^scores must be finite"):
                 SummaryScores([bad, lo, hi, hi], kind)
+
+
+class TestBlockScores:
+    """The block scorer against the summaries of the scattered mid-ranks, bit for bit."""
+
+    @staticmethod
+    def check(values):
+        scores = _block_scores(values, tuple(SummaryKind))
+        for kind, got in zip(SummaryKind, scores):
+            expected = _summary_scores(_midranks(values, 1), kind)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), kind
+
+    @pytest.mark.parametrize("reps", [1, 40])
+    @pytest.mark.parametrize("n", [2, 20, 200])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_equals_the_summaries_of_the_mid_ranks(self, reps, n, tied):
+        # a sum taken in another order changes the last bits of some scores
+        rng = np.random.default_rng(401 + n)
+        for s in (1, 7, 40, 360):
+            values = rng.normal(size=(reps, n, s))
+            if tied:
+                values = np.round(values, 1)
+            self.check(values)
+
+    def test_ties_only_across_a_row_boundary(self):
+        # occasion 0 holds 1, 2, 3 and occasion 1 holds 3, 4, 5: the flat
+        # sorted block has equal neighbours, yet every row is tie-free
+        values = np.array([[[1.0, 3.0], [2.0, 4.0], [3.0, 5.0]]])
+        order, mid, tied = _sort_order(values, 1)
+        assert tied and np.array_equal(mid, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+        self.check(values)
+        self.check(np.array([values[0], values[0] + 2.0]))
+
+    def test_tie_free_terms_are_kept_read_only(self):
+        values = np.random.default_rng(409).normal(size=(3, 9, 4))
+        self.check(values)
+        kept = summaries._tie_free_terms(SummaryKind.SUFFICIENT, 12, 9)
+        assert summaries._tie_free_terms(SummaryKind.SUFFICIENT, 12, 9) is kept
+        assert not kept.flags.writeable
+        self.check(values[::-1])
+        assert kept.tobytes() == _SUMMARIES[SummaryKind.SUFFICIENT][0](
+            np.tile(np.arange(1.0, 10.0), 12), 9
+        ).tobytes()
+        # a block above the bound is scored without keeping its terms
+        big = np.random.default_rng(419).normal(size=(1, 2, ranking._KEEP_MAX // 2 + 1))
+        before = summaries._tie_free_terms.cache_info()
+        self.check(big)
+        assert summaries._tie_free_terms.cache_info().currsize == before.currsize
