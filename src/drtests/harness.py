@@ -233,10 +233,12 @@ def _count_rejections(
             offsets = np.arange(begin, min(begin + step, hi)) - first
             replicates, cells = np.divmod(offsets, m)
             low, high = int(replicates[0]), int(replicates[-1]) + 1
-            if low == last:  # a block boundary cut replicate low's cells
-                drawn = np.concatenate((drawn[-1:], _base_values(config, range(low + 1, high))))
-            else:
+            if low != last:
                 drawn = _base_values(config, range(low, high))
+            elif high == low + 1:  # a block inside replicate low's cells
+                drawn = drawn[-1:]
+            else:  # a block boundary cut replicate low's cells
+                drawn = np.concatenate((drawn[-1:], _base_values(config, range(low + 1, high))))
             last = high - 1
             values = drawn[replicates - low]
             values[:, split:] += shifts[cells, None]

@@ -6,19 +6,17 @@ Curves must be complete (every subject measured at every location). Group
 labels may be arbitrary strings; they are mapped to 1..G in sorted order
 (numeric when every label parses as a number, lexicographic otherwise).
 
-A wide file whose only quotes wrap whole id or group fields, as R's
-`write.csv` writes them, is read in one `np.loadtxt` pass. Any file that
-pass declines (the long layout, any other quote, a NUL, text that is not
-UTF-8, or any cell, row or id the pass cannot take as it stands) is read by
-the csv module instead, which gives the same table, or names the row and
-column at fault.
+A wide file without quotes is read in one `np.loadtxt` pass. Any file that
+pass declines (the long layout, quotes, a NUL, text that is not UTF-8, or
+any cell, row or id the pass cannot take as it stands) is read by the csv
+module instead, which gives the same table, or names the row and column at
+fault.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,31 +170,17 @@ def _is_long(header: list[str]) -> bool:
     return sorted(h.lower() for h in header) == ["group", "id", "s", "value"]
 
 
-# The id and group fields at the start of a data line, each either in quotes
-# that wrap the whole field or unquoted, and holding no comma, quote or line
-# break: the csv module reads such a field as the text inside its quotes
-_ID_AND_GROUP = re.compile(r'("?)([^",\n]*)\1,("?)([^",\n]*)\3,')
-
-
-def _unquoted(line: str) -> str:
-    """A data line with the quotes that wrap its id and group fields removed."""
-    fields = _ID_AND_GROUP.match(line)
-    return f"{fields[2]},{fields[4]},{line[fields.end():]}" if fields else line
-
-
 def _loadtxt_wide(path: str | os.PathLike) -> _Wide | None:
     """The wide table read in one `np.loadtxt` pass, or None to leave it to the csv path.
 
-    Without a NUL, and with no quotes but those wrapping a whole id or
-    group field, the csv module splits records only where universal
-    newlines end a line, and fields only at commas, as here, and reads a
-    wrapped field as the text inside its quotes, which is what this pass
-    keeps of it; and loadtxt takes a subset of the cells float() takes, to
-    the same value. So a table this pass returns is the one the csv path
-    returns. It returns None wherever the csv path might read otherwise or
-    raise: the long layout, any other quote, a NUL, text that is not UTF-8,
-    no data row, a field past the csv module's size limit, a cell or row
-    loadtxt refuses, a non-finite value or a repeated id.
+    Without quotes or a NUL, the csv module splits records only where
+    universal newlines end a line, and fields only at commas, as here; and
+    loadtxt takes a subset of the cells float() takes, to the same value.
+    So a table this pass returns is the one the csv path returns. It
+    returns None wherever the csv path might read otherwise or raise: the
+    long layout, quotes, a NUL, text that is not UTF-8, no data row, a
+    field past the csv module's size limit, a cell or row loadtxt refuses,
+    a non-finite value or a repeated id.
     """
     try:
         # universal newlines: \r\n and \r end a line as \n does
@@ -204,13 +188,9 @@ def _loadtxt_wide(path: str | os.PathLike) -> _Wide | None:
             text = fh.read()
     except UnicodeDecodeError:
         return None
-    if "\0" in text:
+    if '"' in text or "\0" in text:
         return None
     lines = text.split("\n")
-    if '"' in text:
-        lines[1:] = map(_unquoted, lines[1:])
-        if any('"' in line for line in lines):
-            return None
     header, body = [h.strip() for h in lines[0].split(",")], lines[1:]
     limit = csv.field_size_limit()
     if (

@@ -169,7 +169,7 @@ def _pooled_ranks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     0 exactly when the row has no ties. Mid-ranks give
     sum(t^3 - t) = n^3 - n - 12 sum((r - (n+1)/2)^2).
     """
-    order, mid, tied = _sort_order(scores, axis=1)
+    order, mid, tied, _ = _sort_order(scores, axis=1)
     ranks = _scatter_ranks(order, mid).reshape(scores.shape)
     if not tied:
         return ranks, np.zeros(len(ranks))

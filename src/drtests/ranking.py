@@ -133,8 +133,11 @@ def _tie_free_ranks(rows: int, n: int) -> np.ndarray:
     return ranks
 
 
-def _sort_order(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Each row's sort order along axis, its sorted mid-ranks, and whether any tie.
+def _sort_order(
+    values: np.ndarray, axis: int
+) -> tuple[np.ndarray, np.ndarray, bool, bool]:
+    """Each row's sort order along axis, its sorted mid-ranks, whether any
+    tie, and whether the mid-ranks are the kept rows of `_tie_free_ranks`.
 
     The ranked axis is swapped last and copied into a contiguous (rows, n)
     block, which is sorted once. The returned (rows, n) order, offset by
@@ -159,8 +162,8 @@ def _sort_order(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, 
     same = ordered[1:] == ordered[:-1]
     if not same.any():
         if rows * n <= _KEEP_MAX:
-            return order, _tie_free_ranks(rows, n).reshape(rows, n), False
-        return order, np.broadcast_to(np.arange(1.0, n + 1.0), (rows, n)), False
+            return order, _tie_free_ranks(rows, n).reshape(rows, n), False, True
+        return order, np.broadcast_to(np.arange(1.0, n + 1.0), (rows, n)), False, False
     first = np.ones(rows * n, dtype=bool)  # starts a run of equal values
     np.logical_not(same, out=first[1:])
     first[::n] = True
@@ -170,7 +173,7 @@ def _sort_order(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, 
     pos = np.arange(n)
     start = np.maximum.accumulate(np.where(first, pos, 0), axis=-1)
     end = np.minimum.accumulate(np.where(last, pos, n - 1)[:, ::-1], axis=-1)
-    return order, (start + end[:, ::-1]) / 2.0 + 1.0, True
+    return order, (start + end[:, ::-1]) / 2.0 + 1.0, True, False
 
 
 def _scatter_ranks(order: np.ndarray, mid: np.ndarray) -> np.ndarray:
@@ -191,7 +194,7 @@ def _midranks(values: np.ndarray, axis: int) -> np.ndarray:
     over it round the same way. The values are trusted to be finite.
     """
     a = np.swapaxes(values, axis, -1)
-    order, mid, _ = _sort_order(values, axis)
+    order, mid, _, _ = _sort_order(values, axis)
     return np.swapaxes(_scatter_ranks(order, mid).reshape(a.shape), axis, -1)
 
 

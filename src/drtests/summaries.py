@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError, _check_fields, _frozen, _member
 from .orderstat import _log_odds
-from .ranking import _KEEP_MAX, RankCurves, _sort_order, _tie_free_ranks
+from .ranking import RankCurves, _sort_order, _tie_free_ranks
 
 __all__ = [
     "SummaryKind",
@@ -87,8 +87,8 @@ def _summary_scores(ranks: np.ndarray, kind: SummaryKind) -> np.ndarray:
 def _tie_free_terms(kind: SummaryKind, rows: int, n: int) -> np.ndarray:
     """The kind's term of the kept ranks 1..n of rows tie-free rows, flat; read-only.
 
-    Kept per (kind, rows, n) for blocks of at most ranking._KEEP_MAX
-    values, like the rank rows; the average-rank terms are those rows.
+    Kept per (kind, rows, n) for the blocks whose rank rows are kept; the
+    average-rank terms are those rows.
     """
     terms = _SUMMARIES[kind][0](_tie_free_ranks(rows, n), n)
     terms.flags.writeable = False
@@ -108,7 +108,7 @@ def _block_scores(values: np.ndarray, kinds: Sequence[SummaryKind]) -> list[np.n
     trusted.
     """
     reps, n, s = values.shape
-    order, mid, tied = _sort_order(values, axis=1)
+    order, mid, _, kept = _sort_order(values, axis=1)
     rows = reps * s
     # order holds the flat index (r·S + s)·n + i; subtracting
     # n·(row - r) from each row, row = r·S + s, leaves the bin r·n + i
@@ -118,10 +118,7 @@ def _block_scores(values: np.ndarray, kinds: Sequence[SummaryKind]) -> list[np.n
     scores = []
     for kind in kinds:
         term, interval = _SUMMARIES[kind]
-        if tied or rows * n > _KEEP_MAX:
-            terms = term(mid, n).ravel()
-        else:
-            terms = _tie_free_terms(kind, rows, n)
+        terms = _tie_free_terms(kind, rows, n) if kept else term(mid, n).ravel()
         sums = np.bincount(bins, terms, minlength=reps * n).reshape(reps, n)
         scores.append(np.clip(sums / s, *interval(n)))
     return scores

@@ -239,6 +239,8 @@ class TestPipelineCalls:
         base_values = harness._base_values
 
         def counted(config, replicates):
+            # a block inside a replicate's cells reuses it without a call
+            assert len(replicates) > 0
             drawn.extend((config.n_per_group, r) for r in replicates)
             return base_values(config, replicates)
 
@@ -251,6 +253,12 @@ class TestPipelineCalls:
             xi_values=(0.0, 0.5, 1.0, 2.0),
             replicates=6,
         )
+        run_power(grid)
+        assert drawn == [(s, r) for s in grid.group_schemes for r in range(6)]
+        # one position per block: every block after a replicate's first
+        # lies inside its cells
+        drawn.clear()
+        monkeypatch.setattr(harness, "_BUDGET", 1)
         run_power(grid)
         assert drawn == [(s, r) for s in grid.group_schemes for r in range(6)]
 

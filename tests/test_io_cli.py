@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import re
 
 import numpy as np
 import pytest
@@ -271,8 +270,7 @@ def count_csv_reads(monkeypatch):
 
 
 class TestWideCsvPath:
-    """A wide file whose only quotes wrap whole id or group fields is read in
-    one numpy pass; any other by the csv module."""
+    """A wide file without quotes is read in one numpy pass; any other by the csv module."""
 
     @pytest.mark.parametrize("variant", ["crlf", "lf", "cr", "bom"])
     def test_unquoted_file_takes_the_numpy_pass(self, tmp_path, monkeypatch, variant):
@@ -304,7 +302,7 @@ class TestWideCsvPath:
     @pytest.mark.parametrize(
         "text, expected",
         [
-            ('id,group,0,1\na,x,"1",2\nb,y,3,4\n', [[1.0, 2.0], [3.0, 4.0]]),
+            ('id,group,0,1\n"a",x,1,2\nb,y,3,4\n', [[1.0, 2.0], [3.0, 4.0]]),
             ("id,group,0,1\na,x,1\x00,2\nb,y,3,4\n",
              "expected a number, saw '1\\x00' (row 2, column '0')"),
             # float() reads 1_0 as 10; loadtxt refuses it
@@ -333,38 +331,6 @@ class TestWideCsvPath:
             assert info.subject_ids == ("a", "b")
             assert info.group_labels == ("x", "y")
         assert calls == [path]
-
-
-    @pytest.mark.parametrize(
-        "text, numpy_pass",
-        [
-            ('id,group,0,1\n"a","x",1,2\n"b","y",3,4\n', True),
-            ('id,group,0,1\r\n"a",x,1,2\r\nb,"y",3,4\r\n', True),
-            # an empty id, and padding inside the quotes, which the id loses
-            ('id,group,0,1\n"",x,1,2\n" b ",y,3,4\n', True),
-            ('id,group,0,1\n"a","x",1,2\n"a","y",3,4\n', False),
-            ('"id","group","0","1"\n"a","x",1,2\n"b","y",3,4\n', False),
-            ('id,group,0,1\n"a","x",1,"2"\n"b","y",3,4\n', False),
-            # a quote after padding is text to the csv module
-            ('id,group,0,1\n "a",x,1,2\nb,y,3,4\n', False),
-            ('id,group,0,1\n"a,1",x,1,2\nb,y,3,4\n', False),
-            ('id,group,0,1\n"a""b",x,1,2\nb,y,3,4\n', False),
-            ('id,group,0,1\n"a"b,x,1,2\nb,y,3,4\n', False),
-            ('id,group,0,1\n"a\nb",x,1,2\nc,y,3,4\n', False),
-            ('id,group,0,1\n"a",x,1,2\n"b,y,3,4\n', False),
-        ],
-    )
-    def test_quotes_wrapping_id_and_group_take_the_numpy_pass(
-        self, tmp_path, monkeypatch, text, numpy_pass
-    ):
-        path = tmp_path / "quoted.csv"
-        path.write_text(text, newline="")
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(curve_io, "_loadtxt_wide", lambda path: None)
-            expected = _read_outcome(path)
-        calls = count_csv_reads(monkeypatch)
-        assert _read_outcome(path) == expected
-        assert calls == ([] if numpy_pass else [path])
 
 
 def run_cli(capsys, argv):
@@ -1015,10 +981,6 @@ def cli_folder(tmp_path_factory):
     folder = tmp_path_factory.mktemp("cli")
     values = np.random.default_rng(5).normal(size=(8, 4)) + np.repeat([0.0, 1.0], 4)[:, None]
     write_curves_csv(make_curves(values), folder / "wide.csv")
-    # the id and group fields in quotes, as R's write.csv writes them
-    lines = (folder / "wide.csv").read_text().splitlines()
-    quoted = [re.sub(r"^([^,]*),([^,]*),", r'"\1","\2",', line) for line in lines[1:]]
-    (folder / "quoted.csv").write_text("\n".join([lines[0], *quoted]) + "\n")
     # values near 1e200, whose squares overflow
     write_curves_csv(make_curves(values * 1e200), folder / "huge.csv")
     write_curves_csv(make_curves(values[:6], [1, 1, 2, 2, 3, 3]), folder / "three.csv")
@@ -1095,7 +1057,7 @@ def _read_outcome(path):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(["wide.csv", "long.csv", "quoted.csv"]), _CSV_EDITS)
+@given(st.sampled_from(["wide.csv", "long.csv"]), _CSV_EDITS)
 def test_read_curves_csv_raises_only_csv_format_error(cli_folder, name, edits):
     data = bytearray((cli_folder / name).read_bytes())
     for where, edit, piece in edits:

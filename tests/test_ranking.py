@@ -211,10 +211,14 @@ class TestMidranks:
         # the same shape again reads the kept rows, which stay 1..n
         self.check(values[::-1], 1)
         assert np.array_equal(kept, np.tile(np.arange(1.0, 10.0), 12))
+        # the sort core says when its mid-ranks are the kept rows
+        assert ranking._sort_order(values, 1)[2:] == (False, True)
+        assert ranking._sort_order(np.round(values, 0), 1)[2:] == (True, False)
         # a block above the bound is ranked without keeping its rows
         big = np.random.default_rng(41).normal(size=(2, ranking._KEEP_MAX // 2 + 1))
         before = ranking._tie_free_ranks.cache_info()
         self.check(big, 0)
+        assert ranking._sort_order(big, 0)[2:] == (False, False)
         assert ranking._tie_free_ranks.cache_info() == before
 
     @pytest.mark.parametrize("shape", [(3, 1, 5), (3, 6, 1), (1, 1, 1)])

@@ -176,8 +176,8 @@ class TestBlockScores:
         # occasion 0 holds 1, 2, 3 and occasion 1 holds 3, 4, 5: the flat
         # sorted block has equal neighbours, yet every row is tie-free
         values = np.array([[[1.0, 3.0], [2.0, 4.0], [3.0, 5.0]]])
-        order, mid, tied = _sort_order(values, 1)
-        assert tied and np.array_equal(mid, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+        order, mid, tied, kept = _sort_order(values, 1)
+        assert tied and not kept and np.array_equal(mid, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
         self.check(values)
         self.check(np.array([values[0], values[0] + 2.0]))
 
