@@ -220,6 +220,8 @@ def _print_cells(results) -> None:
 
 def _check_out(path: str) -> None:
     """Fail before a grid runs if its results could not be written to path."""
+    if not path:
+        raise FileNotFoundError("--out is an empty path")
     if os.path.isdir(path):
         raise IsADirectoryError(f"--out {path} is a directory")
     parent = os.path.dirname(path) or "."

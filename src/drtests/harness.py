@@ -22,8 +22,12 @@ blocks of at most 2^15 curve values (a fixed memory budget, not a
 setting; a shape whose n·S exceeds it runs one position per block): a
 block draws its replicates in one `_base_values` call (one re-pointed
 generator, one noise filter call), gathers its positions from them with
-one index, and is ranked, summarized and tested in one batched pass;
-each row's rejection is credited to its cell. Because substream r
+one index, and is ranked and summarized in one batched pass. Its score
+rows join a batch of whole blocks of at most 2^15 score values per
+summary (so a shape of n subjects wider than the budget is still tested
+2^15 // n positions at a time); a full batch, or the last of a shape's
+range, is tested in one call per summary, and each row's rejection is
+credited to its cell. Because substream r
 depends only on (seed, r) and a re-pointed generator is in the state a
 new one for r starts in, the filter treats each curve on its own, the
 shifted values are the same IEEE sums wherever they are formed, the
@@ -185,10 +189,11 @@ class CellResult:
     mc_stderr: float
 
 
-# Curve values a replicate block may hold (2^15 float64, 256 KiB): enough
-# to spread the per-call cost of ranking and testing over many small
-# replicates, and small enough that a cell whose n·S exceeds it runs one
-# replicate per block, with the memory of a single replicate.
+# Curve values a replicate block may hold, and score values a test batch
+# may hold per summary (2^15 float64, 256 KiB): enough to spread the
+# per-call cost of ranking and testing over many small replicates, and
+# small enough that a cell whose n·S exceeds it runs one replicate per
+# block, with the memory of a single replicate.
 _BUDGET = 1 << 15
 
 # Curve values a share must hold (2^18, 2 MiB of float64; about 25 to 60 ms
@@ -213,9 +218,12 @@ def _count_rejections(
     `_base_values` call (one the previous block drew is kept), gathers a
     copy for each of its positions with one index and adds each cell's
     shift to groups 2..G; each position is smoothed on its own
-    when grid.preprocess_pve is set, then the block is ranked once, scored
-    under every summary, and each summary's scores are tested in one pass.
-    No CurveSet or TestResult is built.
+    when grid.preprocess_pve is set, then the block is ranked once and
+    scored under every summary. Its score rows go into a (summaries, rows, n)
+    batch of whole blocks, rows = step · max(1, _BUDGET // (n·step)), at
+    most the range's positions; a full batch, or the last of the shape's
+    range, is tested with one `_score_block` call per summary and credited
+    with one `np.bincount`. No CurveSet or TestResult is built.
     """
     m, reps = len(grid.xi_values), grid.replicates
     counts = np.zeros((len(shapes) * m, len(grid.summaries)), dtype=np.int64)
@@ -225,13 +233,19 @@ def _count_rejections(
         lo, hi = max(start, first), min(stop, first + m * reps)
         if lo >= hi:
             continue
-        step = max(1, _BUDGET // (config.n_subjects * config.n_points))
+        n = config.n_subjects
+        step = max(1, _BUDGET // (n * config.n_points))
+        # whole blocks of score rows per batch, no more than the range holds
+        rows = min(hi - lo, step * max(1, _BUDGET // (n * step)))
+        batch = np.empty((len(grid.summaries), rows, n))
+        batch_cells = np.empty(rows, dtype=np.intp)
+        filled = 0
         shifts = _shift(config, grid.xi_values)
         split, labels = config.n_per_group[0], _group_labels(config.n_per_group)
         last = -1  # the last replicate the previous block drew
         for begin in range(lo, hi, step):
-            offsets = np.arange(begin, min(begin + step, hi)) - first
-            replicates, cells = np.divmod(offsets, m)
+            end = min(begin + step, hi)
+            replicates, cells = np.divmod(np.arange(begin, end) - first, m)
             low, high = int(replicates[0]), int(replicates[-1]) + 1
             if low != last:
                 drawn = _base_values(config, range(low, high))
@@ -243,9 +257,15 @@ def _count_rejections(
             values = drawn[replicates - low]
             values[:, split:] += shifts[cells, None]
             scores, _ = _doubly_ranked_scores(values, grid.summaries, grid.preprocess_pve)
-            for j, block in enumerate(scores):
+            batch[:, filled : filled + cells.size] = scores
+            batch_cells[filled : filled + cells.size] = cells
+            filled += cells.size
+            if filled < rows and end < hi:
+                continue
+            for j, block in enumerate(batch[:, :filled]):
                 p = _score_block(block, labels, test_config).p_value
-                own[:, j] += np.bincount(cells[p <= grid.alpha], minlength=m)
+                own[:, j] += np.bincount(batch_cells[:filled][p <= grid.alpha], minlength=m)
+            filled = 0
     return counts
 
 

@@ -194,6 +194,44 @@ class TestPipelineCalls:
             monkeypatch.setattr(harness, "_BUDGET", budget)
             assert run_power(grid) == reference
 
+    def test_score_rows_are_tested_in_batches_of_whole_blocks(self, monkeypatch):
+        grid = small_grid(
+            base=replace(small_grid().base, mean_shape="linear"),
+            group_schemes=((5, 5), (4, 4, 4)),
+            xi_values=(0.0, 0.5, 1.0, 2.0),
+            replicates=6,
+        )
+        shapes = [replace(grid.base, n_per_group=scheme) for scheme in grid.group_schemes]
+        reference = harness._count_rejections(grid, shapes, 0, 48)
+        tested, score_block = [], harness._score_block
+
+        def counted(scores, labels, config):
+            tested.append((labels.size, len(scores)))
+            return score_block(scores, labels, config)
+
+        monkeypatch.setattr(harness, "_score_block", counted)
+        # n·S of 80 and 96 exceed the budget, so each curve block is one
+        # position, and a batch holds 50 // n of them: 5 (n = 10) or 4 (n = 12)
+        monkeypatch.setattr(harness, "_BUDGET", 50)
+        counts = harness._count_rejections(grid, shapes, 0, 48)
+        assert np.array_equal(counts, reference) and 0 < counts.sum() < counts.size * 6
+        # one call per summary per batch, not one per position
+        per_batch = [5] * 4 + [4] + [4] * 6
+        size = [10] * 5 + [12] * 6
+        assert tested == [(n, rows) for n, rows in zip(size, per_batch) for _ in range(2)]
+        # shares that end inside a batch count the same in their processes:
+        # 26 cuts the batch at 24..27, and 18 and 33 those at 15..19 and 32..35
+        monkeypatch.setattr(harness, "_score_block", score_block)
+        monkeypatch.setattr(harness, "_SHARE_MIN", 1)
+        assert harness._share_bounds([80, 96], 24, 2) == [0, 26, 48]
+        assert harness._share_bounds([80, 96], 24, 3) == [0, 18, 33, 48]
+        serial = run_power(grid)
+        for workers in (2, 3):
+            assert run_power(grid, workers=workers) == serial
+        # rows run by scheme, then summary, then shift
+        cells = reference.reshape(2, 4, 2).transpose(0, 2, 1).ravel()
+        assert [round(r.rejection_rate * 6) for r in serial] == list(cells)
+
     def test_blocks_stop_where_the_shape_changes(self, monkeypatch):
         grid = small_grid(
             base=replace(small_grid().base, mean_shape="parabola"),

@@ -826,7 +826,7 @@ class TestCliGrids:
     def test_bad_out_exits_2_before_running(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "run_type1", lambda *a, **k: calls.append(a))
-        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        for out in (tmp_path / "missing" / "x.csv", tmp_path, ""):
             code, _, err = run_cli(
                 capsys, ["type1", "--out", str(out)] + self.base_flags
             )
