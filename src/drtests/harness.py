@@ -27,13 +27,13 @@ rows join a batch of whole blocks of at most 2^15 score values per
 summary (so a shape of n subjects wider than the budget is still tested
 2^15 // n positions at a time); a full batch, or the last of a shape's
 range, is tested in one call per summary, and each row's rejection is
-credited to its cell. Because substream r
-depends only on (seed, r) and a re-pointed generator is in the state a
-new one for r starts in, the filter treats each curve on its own, the
-shifted values are the same IEEE sums wherever they are formed, the
-scores add each subject's occasions in one fixed order, every test
-treats each row on its own, and a run sums its shares' integer counts,
-results are identical for any worker count and any block size.
+credited to its cell. Because substream r depends only on (seed, r) and
+a re-pointed generator is in the state a new one for r starts in, the
+filter treats each curve on its own, the shifted values are the same
+IEEE sums wherever they are formed, the scores add each subject's
+occasions in one fixed order, every test treats each row on its own,
+and a run sums its shares' integer counts, results are identical for any
+worker count, block size and batch size.
 """
 
 from __future__ import annotations
