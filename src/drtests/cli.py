@@ -184,7 +184,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"got {args.n_per_group!r}"
         )
     sim["n_per_group"] = schemes[0]
-    curves = generate_dataset(SimConfig(**sim), replicate=args.replicate)
+    config = SimConfig(**sim)
+    _check_out(args.out)
+    curves = generate_dataset(config, replicate=args.replicate)
     write_curves_csv(curves, args.out)
     print(
         f"wrote {curves.n_subjects} curves on {curves.n_points} points to {args.out}"
@@ -219,7 +221,7 @@ def _print_cells(results) -> None:
 
 
 def _check_out(path: str) -> None:
-    """Fail before a grid runs if its results could not be written to path."""
+    """Fail before a draw or a grid run if its output could not be written to path."""
     if not path:
         raise FileNotFoundError("--out is an empty path")
     if os.path.isdir(path):

@@ -203,6 +203,9 @@ _BUDGET = 1 << 15
 # process alone. A run cuts at most total n·S // _SHARE_MIN shares.
 _SHARE_MIN = 1 << 18
 
+# The test every replicate runs: its defaults, built and checked once
+_TEST = DoublyRankedConfig()
+
 
 def _count_rejections(
     grid: ExperimentGrid, shapes: Sequence[SimConfig], start: int, stop: int
@@ -227,7 +230,6 @@ def _count_rejections(
     """
     m, reps = len(grid.xi_values), grid.replicates
     counts = np.zeros((len(shapes) * m, len(grid.summaries)), dtype=np.int64)
-    test_config = DoublyRankedConfig()
     for k, config in enumerate(shapes):
         first, own = k * m * reps, counts[k * m : (k + 1) * m]
         lo, hi = max(start, first), min(stop, first + m * reps)
@@ -242,19 +244,17 @@ def _count_rejections(
         filled = 0
         shifts = _shift(config, grid.xi_values)
         split, labels = config.n_per_group[0], _group_labels(config.n_per_group)
-        last = -1  # the last replicate the previous block drew
+        top = 0  # the replicates below top are drawn; drawn[0] is replicate base
         for begin in range(lo, hi, step):
             end = min(begin + step, hi)
             replicates, cells = np.divmod(np.arange(begin, end) - first, m)
-            low, high = int(replicates[0]), int(replicates[-1]) + 1
-            if low != last:
-                drawn = _base_values(config, range(low, high))
-            elif high == low + 1:  # a block inside replicate low's cells
-                drawn = drawn[-1:]
-            else:  # a block boundary cut replicate low's cells
-                drawn = np.concatenate((drawn[-1:], _base_values(config, range(low + 1, high))))
-            last = high - 1
-            values = drawn[replicates - low]
+            low = int(replicates[0])
+            if replicates[-1] >= top:  # a chunk: every replicate of the m blocks from here
+                reach = (min(begin + m * step, hi) - first - 1) // m + 1
+                fresh = _base_values(config, range(max(low, top), reach))
+                drawn = fresh if low >= top else np.concatenate((drawn[-1:], fresh))
+                base, top = low, reach
+            values = drawn[replicates - base]
             values[:, split:] += shifts[cells, None]
             scores, _ = _doubly_ranked_scores(values, grid.summaries, grid.preprocess_pve)
             batch[:, filled : filled + cells.size] = scores
@@ -263,7 +263,7 @@ def _count_rejections(
             if filled < rows and end < hi:
                 continue
             for j, block in enumerate(batch[:, :filled]):
-                p = _score_block(block, labels, test_config).p_value
+                p = _score_block(block, labels, _TEST).p_value
                 own[:, j] += np.bincount(batch_cells[:filled][p <= grid.alpha], minlength=m)
             filled = 0
     return counts
@@ -294,22 +294,11 @@ def _share_bounds(costs: Sequence[int], per_shape: int, workers: int) -> list[in
     return sorted({*starts, positions})
 
 
-def _cell_spec(config: SimConfig, summary: SummaryKind, grid: ExperimentGrid) -> CellSpec:
-    shared = {name: getattr(config, name) for name in _ROW if name in _SIM_CHECKS}
-    return CellSpec(
-        **shared,
-        group_sizes=config.n_per_group,
-        summary=summary,
-        alpha=grid.alpha,
-        preprocess_pve=grid.preprocess_pve,
-    )
-
-
-def _at_xi(spec: CellSpec, xi: float) -> CellSpec:
-    """A copy of a checked spec at the checked shift scale xi, not checked again."""
-    row = object.__new__(CellSpec)
-    row.__dict__.update(vars(spec), xi=xi)
-    return row
+def _trusted(cls, fields: dict):
+    """A cls record of already checked field values, not checked again."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
 
 
 def run_type1(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
@@ -333,8 +322,8 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     _SHARE_MIN curve values, so a run of fewer than 2 · _SHARE_MIN values
     counts in this process and opens no pool. This process counts the
     first share while one pool of k - 1 processes counts the other k - 1,
-    then adds their counts to its own. Each result row is a copy of one
-    checked CellSpec per (shape, summary) at its shift scale.
+    then adds their counts to its own. The result rows are built from the
+    counts and the checked grid without checking their fields again.
     """
     workers = _count(workers, "workers")
     if workers > _MAX_WORKERS:
@@ -360,18 +349,24 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
 
     rates = cell_counts / grid.replicates
     stderrs = np.sqrt(rates * (1.0 - rates) / grid.replicates)
-    specs = [[_cell_spec(c, summary, grid) for summary in grid.summaries] for c in shapes]
-    return [
-        CellResult(
-            cell=_at_xi(spec, xi),
-            rejection_rate=float(rates[k * m + i, j]),
-            replicates_used=grid.replicates,
-            mc_stderr=float(stderrs[k * m + i, j]),
+    rates, stderrs, rows = rates.tolist(), stderrs.tolist(), []
+    for k, config in enumerate(shapes):
+        # the checked fields of the shape's rows, all but their summary and xi
+        shared = {name: getattr(config, name) for name in _ROW if name in _SIM_CHECKS}
+        shared.update(
+            group_sizes=config.n_per_group, alpha=grid.alpha, preprocess_pve=grid.preprocess_pve
         )
-        for k, shape_specs in enumerate(specs)
-        for j, spec in enumerate(shape_specs)
-        for i, xi in enumerate(grid.xi_values)
-    ]
+        for j, summary in enumerate(grid.summaries):
+            spec = {**shared, "summary": summary}
+            for i, xi in enumerate(grid.xi_values):
+                result = {
+                    "cell": _trusted(CellSpec, {**spec, "xi": xi}),
+                    "rejection_rate": rates[k * m + i][j],
+                    "replicates_used": grid.replicates,
+                    "mc_stderr": stderrs[k * m + i][j],
+                }
+                rows.append(_trusted(CellResult, result))
+    return rows
 
 
 _COLUMNS = [*_ROW, *_RESULT, "version"]
@@ -396,10 +391,14 @@ def _result_record(result: CellResult) -> dict:
     return {name: values[name] for name in _COLUMNS}
 
 
+# The value of each column a results file may lack, read when it is absent:
+# files written before preprocess_pve existed lack it
+_ABSENT = {"preprocess_pve": None}
+
+
 def _check_columns(present) -> None:
-    # preprocess_pve may be absent (files written before it existed lack
-    # it); the version is written for provenance and not read back
-    missing = [c for c in _COLUMNS[:-1] if c != "preprocess_pve" and c not in present]
+    # the version is written for provenance and not read back
+    missing = [c for c in _COLUMNS[:-1] if c not in present and c not in _ABSENT]
     if missing:
         raise InvalidInputError(f"missing columns {missing}")
 
@@ -407,8 +406,9 @@ def _check_columns(present) -> None:
 def _record_to_result(rec) -> CellResult:
     if not isinstance(rec, dict):
         raise InvalidInputError(f"expected an object of columns, got {rec!r}")
-    _check_columns([c for c, value in rec.items() if value is not None])
-    cell = CellSpec(**{name: rec[name] for name in _ROW if name in rec})
+    rec = {**_ABSENT, **{c: value for c, value in rec.items() if value is not None}}
+    _check_columns(rec)
+    cell = CellSpec(**{name: rec[name] for name in _ROW})
     checked = {name: check(rec[name], name) for name, check in _RESULT.items()}
     return CellResult(
         cell, checked["rejection_rate"], checked["replicates"], checked["mc_stderr"]

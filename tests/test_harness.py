@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import tracemalloc
 from dataclasses import replace
@@ -300,6 +301,52 @@ class TestPipelineCalls:
         run_power(grid)
         assert drawn == [(s, r) for s in grid.group_schemes for r in range(6)]
 
+    def test_replicates_drawn_in_chunks_of_whole_replicates(self, monkeypatch):
+        drawn = []
+        base_values = harness._base_values
+
+        def counted(config, replicates):
+            drawn.append((config.n_per_group, list(replicates)))
+            return base_values(config, replicates)
+
+        monkeypatch.setattr(harness, "_base_values", counted)
+        # blocks of 3 positions cut through the 4 shift cells of a replicate
+        monkeypatch.setattr(harness, "_BUDGET", 3 * 100)
+        grid = small_grid(
+            base=replace(small_grid().base, mean_shape="linear"),
+            group_schemes=((5, 5), (4, 4, 4)),
+            xi_values=(0.0, 0.5, 1.0, 2.0),
+            replicates=6,
+        )
+        shapes = [replace(grid.base, n_per_group=s) for s in grid.group_schemes]
+        m, chunks = len(grid.xi_values), [max(1, 300 // (c.n_subjects * c.n_points)) for c in shapes]
+        assert chunks == [3, 3]
+        reference = run_power(grid)
+        # one call per chunk of whole replicates per shape, not one per block
+        assert drawn == [
+            (shape.n_per_group, list(range(r, min(r + chunk, 6))))
+            for shape, chunk in zip(shapes, chunks)
+            for r in range(0, 6, chunk)
+        ]
+        # shares that end inside a chunk (a shape's 12 positions from 0 and
+        # from 12) count the same and draw each of their replicates once, a
+        # chunk per call, or one more replicate where a share starts inside one
+        monkeypatch.setattr(harness, "_SHARE_MIN", 1)
+        for workers, bounds in ((2, [0, 26, 48]), (3, [0, 18, 33, 48])):
+            assert harness._share_bounds([80, 96], 24, workers) == bounds
+            assert run_power(grid, workers=workers) == reference
+            for a, b in zip(bounds, bounds[1:]):
+                drawn.clear()
+                harness._count_rejections(grid, shapes, a, b)
+                for k, shape in enumerate(shapes):
+                    lo, hi = max(a, 24 * k), min(b, 24 * k + 24)
+                    mine = [calls for s, calls in drawn if s == shape.n_per_group]
+                    needed = range((lo - 24 * k) // m, (hi - 1 - 24 * k) // m + 1)
+                    assert [r for calls in mine for r in calls] == list(needed)
+                    sizes = [len(calls) for calls in mine]
+                    assert all(chunks[k] <= size for size in sizes[:-1])
+                    assert all(0 < size <= chunks[k] + 1 for size in sizes)
+
     def test_one_unchecked_shift_call_per_run(self, monkeypatch):
         runs, shift = [], harness._shift
 
@@ -421,6 +468,42 @@ class TestRunPower:
         for replicates in (90, 3, 1):
             grid = replace(grid, replicates=replicates)
             assert run_power(grid, workers=1) == run_power(grid, workers=2)
+
+    def test_rows_equal_rows_built_by_the_checked_constructors(self):
+        grid = small_grid(
+            base=replace(small_grid().base, mean_shape="linear"),
+            group_schemes=((5, 5), (3, 3, 4)),
+            replicates=7,
+            preprocess_pve=0.9,
+        )
+        rows, base = run_power(grid), grid.base
+        checked = [
+            CellSpec(
+                coeff_dist=base.coeff_dist.value,
+                mean_shape=base.mean_shape.value,
+                xi=xi,
+                noise=base.noise.value,
+                rho=base.rho,
+                n_points=8,
+                n_basis=base.n_basis,
+                group_sizes=list(scheme),
+                summary=kind.value,
+                alpha=grid.alpha,
+                seed=base.seed,
+                preprocess_pve=grid.preprocess_pve,
+            )
+            for scheme in grid.group_schemes
+            for kind in grid.summaries
+            for xi in grid.xi_values
+        ]
+        assert [row.cell for row in rows] == checked
+        for row, cell in zip(rows, checked):
+            assert type(row.rejection_rate) is float and type(row.mc_stderr) is float
+            built = CellResult(cell, row.rejection_rate, grid.replicates, row.mc_stderr)
+            assert row == built and hash(row) == hash(built)
+            assert hash(row.cell) == hash(cell)
+            assert pickle.loads(pickle.dumps(row)) == row
+        assert 0 < sum(row.rejection_rate for row in rows) < len(rows)
 
     def test_one_pool_per_run(self, monkeypatch):
         opened, tasks = count_pools(monkeypatch)

@@ -834,6 +834,15 @@ class TestCliGrids:
             assert str(out) in err
         assert calls == []
 
+    def test_simulate_bad_out_exits_2_before_drawing(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "generate_dataset", lambda *a, **k: calls.append(a))
+        for out in (tmp_path / "missing" / "x.csv", tmp_path, ""):
+            code, _, err = run_cli(capsys, ["simulate", "--seed", "1", "--out", str(out)])
+            assert code == 2
+            assert str(out) in err and "Traceback" not in err
+        assert calls == []
+
     def test_bad_grid_flags_exit_2(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
         for command, flag, value, named in (
