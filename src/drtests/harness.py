@@ -19,21 +19,24 @@ the run takes one task for each other share meanwhile, so a single share
 opens no pool. A share draws each of its replicates once, so a share
 boundary inside a replicate's cells costs one extra draw. It runs in
 blocks of at most 2^15 curve values (a fixed memory budget, not a
-setting; a shape whose n·S exceeds it runs one position per block): a
-block draws its replicates in one `_base_values` call (one re-pointed
-generator, one noise filter call), gathers its positions from them with
-one index, and is ranked and summarized in one batched pass. Its score
-rows join a batch of whole blocks of at most 2^15 score values per
-summary (so a shape of n subjects wider than the budget is still tested
-2^15 // n positions at a time); a full batch, or the last of a shape's
-range, is tested in one call per summary, and each row's rejection is
-credited to its cell. Because substream r depends only on (seed, r) and
-a re-pointed generator is in the state a new one for r starts in, the
-filter treats each curve on its own, the shifted values are the same
-IEEE sums wherever they are formed, the scores add each subject's
-occasions in one fixed order, every test treats each row on its own,
-and a run sums its shares' integer counts, results are identical for any
-worker count, block size and batch size.
+setting; a shape whose n·S exceeds it runs one position per block), and
+it draws a shape's replicates apart from its blocks, in chunks of whole
+replicates of up to 2^15 curve values: one `_base_values` call (one
+re-pointed generator, one noise filter call) per chunk, which keeps the
+one replicate a block straddles from the chunk before. A block gathers
+its positions from the drawn replicates with one index and is ranked
+and summarized in one batched pass. Its score rows join a batch of
+whole blocks of at most 2^15 score values per summary (so a shape of n
+subjects wider than the budget is still tested 2^15 // n positions at a
+time); a full batch, or the last of a shape's range, is tested in one
+call per summary, and each row's rejection is credited to its cell.
+Because substream r depends only on (seed, r) and a re-pointed generator
+is in the state a new one for r starts in, the filter treats each curve
+on its own, the shifted values are the same IEEE sums wherever they are
+formed, the scores add each subject's occasions in one fixed order,
+every test treats each row on its own, and a run sums its shares'
+integer counts, results are identical for any worker count, chunk size,
+block size and batch size.
 """
 
 from __future__ import annotations
@@ -215,14 +218,17 @@ def _count_rejections(
     With m = len(grid.xi_values), shape k owns the cells k·m .. k·m + m - 1
     and the positions [k·m·R, (k + 1)·m·R), laid out replicate-major:
     offset o among them is replicate o // m of shift o % m. A row rejects
-    when p <= alpha. Positions run in blocks of at most
-    max(1, _BUDGET // (n·S)) within one shape, whose m shifts come from one
-    `_shift` call. A block draws the replicates it needs in one
-    `_base_values` call (one the previous block drew is kept), gathers a
-    copy for each of its positions with one index and adds each cell's
-    shift to groups 2..G; each position is smoothed on its own
-    when grid.preprocess_pve is set, then the block is ranked once and
-    scored under every summary. Its score rows go into a (summaries, rows, n)
+    when p <= alpha. Positions run in blocks of step = max(1, _BUDGET // (n·S))
+    within one shape, whose m shifts come from one `_shift` call. A block
+    that reaches a replicate not yet drawn draws a chunk in one
+    `_base_values` call: the whole replicates that it and the m - 1 blocks
+    after it reach, at most step + 1 of them (_BUDGET curve values and one
+    replicate more); a first replicate that the chunk before drew is kept
+    rather than drawn again. A block gathers a copy for each of its
+    positions from the chunk with one index and adds each cell's shift to
+    groups 2..G; each position is smoothed on its own when
+    grid.preprocess_pve is set, then the block is ranked once and scored
+    under every summary. Its score rows go into a (summaries, rows, n)
     batch of whole blocks, rows = step · max(1, _BUDGET // (n·step)), at
     most the range's positions; a full batch, or the last of the shape's
     range, is tested with one `_score_block` call per summary and credited

@@ -319,7 +319,8 @@ class TestPipelineCalls:
             replicates=6,
         )
         shapes = [replace(grid.base, n_per_group=s) for s in grid.group_schemes]
-        m, chunks = len(grid.xi_values), [max(1, 300 // (c.n_subjects * c.n_points)) for c in shapes]
+        m = len(grid.xi_values)
+        chunks = [max(1, harness._BUDGET // (c.n_subjects * c.n_points)) for c in shapes]
         assert chunks == [3, 3]
         reference = run_power(grid)
         # one call per chunk of whole replicates per shape, not one per block
