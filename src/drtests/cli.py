@@ -103,17 +103,17 @@ def _statistic_name(method: Method) -> str:
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
-    curves, info = read_curves_csv(args.input)
-    for warning in info.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-
     given = {
         f.name: getattr(args, f.name) for f in fields(DoublyRankedConfig) if f.name in args
     }
     given["preprocess_pve"] = _parse_preprocess(given["preprocess_pve"])
     if "summary" in given:
         given["summary"] = _SUMMARY_FLAGS[given["summary"]]
+    # the flags are checked before the file is read
     config = DoublyRankedConfig(**given)
+    curves, info = read_curves_csv(args.input)
+    for warning in info.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     summary, pve = config.summary, config.preprocess_pve
     result, scores, fit = _test_curves(curves, config)
     kept, achieved = fit or (None, None)

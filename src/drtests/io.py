@@ -1,4 +1,4 @@
-"""CSV ingestion and export of curve data.
+r"""CSV ingestion and export of curve data.
 
 Two layouts are accepted. Wide: header `id,group,<S value columns>`, one
 row per subject. Long: header `id,group,s,value`, one row per measurement.
@@ -6,16 +6,18 @@ Curves must be complete (every subject measured at every location). Group
 labels may be arbitrary strings; they are mapped to 1..G in sorted order
 (numeric when every label parses as a number, lexicographic otherwise).
 
-A wide file without quotes is read in one `np.loadtxt` pass. Any file that
-pass declines (the long layout, quotes, a NUL, text that is not UTF-8, or
-any cell, row or id the pass cannot take as it stands) is read by the csv
-module instead, which gives the same table, or names the row and column at
-fault.
+The file is read and decoded once, as UTF-8 with an optional byte-order
+mark, whichever path parses it. A wide file without quotes is parsed in one
+`np.loadtxt` pass. Any file that pass declines (the long layout, quotes, a
+NUL, or any cell, row or id the pass cannot take as it stands) is parsed by
+the csv module instead, which gives the same table, or names the row and
+column at fault. A line may end in `\n`, `\r\n` or `\r`.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass
 
@@ -100,28 +102,26 @@ def _parse_floats(
     return values
 
 
-def _read_rows(path: str | os.PathLike) -> tuple[list[str], _Rows]:
-    """The stripped header, and (line number, fields) of each nonblank row.
+def _read_rows(text: str) -> tuple[list[str], _Rows]:
+    r"""The stripped header, and (line number, fields) of each nonblank row.
 
-    Only the header is stripped here; each layout strips its id and group
-    fields, and the number conversion accepts padded cells as they are.
+    The csv module splits the decoded text into records at `\n`, `\r\n`
+    and `\r`, as it splits a file opened with newline="". Only the header
+    is stripped here; each layout strips its id and group fields, and the
+    number conversion accepts padded cells as they are.
     """
-    # utf-8-sig drops the byte-order mark that Excel writes before the header
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-            rows = [
-                (line_no, row)
-                for line_no, row in enumerate(reader, start=2)
-                if any(field.strip() for field in row)
-            ]
-        except StopIteration:
-            raise CsvFormatError("file is empty") from None
-        except UnicodeDecodeError as exc:
-            raise CsvFormatError(f"file is not UTF-8 text: {exc.reason}") from None
-        except csv.Error as exc:
-            raise CsvFormatError(str(exc), row=reader.line_num) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = [h.strip() for h in next(reader)]
+        rows = [
+            (line_no, row)
+            for line_no, row in enumerate(reader, start=2)
+            if any(field.strip() for field in row)
+        ]
+    except StopIteration:
+        raise CsvFormatError("file is empty") from None
+    except csv.Error as exc:
+        raise CsvFormatError(str(exc), row=reader.line_num) from None
     for line_no, fields in rows:
         if len(fields) != len(header):
             raise CsvFormatError(
@@ -170,33 +170,35 @@ def _is_long(header: list[str]) -> bool:
     return sorted(h.lower() for h in header) == ["group", "id", "s", "value"]
 
 
-def _loadtxt_wide(path: str | os.PathLike) -> _Wide | None:
-    """The wide table read in one `np.loadtxt` pass, or None to leave it to the csv path.
+def _loadtxt_wide(text: str) -> _Wide | None:
+    r"""The wide table parsed in one `np.loadtxt` pass, or None to leave it to the csv path.
 
-    Without quotes or a NUL, the csv module splits records only where
-    universal newlines end a line, and fields only at commas, as here; and
-    loadtxt takes a subset of the cells float() takes, to the same value.
+    Without quotes or a NUL, the csv module splits records only where a
+    `\n`, `\r\n` or `\r` ends a line, and fields only at commas, as here;
+    and loadtxt takes a subset of the cells float() takes, to the same value.
     So a table this pass returns is the one the csv path returns. It
     returns None wherever the csv path might read otherwise or raise: the
-    long layout, quotes, a NUL, text that is not UTF-8, no data row, a
-    field past the csv module's size limit, a cell or row loadtxt refuses,
-    a non-finite value or a repeated id.
+    long layout, quotes, a NUL, no data row, a field past the csv module's
+    size limit, a cell or row loadtxt refuses, a non-finite value or a
+    repeated id.
     """
-    try:
-        # universal newlines: \r\n and \r end a line as \n does
-        with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None
     if '"' in text or "\0" in text:
         return None
     lines = text.split("\n")
+    # loadtxt drops a line's last \r, as of a \r\n end; only a \r inside
+    # a line, a lone \r line end, needs the line ends made \n first
+    if any(-1 < line.find("\r") < len(line) - 1 for line in lines):
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     header, body = [h.strip() for h in lines[0].split(",")], lines[1:]
+    first_row = next(
+        (line_no for line_no, line in enumerate(body, start=2) if line not in ("", "\r")),
+        None,
+    )
     limit = csv.field_size_limit()
     if (
         _is_long(header)
         or len(header) < 3
-        or not any(body)
+        or first_row is None
         or any(len(line) > limit and max(map(len, line.split(","))) > limit for line in lines)
     ):
         return None
@@ -213,7 +215,6 @@ def _loadtxt_wide(path: str | os.PathLike) -> _Wide | None:
     values = table["values"]
     if len(set(ids)) < len(ids) or not np.isfinite(values).all():
         return None
-    first_row = next(line_no for line_no, line in enumerate(body, start=2) if line)
     return header[2:], first_row, ids, [group.strip() for group in table["group"]], values
 
 
@@ -315,13 +316,20 @@ def read_curves_csv(path: str | os.PathLike) -> tuple[CurveSet, CurveTableInfo]:
     """Parse a curve table in the layout its header names.
 
     A header consisting of exactly id, group, s, value (any order, any
-    case) is read as long form; anything else as wide form. A wide file is
-    read in one numpy pass where that pass can take it, and by the csv
-    module otherwise, with the same result either way.
+    case) is read as long form; anything else as wide form. The file is
+    read and decoded once. A wide file is parsed in one numpy pass where
+    that pass can take it, and by the csv module otherwise, with the same
+    result either way.
     """
-    wide = _loadtxt_wide(path)
+    try:
+        # utf-8-sig drops the byte-order mark that Excel writes before the header
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"file is not UTF-8 text: {exc.reason}") from None
+    wide = _loadtxt_wide(text)
     if wide is None:
-        header, rows = _read_rows(path)
+        header, rows = _read_rows(text)
         if _is_long(header):
             return _parse_long(header, rows)
         wide = _parse_wide(header, rows)

@@ -66,23 +66,6 @@ class SummaryScores:
         object.__setattr__(self, "scores", scores)
 
 
-def _summary_scores(ranks: np.ndarray, kind: SummaryKind) -> np.ndarray:
-    """Per-subject scores of ... x n x S mid-ranks, without validation.
-
-    The last two axes are subjects and occasions; any leading axes (a
-    block of replicates) are kept, so an (R, n, S) block gives (R, n).
-    log/mean rounding can overshoot an endpoint of the kind's interval by
-    an ulp, so the scores are clipped to it; a mean of half-integer ranks
-    never leaves [1, n], so average-rank scores are unchanged.
-    """
-    term, interval = _SUMMARIES[kind]
-    n = ranks.shape[-2]
-    # numpy's mean adds pairwise along a contiguous occasion axis, and in
-    # occasion order along the strided one of `_midranks`'s layout, which
-    # `_block_scores` repeats
-    return np.clip(term(ranks, n).mean(axis=-1), *interval(n))
-
-
 @lru_cache(maxsize=16)
 def _tie_free_terms(kind: SummaryKind, rows: int, n: int) -> np.ndarray:
     """The kind's term of the kept ranks 1..n of rows tie-free rows, flat; read-only.
@@ -101,11 +84,15 @@ def _block_scores(values: np.ndarray, kinds: Sequence[SummaryKind]) -> list[np.n
     The block is ranked per occasion by `ranking._sort_order`, and the
     ranks are never scattered: position k of the sorted row of replicate
     r at occasion s adds the term of its rank to bin r·n + i, i the
-    subject it holds, in one weighted bincount per kind. A bin takes its
-    subject's occasions in the order s = 0..S-1, the sequence in which the
-    strided mean of `_summary_scores` adds them, so the scores are its
-    bits: `_summary_scores(_midranks(values, 1), kind)`. The values are
-    trusted.
+    subject it holds, in one weighted bincount per kind. A bin adds its
+    subject's terms in occasion order s = 0..S-1, as numpy's mean does
+    along a strided occasion axis (it adds pairwise along a contiguous
+    one), and the sum is divided by S: a score is the bits of that loop
+    written out. log/mean rounding can overshoot an endpoint of the kind's
+    interval by an ulp, so the scores are clipped to it; a mean of
+    half-integer ranks never leaves [1, n], so average-rank scores are
+    unchanged. Mid-ranks ranked again are the same mid-ranks, so a rank
+    matrix scores as its curves do. The values are trusted.
     """
     reps, n, s = values.shape
     order, mid, _, kept = _sort_order(values, axis=1)
@@ -126,11 +113,11 @@ def _block_scores(values: np.ndarray, kinds: Sequence[SummaryKind]) -> list[np.n
 
 def sufficient_summary(ranks: RankCurves) -> SummaryScores:
     """Average the rank sufficient statistic over each subject's occasions."""
-    scores = _summary_scores(ranks.ranks, SummaryKind.SUFFICIENT)
+    scores = _block_scores(ranks.ranks[None], [SummaryKind.SUFFICIENT])[0][0]
     return SummaryScores(scores, SummaryKind.SUFFICIENT)
 
 
 def average_rank_summary(ranks: RankCurves) -> SummaryScores:
     """Average each subject's ranks over occasions."""
-    scores = _summary_scores(ranks.ranks, SummaryKind.AVERAGE_RANK)
+    scores = _block_scores(ranks.ranks[None], [SummaryKind.AVERAGE_RANK])[0][0]
     return SummaryScores(scores, SummaryKind.AVERAGE_RANK)

@@ -257,33 +257,53 @@ class TestLongCsv:
 
 
 def count_csv_reads(monkeypatch):
-    """The paths read through the csv module, a list that fills in as files are read."""
+    """The csv path's parses, one entry per call, a list that fills in as files are read."""
     calls = []
     read_rows = curve_io._read_rows
 
-    def counted(path):
-        calls.append(path)
-        return read_rows(path)
+    def counted(text):
+        calls.append(text)
+        return read_rows(text)
 
     monkeypatch.setattr(curve_io, "_read_rows", counted)
     return calls
 
 
+def count_opens(monkeypatch):
+    """The files `drtests.io` opens, a list that fills in as they are opened."""
+    opened = []
+
+    def counted(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(curve_io, "open", counted, raising=False)
+    return opened
+
+
 class TestWideCsvPath:
     """A wide file without quotes is read in one numpy pass; any other by the csv module."""
 
-    @pytest.mark.parametrize("variant", ["crlf", "lf", "cr", "bom"])
+    @pytest.mark.parametrize(
+        "variant", ["crlf", "lf", "cr", "bom", "crlf-blank", "mixed-cr", "bom-cr"]
+    )
     def test_unquoted_file_takes_the_numpy_pass(self, tmp_path, monkeypatch, variant):
         curves = make_curves(np.random.default_rng(3).normal(size=(6, 4)))
         path = tmp_path / "crlf.csv"
         write_curves_csv(curves, path)
         crlf = path.read_bytes()
         assert crlf.count(b"\r\n") == 7
+        lines = crlf.split(b"\r\n")
         data = {
             "crlf": crlf,
             "lf": crlf.replace(b"\r\n", b"\n"),
             "cr": crlf.replace(b"\r\n", b"\r"),
             "bom": b"\xef\xbb\xbf" + crlf,
+            # blank lines after the header and between rows
+            "crlf-blank": b"\r\n\r\n".join(lines[:2]) + b"\r\n\r\n\r\n" + b"\r\n".join(lines[2:]),
+            # one row ends in a lone \r, the others in \r\n
+            "mixed-cr": b"\r\n".join(lines[:3]) + b"\r" + b"\r\n".join(lines[3:]),
+            "bom-cr": b"\xef\xbb\xbf" + crlf.replace(b"\r\n", b"\r"),
         }[variant]
         path = tmp_path / f"{variant}.csv"
         path.write_bytes(data)
@@ -330,7 +350,36 @@ class TestWideCsvPath:
             assert curves.values.tolist() == expected
             assert info.subject_ids == ("a", "b")
             assert info.group_labels == ("x", "y")
-        assert calls == [path]
+        assert len(calls) == 1
+
+    def test_both_paths_name_the_same_first_row(self, tmp_path, monkeypatch):
+        # one group, so the error names the first data row, past a blank line
+        path = tmp_path / "w.csv"
+        path.write_bytes(b"id,group,0,1\r\n\r\na,x,1,2\r\nb,x,3,4\r\n")
+        calls = count_csv_reads(monkeypatch)
+        with pytest.raises(CsvFormatError) as numpy_pass:
+            read_curves_csv(path)
+        assert calls == []
+        monkeypatch.setattr(curve_io, "_loadtxt_wide", lambda text: None)
+        with pytest.raises(CsvFormatError) as csv_path:
+            read_curves_csv(path)
+        assert len(calls) == 1
+        assert str(numpy_pass.value) == str(csv_path.value)
+        assert numpy_pass.value.row == csv_path.value.row == 3
+
+    @pytest.mark.parametrize("layout", ["wide", "quoted", "long"])
+    def test_a_file_is_opened_once(self, tmp_path, monkeypatch, layout):
+        text = {
+            "wide": "id,group,0,1\na,x,1,2\nb,y,3,4\n",
+            "quoted": 'id,group,0,1\n"a","x",1,2\n"b","y",3,4\n',
+            "long": "id,group,s,value\na,x,0,1\na,x,1,2\nb,y,0,3\nb,y,1,4\n",
+        }[layout]
+        path = write_text(tmp_path / "w.csv", text)
+        calls, opened = count_csv_reads(monkeypatch), count_opens(monkeypatch)
+        curves, _ = read_curves_csv(path)
+        assert curves.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert opened == [path]
+        assert len(calls) == (layout != "wide")
 
 
 def run_cli(capsys, argv):
@@ -535,6 +584,20 @@ class TestCliTest:
         code, _, err = run_cli(capsys, ["test", str(path), "--exact-threshold", "1000"])
         assert code == 2
         assert "exact_threshold" in err
+
+    def test_bad_flags_exit_2_before_reading(self, tmp_path, capsys, monkeypatch):
+        path = simulate_file(tmp_path, capsys)
+        calls = []
+        monkeypatch.setattr(cli, "read_curves_csv", lambda *a: calls.append(a))
+        for flags, message in (
+            (["--preprocess", "pve=2"], "preprocess_pve"),
+            (["--preprocess", "x"], "--preprocess expects"),
+            (["--exact-threshold", "-1"], "exact_threshold"),
+        ):
+            code, _, err = run_cli(capsys, ["test", str(path)] + flags)
+            assert code == 2
+            assert message in err and "Traceback" not in err
+        assert calls == []
 
     def test_default_grid_warning_on_stderr(self, tmp_path, capsys):
         path = write_text(
