@@ -166,17 +166,17 @@ def _pooled_ranks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mid-ranks within each row of an (R, n) block, and each row's sum(t^3 - t).
 
     t runs over the sizes of a row's groups of tied values, so the sum is
-    0 exactly when the row has no ties. Mid-ranks give
-    sum(t^3 - t) = n^3 - n - 12 sum((r - (n+1)/2)^2).
+    0 exactly when the row has no ties. A run of t equal values at sorted
+    positions s..e has mid-rank (s + e)/2 + 1, so its positions add
+    t(t^2 - 1)/12 to sum((mid - (k + 1))^2) over sorted positions k, and
+    an untied position adds 0. Every term is a multiple of 1/4, so the
+    sum is exact while sum(t^3 - t) < 2^53, whatever n.
     """
-    order, mid, tied, _ = _sort_order(scores, axis=1)
+    order, mid, _ = _sort_order(scores, axis=1)
     ranks = _scatter_ranks(order, mid).reshape(scores.shape)
-    if not tied:
-        return ranks, np.zeros(len(ranks))
-    n = ranks.shape[1]
-    # every term is a multiple of 1/4, so the sum is exact while n^3 < 2^53
-    tie_sum = n**3 - n - 12.0 * np.sum((ranks - (n + 1) / 2.0) ** 2, axis=1)
-    return ranks, tie_sum
+    dev = mid - np.arange(1.0, scores.shape[1] + 1.0)
+    # each row's sum of squares, without a squared copy of the block
+    return ranks, 12.0 * np.einsum("ij,ij->i", dev, dev)
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -113,31 +112,9 @@ def _group_labels(sizes) -> np.ndarray:
     return np.repeat(np.arange(1, len(sizes) + 1), sizes)
 
 
-# Tie-free rank rows are kept for blocks of at most this many values (1 MiB
-# of float64), so the 16 kept shapes hold at most 16 MiB
-_KEEP_MAX = 1 << 17
-
-
-@lru_cache(maxsize=16)
-def _tie_free_ranks(rows: int, n: int) -> np.ndarray:
-    """The ranks 1..n of each of rows tie-free rows, flat; read-only.
-
-    The cache keeps one array per block shape for the process's lifetime.
-    Built inside a shape's first block, it also pins the top of the C heap:
-    without a long-lived allocation there, the allocator hands each block's
-    freed scratch back to the system and the next block faults it in again
-    (about 240 minor page faults per power_pool pass, against none with it).
-    """
-    ranks = np.tile(np.arange(1.0, n + 1.0), rows)
-    ranks.flags.writeable = False
-    return ranks
-
-
-def _sort_order(
-    values: np.ndarray, axis: int
-) -> tuple[np.ndarray, np.ndarray, bool, bool]:
-    """Each row's sort order along axis, its sorted mid-ranks, whether any
-    tie, and whether the mid-ranks are the kept rows of `_tie_free_ranks`.
+def _sort_order(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Each row's sort order along axis, its sorted mid-ranks, and whether
+    the sorted block has any equal neighbours.
 
     The ranked axis is swapped last and copied into a contiguous (rows, n)
     block, which is sorted once. The returned (rows, n) order, offset by
@@ -147,10 +124,8 @@ def _sort_order(
     boundary send the block down the tied path too, whose mid-ranks are
     exact for tie-free rows as well: position k gets one plus the mean of
     the first and last positions of its run of equal values. With no equal
-    neighbours the sorted mid-ranks are 1..n in every row, read-only: the
-    kept rows of `_tie_free_ranks`, built inside the shape's first sort,
-    for a block of at most _KEEP_MAX values, else a broadcast row. The
-    values are trusted to be finite.
+    neighbours the sorted mid-ranks are 1..n in every row: one read-only
+    row broadcast to (rows, n). The values are trusted to be finite.
     """
     a = np.swapaxes(values, axis, -1)
     n = a.shape[-1]
@@ -161,9 +136,7 @@ def _sort_order(
     ordered = block.take(order.ravel())
     same = ordered[1:] == ordered[:-1]
     if not same.any():
-        if rows * n <= _KEEP_MAX:
-            return order, _tie_free_ranks(rows, n).reshape(rows, n), False, True
-        return order, np.broadcast_to(np.arange(1.0, n + 1.0), (rows, n)), False, False
+        return order, np.broadcast_to(np.arange(1.0, n + 1.0), (rows, n)), False
     first = np.ones(rows * n, dtype=bool)  # starts a run of equal values
     np.logical_not(same, out=first[1:])
     first[::n] = True
@@ -173,7 +146,7 @@ def _sort_order(
     pos = np.arange(n)
     start = np.maximum.accumulate(np.where(first, pos, 0), axis=-1)
     end = np.minimum.accumulate(np.where(last, pos, n - 1)[:, ::-1], axis=-1)
-    return order, (start + end[:, ::-1]) / 2.0 + 1.0, True, False
+    return order, (start + end[:, ::-1]) / 2.0 + 1.0, True
 
 
 def _scatter_ranks(order: np.ndarray, mid: np.ndarray) -> np.ndarray:
@@ -194,7 +167,7 @@ def _midranks(values: np.ndarray, axis: int) -> np.ndarray:
     over it round the same way. The values are trusted to be finite.
     """
     a = np.swapaxes(values, axis, -1)
-    order, mid, _, _ = _sort_order(values, axis)
+    order, mid, _ = _sort_order(values, axis)
     return np.swapaxes(_scatter_ranks(order, mid).reshape(a.shape), axis, -1)
 
 

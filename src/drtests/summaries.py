@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError, _check_fields, _frozen, _member
 from .orderstat import _log_odds
-from .ranking import RankCurves, _sort_order, _tie_free_ranks
+from .ranking import RankCurves, _sort_order
 
 __all__ = [
     "SummaryKind",
@@ -66,14 +66,22 @@ class SummaryScores:
         object.__setattr__(self, "scores", scores)
 
 
+# Tie-free term rows are kept for blocks of at most this many values (1 MiB
+# of float64), so the 16 kept rows hold at most 16 MiB
+_KEEP_MAX = 1 << 17
+
+
 @lru_cache(maxsize=16)
 def _tie_free_terms(kind: SummaryKind, rows: int, n: int) -> np.ndarray:
-    """The kind's term of the kept ranks 1..n of rows tie-free rows, flat; read-only.
+    """The kind's term of the ranks 1..n of rows tie-free rows, flat; read-only.
 
-    Kept per (kind, rows, n) for the blocks whose rank rows are kept; the
-    average-rank terms are those rows.
+    Kept per (kind, rows, n) for tie-free blocks of at most _KEEP_MAX values.
+    Built inside a shape's first block, a kept row also pins the top of the
+    C heap: without it the allocator hands each block's freed scratch back
+    to the system and the next block faults it in again (about 240 minor
+    page faults per power_pool pass, against none with it).
     """
-    terms = _SUMMARIES[kind][0](_tie_free_ranks(rows, n), n)
+    terms = _SUMMARIES[kind][0](np.tile(np.arange(1.0, n + 1.0), rows), n)
     terms.flags.writeable = False
     return terms
 
@@ -92,11 +100,14 @@ def _block_scores(values: np.ndarray, kinds: Sequence[SummaryKind]) -> list[np.n
     interval by an ulp, so the scores are clipped to it; a mean of
     half-integer ranks never leaves [1, n], so average-rank scores are
     unchanged. Mid-ranks ranked again are the same mid-ranks, so a rank
-    matrix scores as its curves do. The values are trusted.
+    matrix scores as its curves do. A tie-free block of at most _KEEP_MAX
+    values reads its terms from the kept rows of `_tie_free_terms`. The
+    values are trusted.
     """
     reps, n, s = values.shape
-    order, mid, _, kept = _sort_order(values, axis=1)
+    order, mid, tied = _sort_order(values, axis=1)
     rows = reps * s
+    kept = not tied and rows * n <= _KEEP_MAX
     # order holds the flat index (r·S + s)·n + i; subtracting
     # n·(row - r) from each row, row = r·S + s, leaves the bin r·n + i
     row = np.arange(rows)

@@ -486,6 +486,23 @@ class TestBatchedCore:
                 }[alt]
             assert block.p_value.tobytes() == want.tobytes()
 
+    def test_one_tied_pair_among_large_samples(self):
+        # n^3 is far above 2^53 here, yet the tie sum of one pair is exactly 6
+        rng = np.random.default_rng(331)
+        values = rng.permutation(600_000).astype(float)
+        values[values == 1.0] = 0.0
+        _, tie_sum = rank_tests._pooled_ranks(values[None])
+        assert tie_sum.tolist() == [6.0]
+        x, y = values[:300_000], values[300_000:]
+        assert mww_test(x, y).tie_correction_applied
+        assert kruskal_wallis_test([x, y]).tie_correction_applied
+
+    def test_tie_sum_of_heavy_ties_is_exact(self):
+        values = np.random.default_rng(337).integers(0, 1000, size=2_000_000).astype(float)
+        _, tie_sum = rank_tests._pooled_ranks(values[None])
+        t = np.unique(values, return_counts=True)[1]
+        assert tie_sum.tolist() == [float(np.sum(t**3 - t))]
+
 
 class TestKruskalWallis:
     def test_hand_computed(self):

@@ -205,21 +205,16 @@ class TestMidranks:
     def test_tie_free_rows_are_kept_read_only(self):
         values = np.random.default_rng(37).normal(size=(3, 9, 4))
         self.check(values, 1)
-        kept = ranking._tie_free_ranks(12, 9)
-        assert ranking._tie_free_ranks(12, 9) is kept
-        assert not kept.flags.writeable
-        # the same shape again reads the kept rows, which stay 1..n
         self.check(values[::-1], 1)
-        assert np.array_equal(kept, np.tile(np.arange(1.0, 10.0), 12))
-        # the sort core says when its mid-ranks are the kept rows
-        assert ranking._sort_order(values, 1)[2:] == (False, True)
-        assert ranking._sort_order(np.round(values, 0), 1)[2:] == (True, False)
-        # a block above the bound is ranked without keeping its rows
-        big = np.random.default_rng(41).normal(size=(2, ranking._KEEP_MAX // 2 + 1))
-        before = ranking._tie_free_ranks.cache_info()
+        # a tie-free block's sorted mid-ranks are one read-only 1..n row
+        _, mid, tied = ranking._sort_order(values, 1)
+        assert not tied and not mid.flags.writeable
+        assert np.array_equal(mid, np.broadcast_to(np.arange(1.0, 10.0), (12, 9)))
+        assert ranking._sort_order(np.round(values, 0), 1)[2]
+        # a block of more than 2^17 values takes the same broadcast row
+        big = np.random.default_rng(41).normal(size=(2, (1 << 16) + 1))
         self.check(big, 0)
-        assert ranking._sort_order(big, 0)[2:] == (False, False)
-        assert ranking._tie_free_ranks.cache_info() == before
+        assert not ranking._sort_order(big, 0)[2]
 
     @pytest.mark.parametrize("shape", [(3, 1, 5), (3, 6, 1), (1, 1, 1)])
     def test_single_subject_or_occasion(self, shape):
