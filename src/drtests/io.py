@@ -153,11 +153,7 @@ def _curve_table(
         )
     index = {label: g for g, label in enumerate(distinct, start=1)}
     groups = np.array([index[label] for label in raw_groups])
-    try:
-        curves = CurveSet(values=values, grid=grid, groups=groups)
-    except InvalidInputError as exc:
-        raise CsvFormatError(str(exc)) from exc
-    return curves, CurveTableInfo(
+    return CurveSet(values=values, grid=grid, groups=groups), CurveTableInfo(
         group_labels=tuple(distinct),
         subject_ids=tuple(ids),
         grid_source=grid_source,

@@ -180,11 +180,14 @@ def _pooled_ranks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _exact_u_probs(n1: int, n2: int) -> np.ndarray:
-    """Null probabilities of U over {0..n1*n2} for tie-free samples.
+def _exact_u_table(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P(U = u), P(U <= u) and P(U >= u) for tie-free samples, u in {0..n1*n2}.
 
     Counts assignments by the recursion over partitions of u into at most
     n2 parts each at most n1: G(k, m, u) = G(k-1, m, u) + G(k, m-1, u-k).
+    Each entry is an integer count of relabellings divided once by their
+    total C(n1+n2, n2), so it is correctly rounded while the total is
+    below 2^53, and a tail never exceeds 1.
     """
     u_max = n1 * n2
     old = np.zeros((n2 + 1, u_max + 1), dtype=np.int64)
@@ -197,33 +200,20 @@ def _exact_u_probs(n1: int, n2: int) -> np.ndarray:
             new[k, k:] += old[k, : u_max + 1 - k]
         old = new
     counts = old[n2]
-    probs = counts.astype(float) / float(counts.sum())
-    probs.flags.writeable = False
-    return probs
-
-
-@lru_cache(maxsize=None)
-def _exact_u_tails(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """P(U <= u) and P(U >= u) under the exact null, for u in {0..n1*n2}.
-
-    Each entry is numpy's sum of the slice of `_exact_u_probs` it covers,
-    not a running sum, which would round differently in the last place.
-    """
-    probs = _exact_u_probs(n1, n2)
-    # a slice reaching the end of the table can sum to just above 1
-    lower = np.minimum([probs[: u + 1].sum() for u in range(probs.size)], 1.0)
-    upper = np.minimum([probs[u:].sum() for u in range(probs.size)], 1.0)
-    lower.flags.writeable = False
-    upper.flags.writeable = False
-    return lower, upper
+    total = counts.sum()
+    table = (counts / total, counts.cumsum() / total, counts[::-1].cumsum()[::-1] / total)
+    for column in table:
+        column.flags.writeable = False
+    return table
 
 
 def exact_mww_null_distribution(n1: int, n2: int) -> np.ndarray:
     """Exact null PMF of the U statistic, indexed by U in {0..n1*n2}.
 
-    The distribution is symmetric about n1*n2/2 and assumes no ties.
-    Sizes with n1+n2 beyond 60 raise UnsupportedSizeError; use the normal
-    approximation there.
+    Each entry is the number of relabellings with that U divided once by
+    C(n1+n2, n2). The distribution is symmetric about n1*n2/2 and assumes
+    no ties. Sizes with n1+n2 beyond 60 raise UnsupportedSizeError; use
+    the normal approximation there.
     """
     n1, n2 = _count(n1, "n1"), _count(n2, "n2")
     if n1 + n2 > _EXACT_MAX_TOTAL:
@@ -231,7 +221,7 @@ def exact_mww_null_distribution(n1: int, n2: int) -> np.ndarray:
             f"exact null distribution supports combined sizes up to {_EXACT_MAX_TOTAL}; "
             f"got {n1 + n2}. Use the normal approximation instead."
         )
-    return _exact_u_probs(n1, n2)
+    return _exact_u_table(n1, n2)[0]
 
 
 def _mww_block(
@@ -260,7 +250,7 @@ def _mww_block(
         # the uncorrected deviate, reported for reference
         z[exact] = d[exact] / np.sqrt(n1 * n2 * (n + 1) / 12.0)
         u_idx = np.rint(u[exact]).astype(np.intp)
-        lower[exact], upper[exact] = (t[u_idx] for t in _exact_u_tails(n1, n2))
+        lower[exact], upper[exact] = (t[u_idx] for t in _exact_u_table(n1, n2)[1:])
     if normal.any():
         d_n = d[normal]
         shift = 0.0

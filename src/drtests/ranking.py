@@ -50,7 +50,7 @@ class CurveSet:
             raise InvalidInputError(
                 f"grid length {grid.size} does not match {s} value columns"
             )
-        if not np.all(np.diff(grid) > 0):
+        if not (grid[1:] > grid[:-1]).all():
             raise InvalidInputError("grid must be strictly increasing")
         if groups.shape != (n,):
             raise InvalidInputError(

@@ -552,6 +552,23 @@ class TestRunPower:
         assert run_power(grid, workers=4) == one
         assert log.take() == [(0, 1), (1, 2), (2, 4)]
 
+    def test_a_share_past_the_last_position_is_dropped(self, monkeypatch, tmp_path):
+        # n·S of 4, 20, 20 and 100: the last position's middle, 94 of 144,
+        # lies in the second third of the run, so of three shares the third
+        # holds no position and is dropped
+        grid = small_grid(
+            group_schemes=((2, 2), (10, 10)),
+            n_points_values=(1, 5),
+            xi_values=(0.0,),
+            replicates=1,
+        )
+        reference = run_power(grid)
+        monkeypatch.setattr(harness, "_SHARE_MIN", 1)
+        assert harness._share_bounds([4, 20, 20, 100], 1, 3) == [0, 3, 4]
+        log = log_shares(monkeypatch, tmp_path)
+        assert run_power(grid, workers=3) == reference
+        assert log.take() == [(0, 3), (3, 4)]
+
     def test_small_run_counts_in_this_process(self, monkeypatch):
         # the perfbench power_pool grid at two processors: 104 positions of
         # n·S = 800 hold fewer than 2 · _SHARE_MIN curve values
@@ -854,6 +871,12 @@ class TestResultsIo:
         with pytest.raises(InvalidInputError, match=r"out\.jsonl line 1: "):
             read_results(path)
 
+    def test_jsonl_row_that_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(InvalidInputError, match=r"out\.jsonl line 1: "):
+            read_results(path)
+
     def test_out_of_range_cell_value_rejected(self, tmp_path):
         results = self.sample_results()
         rate, stderr = results[0].rejection_rate, results[0].mc_stderr
@@ -1041,6 +1064,12 @@ class TestGridConfig:
             load_grid(path)
         path.write_bytes('{"seed": 1, "noise": "wei\u00df"}'.encode("latin-1"))
         with pytest.raises(InvalidInputError, match="invalid JSON"):
+            load_grid(path)
+
+    def test_load_grid_refuses_a_config_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(InvalidInputError, match="grid config .* must be a JSON object"):
             load_grid(path)
 
 

@@ -83,6 +83,16 @@ class TestWideCsv:
         assert info.grid_source == "default"
         assert len(info.warnings) == 1
 
+    def test_grid_may_span_the_float_range(self, tmp_path):
+        # a grid whose step overflows a float is still strictly increasing
+        for name, text in (
+            ("w.csv", "id,group,-1e308,1e308\na,x,1,2\nb,y,3,4\n"),
+            ("l.csv", "id,group,s,value\na,x,-1e308,1\na,x,1e308,2\nb,y,-1e308,3\nb,y,1e308,4\n"),
+        ):
+            curves, info = read_curves_csv(write_text(tmp_path / name, text))
+            assert curves.grid.tolist() == [-1e308, 1e308]
+            assert info.grid_source in ("header", "column")
+
     def test_group_labels_numeric_sort(self, tmp_path):
         path = write_text(
             tmp_path / "w.csv",
@@ -163,6 +173,13 @@ class TestWideCsv:
             tmp_path / "w.csv", "id,group,0\na,x,1\nb,y," + "9" * 200_000 + "\n"
         )
         with pytest.raises(CsvFormatError, match="field limit.*row 3"):
+            read_curves_csv(path)
+
+    def test_no_value_column_rejected(self, tmp_path):
+        path = write_text(tmp_path / "w.csv", "id,group\n1,a\n2,b\n")
+        with pytest.raises(
+            CsvFormatError, match="wide layout needs id, group and at least one value column"
+        ):
             read_curves_csv(path)
 
     def test_header_only_rejected(self, tmp_path):
@@ -868,6 +885,15 @@ class TestCliGrids:
         assert code == 2
         assert "error" in err
 
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text("[1, 2]")
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, ["power", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "must be a JSON object" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_sizes_past_the_budget_exit_2(self, tmp_path, capsys, monkeypatch):
         # refused when the config is built: nothing is drawn or allocated
         monkeypatch.setattr(harness, "_count_rejections", None)
@@ -921,6 +947,7 @@ class TestCliGrids:
             ("power", "--xi", "0:inf:1", "xi"),
             # a reversed range is refused for its key, not run with no shifts
             ("power", "--xi", "2:1:0.5", "'xi' range stop must be >= start"),
+            ("power", "--xi", "a:b:c", "--xi expects 'start:stop:step'"),
         ):
             code, _, err = run_cli(
                 capsys, [command, "--seed", "1", "--out", out, flag, value]
@@ -989,6 +1016,15 @@ class TestCliTopLevel:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    def test_unexpected_error_prints_a_traceback_and_returns_1(self, tmp_path, capsys, monkeypatch):
+        def fail(args):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(cli, "_cmd_test", fail)
+        code, out, err = run_cli(capsys, ["test", str(tmp_path / "c.csv")])
+        assert code == 1 and out == ""
+        assert "Traceback" in err and "RuntimeError: unexpected" in err
 
 
 # A size far past the budget of values a replicate's array may hold; every

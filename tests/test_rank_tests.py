@@ -85,6 +85,25 @@ class TestExactNullDistribution:
             probs = exact_mww_null_distribution(n1, n2)
             assert np.array_equal(probs, expected), (n1, n2)
 
+    def test_table_is_the_relabelling_count_divided_once(self):
+        for n in range(2, 15):
+            for n2 in range(1, n):
+                n1 = n - n2
+                # U of every relabelling: its group 2's rank sum above the minimum
+                ranks = np.array(list(itertools.combinations(range(1, n + 1), n2)))
+                u_all = ranks.sum(axis=1) - n2 * (n2 + 1) // 2
+                total = math.comb(n, n2)
+                assert u_all.size == total
+                u = np.arange(n1 * n2 + 1)
+                below = (u_all <= u[:, None]).sum(axis=1).tolist()
+                above = (u_all >= u[:, None]).sum(axis=1).tolist()
+                counts = np.bincount(u_all, minlength=u.size).tolist()
+                probs, lower, upper = rank_tests._exact_u_table(n1, n2)
+                assert lower.tolist() == [c / total for c in below], (n1, n2)
+                assert upper.tolist() == [c / total for c in above], (n1, n2)
+                assert probs.tolist() == [c / total for c in counts], (n1, n2)
+                assert exact_mww_null_distribution(n1, n2) is probs
+
     def test_read_only(self):
         probs = exact_mww_null_distribution(3, 3)
         with pytest.raises(ValueError):
@@ -152,8 +171,7 @@ class TestMwwTest:
         )
 
     def test_one_sided_tail_over_whole_table(self):
-        # P(U >= 0) and P(U <= n1*n2) sum the whole table, which rounds to
-        # just above 1 at (2, 4) and must still read as a probability
+        # P(U >= 0) and P(U <= n1*n2) count every relabelling, so each is 1
         low, high = [10.0, 11.0], [0.0, 1.0, 2.0, 3.0]
         assert mww_test(low, high, alternative="greater").p_value == 1.0
         assert mww_test(high, low, alternative="less").p_value == 1.0
