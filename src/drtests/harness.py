@@ -6,30 +6,26 @@ counter-based substreams and records the fraction of doubly ranked tests
 rejecting at level alpha. A run is its shapes: one checked SimConfig per
 (group scheme, grid size), whose m cells are the grid's m shift scales.
 They share replicate r's draws (common random numbers): only the shift
-added to groups 2..G tells them apart. A run is one sequence of
-(cell, replicate) positions; shape k holds the m·R positions from k·m·R,
-laid out replicate-major (offset o is replicate o // m of shift o % m).
+added to groups 2..G tells them apart. The unit of a run is one (shape,
+replicate), tested at all m shifts: shape k holds units k·R .. k·R + R - 1.
 workers is the most processes a run may use, not a number it must use:
-the run is cut into contiguous shares of about equal total n·S, at most
-one per worker and at most one per 2^18 of its curve values (a fixed
-floor, not a setting), so a run of fewer than 2^19 values is one share
-and counts in the calling process. The calling process counts the first
+the units are cut into contiguous shares of about equal total m·n·S, at
+most one per worker and at most one per 2^18 curve values (a fixed floor,
+not a setting), so a run of fewer than 2^19 values is one share and
+counts in the calling process. The calling process counts the first
 share itself; with k >= 2 shares, one pool of k - 1 processes opened for
-the run takes one task for each other share meanwhile, so a single share
-opens no pool. A share draws each of its replicates once, so a share
-boundary inside a replicate's cells costs one extra draw. It runs in
-blocks of at most 2^15 curve values (a fixed memory budget, not a
-setting; a shape whose n·S exceeds it runs one position per block), and
-it draws a shape's replicates apart from its blocks, in chunks of whole
-replicates of up to 2^15 curve values: one `_base_values` call (one
-re-pointed generator, one noise filter call) per chunk, which keeps the
-one replicate a block straddles from the chunk before. A block gathers
-its positions from the drawn replicates with one index and is ranked
-and summarized in one batched pass. Its score rows join a batch of
-whole blocks of at most 2^15 score values per summary (so a shape of n
-subjects wider than the budget is still tested 2^15 // n positions at a
-time); a full batch, or the last of a shape's range, is tested in one
-call per summary, and each row's rejection is credited to its cell.
+the run takes one task for each other share meanwhile. A share draws
+each of a shape's replicates once, in chunks of whole replicates of up to
+2^15 curve values (a fixed memory budget, not a setting): one
+`_base_values` call (one re-pointed generator, one noise filter call) per
+chunk. It runs a chunk's (replicate, shift) positions, replicate-major,
+in blocks of as many positions as a chunk holds replicates (one per block
+for a shape whose n·S exceeds the budget). A block gathers its positions
+from the chunk with one index and is ranked and summarized in one pass. Its score rows join a batch of whole blocks of at most 2^15 score
+values per summary (so a shape of n subjects wider than the budget is
+still tested 2^15 // n positions at a time); a full batch, or the last of
+a shape's range, is tested in one call per summary, and each row's
+rejection is credited to its cell.
 Because substream r depends only on (seed, r) and a re-pointed generator
 is in the state a new one for r starts in, the filter treats each curve
 on its own, the shifted values are the same IEEE sums wherever they are
@@ -213,20 +209,18 @@ _TEST = DoublyRankedConfig()
 def _count_rejections(
     grid: ExperimentGrid, shapes: Sequence[SimConfig], start: int, stop: int
 ) -> np.ndarray:
-    """Rejection counts per (cell, summary) over run positions start..stop.
+    """Rejection counts per (cell, summary) over run units start..stop.
 
-    With m = len(grid.xi_values), shape k owns the cells k·m .. k·m + m - 1
-    and the positions [k·m·R, (k + 1)·m·R), laid out replicate-major:
-    offset o among them is replicate o // m of shift o % m. A row rejects
-    when p <= alpha. Positions run in blocks of step = max(1, _BUDGET // (n·S))
-    within one shape, whose m shifts come from one `_shift` call. A block
-    that reaches a replicate not yet drawn draws a chunk in one
-    `_base_values` call: the whole replicates that it and the m - 1 blocks
-    after it reach, at most step + 1 of them (_BUDGET curve values and one
-    replicate more); a first replicate that the chunk before drew is kept
-    rather than drawn again. A block gathers a copy for each of its
-    positions from the chunk with one index and adds each cell's shift to
-    groups 2..G; each position is smoothed on its own when
+    With m = len(grid.xi_values) and R = grid.replicates, shape k owns the
+    cells k·m .. k·m + m - 1 and the units [k·R, (k + 1)·R): unit k·R + r
+    is its replicate r, tested at all m shifts. A row rejects when
+    p <= alpha. Per shape, the range's replicates are drawn in chunks of
+    step = max(1, _BUDGET // (n·S)) whole replicates, one `_base_values`
+    call each, and the shape's m shifts come from one `_shift` call. A
+    chunk's positions, replicate-major (position o is replicate o // m at
+    shift o % m), run in blocks of step: a block gathers a copy for each of
+    its positions from the chunk with one index and adds each cell's shift
+    to groups 2..G; each position is smoothed on its own when
     grid.preprocess_pve is set, then the block is ranked once and scored
     under every summary. Its score rows go into a (summaries, rows, n)
     batch of whole blocks, rows = step · max(1, _BUDGET // (n·step)), at
@@ -237,58 +231,54 @@ def _count_rejections(
     m, reps = len(grid.xi_values), grid.replicates
     counts = np.zeros((len(shapes) * m, len(grid.summaries)), dtype=np.int64)
     for k, config in enumerate(shapes):
-        first, own = k * m * reps, counts[k * m : (k + 1) * m]
-        lo, hi = max(start, first), min(stop, first + m * reps)
+        lo, hi = max(start - k * reps, 0), min(stop - k * reps, reps)
         if lo >= hi:
             continue
-        n = config.n_subjects
+        n, own = config.n_subjects, counts[k * m : (k + 1) * m]
         step = max(1, _BUDGET // (n * config.n_points))
         # whole blocks of score rows per batch, no more than the range holds
-        rows = min(hi - lo, step * max(1, _BUDGET // (n * step)))
+        rows = min((hi - lo) * m, step * max(1, _BUDGET // (n * step)))
         batch = np.empty((len(grid.summaries), rows, n))
         batch_cells = np.empty(rows, dtype=np.intp)
         filled = 0
         shifts = _shift(config, grid.xi_values)
         split, labels = config.n_per_group[0], _group_labels(config.n_per_group)
-        top = 0  # the replicates below top are drawn; drawn[0] is replicate base
-        for begin in range(lo, hi, step):
-            end = min(begin + step, hi)
-            replicates, cells = np.divmod(np.arange(begin, end) - first, m)
-            low = int(replicates[0])
-            if replicates[-1] >= top:  # a chunk: every replicate of the m blocks from here
-                reach = (min(begin + m * step, hi) - first - 1) // m + 1
-                fresh = _base_values(config, range(max(low, top), reach))
-                drawn = fresh if low >= top else np.concatenate((drawn[-1:], fresh))
-                base, top = low, reach
-            values = drawn[replicates - base]
-            values[:, split:] += shifts[cells, None]
-            scores, _ = _doubly_ranked_scores(values, grid.summaries, grid.preprocess_pve)
-            batch[:, filled : filled + cells.size] = scores
-            batch_cells[filled : filled + cells.size] = cells
-            filled += cells.size
-            if filled < rows and end < hi:
-                continue
-            for j, block in enumerate(batch[:, :filled]):
-                p = _score_block(block, labels, _TEST).p_value
-                own[:, j] += np.bincount(batch_cells[:filled][p <= grid.alpha], minlength=m)
-            filled = 0
+        for r in range(lo, hi, step):
+            chunk = range(r, min(r + step, hi))
+            drawn = _base_values(config, chunk)
+            for begin in range(chunk.start * m, chunk.stop * m, step):
+                end = min(begin + step, chunk.stop * m)
+                replicates, cells = np.divmod(np.arange(begin, end), m)
+                values = drawn[replicates - r]
+                values[:, split:] += shifts[cells, None]
+                scores, _ = _doubly_ranked_scores(values, grid.summaries, grid.preprocess_pve)
+                batch[:, filled : filled + cells.size] = scores
+                batch_cells[filled : filled + cells.size] = cells
+                filled += cells.size
+                if filled < rows and end < hi * m:
+                    continue
+                for j, block in enumerate(batch[:, :filled]):
+                    p = _score_block(block, labels, _TEST).p_value
+                    own[:, j] += np.bincount(batch_cells[:filled][p <= grid.alpha], minlength=m)
+                filled = 0
     return counts
 
 
 def _share_bounds(costs: Sequence[int], per_shape: int, workers: int) -> list[int]:
-    """Share bounds of a run whose shape k holds per_shape positions of n·S costs[k].
+    """Share bounds of a run whose shape k holds per_shape replicates of cost costs[k].
 
-    There are at most `workers` shares and at most one per _SHARE_MIN curve
-    values. A position joins share floor(workers · mid / total n·S), mid
-    the middle of its n·S in the run, so mixed shapes load processes
-    evenly; empty shares are dropped. Each share's first position is found
-    per shape in Python integers: nothing is built per position.
+    A replicate's cost is the curve values it is tested on. There are at
+    most `workers` shares and at most one per _SHARE_MIN curve values. A
+    replicate of a shape joins share floor(workers · mid / total cost), mid
+    the middle of its cost in the run, so mixed shapes load processes
+    evenly; empty shares are dropped. Each share's first replicate is found
+    per shape in Python integers: nothing is built per replicate.
     """
-    positions, total = len(costs) * per_shape, sum(costs) * per_shape
-    workers = max(1, min(workers, positions, total // _SHARE_MIN))
-    starts, before, k = [], 0, 0  # before: the n·S of the shapes ahead of shape k
+    units, total = len(costs) * per_shape, sum(costs) * per_shape
+    workers = max(1, min(workers, units, total // _SHARE_MIN))
+    starts, before, k = [], 0, 0  # before: the cost of the shapes ahead of shape k
     for target in range(0, 2 * total * workers, 2 * total):
-        # share target // (2 · total) starts at the first position whose doubled
+        # share target // (2 · total) starts at the first replicate whose doubled
         # middle, 2 · before + (2o + 1) · costs[k] at offset o, times workers reaches target
         while k < len(costs) and workers * (2 * before + (2 * per_shape - 1) * costs[k]) < target:
             before += costs[k] * per_shape
@@ -297,7 +287,7 @@ def _share_bounds(costs: Sequence[int], per_shape: int, workers: int) -> list[in
             break
         offset = -(-(target - workers * (2 * before + costs[k])) // (2 * workers * costs[k]))
         starts.append(k * per_shape + max(0, offset))
-    return sorted({*starts, positions})
+    return sorted({*starts, units})
 
 
 def _trusted(cls, fields: dict):
@@ -323,13 +313,14 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     shift scale in grid order, so each power curve occupies consecutive
     rows. workers is the most processes the run may use, this one
     included, and must be an integer from 1 to max(64, os.cpu_count()).
-    The run is cut into contiguous shares of (cell, replicate) positions
-    of about equal n·S, at most one per worker and at most one per
-    _SHARE_MIN curve values, so a run of fewer than 2 · _SHARE_MIN values
-    counts in this process and opens no pool. This process counts the
-    first share while one pool of k - 1 processes counts the other k - 1,
-    then adds their counts to its own. The result rows are built from the
-    counts and the checked grid without checking their fields again.
+    The run is cut into contiguous shares of (shape, replicate) units,
+    each tested at every shift, of about equal m·n·S, at most one per
+    worker and at most one per _SHARE_MIN curve values, so a run of fewer
+    than 2 · _SHARE_MIN values counts in this process and opens no pool.
+    This process counts the first share while one pool of k - 1 processes
+    counts the other k - 1, then adds their counts to its own. The result
+    rows are built from the counts and the checked grid without checking
+    their fields again.
     """
     workers = _count(workers, "workers")
     if workers > _MAX_WORKERS:
@@ -340,8 +331,8 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
         for n_points in grid.n_points_values
     ]
     m = len(grid.xi_values)
-    costs = [c.n_subjects * c.n_points for c in shapes]
-    bounds = _share_bounds(costs, m * grid.replicates, workers)
+    costs = [m * c.n_subjects * c.n_points for c in shapes]
+    bounds = _share_bounds(costs, grid.replicates, workers)
     count = partial(_count_rejections, grid, shapes)
     if len(bounds) == 2:
         cell_counts = count(*bounds)

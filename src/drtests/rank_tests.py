@@ -438,6 +438,11 @@ def doubly_ranked_test(
     Two groups route to the rank-sum test, three or more to the
     Kruskal-Wallis test. With a single measurement occasion and no
     preprocessing the result is identical to the univariate test on that
-    column, since a subject's summary is then just its rank.
+    column, since a subject's summary is then just its rank. Only a None
+    config selects the defaults.
     """
-    return _test_curves(curves, config or DoublyRankedConfig())[0]
+    config = DoublyRankedConfig() if config is None else config
+    for value, name, kind in (curves, "curves", CurveSet), (config, "config", DoublyRankedConfig):
+        if not isinstance(value, kind):
+            raise InvalidInputError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return _test_curves(curves, config)[0]

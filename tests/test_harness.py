@@ -107,6 +107,26 @@ class TestRunType1:
             assert res.rejection_rate < 0.2
 
 
+@st.composite
+def cut_runs(draw):
+    """Small shapes and shifts, replicates, a budget, and a cut of the run into ranges."""
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from([(2, 2), (3, 2), (2, 2, 3)]), st.integers(1, 5)),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    xi_values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=1, max_size=4))
+    replicates = draw(st.integers(1, 8))
+    budget = draw(st.one_of(st.just(1), st.integers(2, 60), st.just(10**9)))
+    units = len(pairs) * replicates
+    cuts = draw(st.lists(st.booleans(), min_size=units - 1, max_size=units - 1))
+    bounds = [0, *(u for u, cut in enumerate(cuts, start=1) if cut), units]
+    return pairs, tuple(xi_values), replicates, budget, bounds
+
+
 class TestPipelineCalls:
     def test_smooth_and_rank_once_per_replicate(self, monkeypatch):
         # two summaries share one smoothing and one ranking of each dataset
@@ -130,8 +150,8 @@ class TestPipelineCalls:
             replicates=6, preprocess_pve=0.9, group_schemes=((5, 5), (3, 3, 4))
         )
         shapes = [replace(grid.base, n_per_group=s) for s in grid.group_schemes]
-        # one share of both shapes' 2 shifts x 6 replicates: (cells, summaries) counts
-        counts = harness._count_rejections(grid, shapes, 0, 24)
+        # one share of both shapes' 6 replicates at 2 shifts: (cells, summaries) counts
+        counts = harness._count_rejections(grid, shapes, 0, 12)
         assert counts.shape == (4, 2) and counts.dtype == np.int64
         assert built == {"CurveSet": 0, "TestResult": 0}
         # the counters do see the one-off path
@@ -203,7 +223,7 @@ class TestPipelineCalls:
             replicates=6,
         )
         shapes = [replace(grid.base, n_per_group=scheme) for scheme in grid.group_schemes]
-        reference = harness._count_rejections(grid, shapes, 0, 48)
+        reference = harness._count_rejections(grid, shapes, 0, 12)
         tested, score_block = [], harness._score_block
 
         def counted(scores, labels, config):
@@ -214,18 +234,19 @@ class TestPipelineCalls:
         # n·S of 80 and 96 exceed the budget, so each curve block is one
         # position, and a batch holds 50 // n of them: 5 (n = 10) or 4 (n = 12)
         monkeypatch.setattr(harness, "_BUDGET", 50)
-        counts = harness._count_rejections(grid, shapes, 0, 48)
+        counts = harness._count_rejections(grid, shapes, 0, 12)
         assert np.array_equal(counts, reference) and 0 < counts.sum() < counts.size * 6
         # one call per summary per batch, not one per position
         per_batch = [5] * 4 + [4] + [4] * 6
         size = [10] * 5 + [12] * 6
         assert tested == [(n, rows) for n, rows in zip(size, per_batch) for _ in range(2)]
         # shares that end inside a batch count the same in their processes:
-        # 26 cuts the batch at 24..27, and 18 and 33 those at 15..19 and 32..35
+        # of the 3 shares of 6 replicates at 4 shifts, the first stops at
+        # replicate 4, position 16 of the first shape, inside its batch 15..19
         monkeypatch.setattr(harness, "_score_block", score_block)
         monkeypatch.setattr(harness, "_SHARE_MIN", 1)
-        assert harness._share_bounds([80, 96], 24, 2) == [0, 26, 48]
-        assert harness._share_bounds([80, 96], 24, 3) == [0, 18, 33, 48]
+        assert harness._share_bounds([4 * 80, 4 * 96], 6, 2) == [0, 6, 12]
+        assert harness._share_bounds([4 * 80, 4 * 96], 6, 3) == [0, 4, 8, 12]
         serial = run_power(grid)
         for workers in (2, 3):
             assert run_power(grid, workers=workers) == serial
@@ -243,14 +264,15 @@ class TestPipelineCalls:
             replace(grid.base, n_per_group=(5, 5)),
             replace(grid.base, n_per_group=(4, 4, 4), n_points=6),
         ]
-        # blocks of 7 positions (n·S of 80) or 8 (n·S of 72) would cross the
-        # boundary at position 12 if they did not stop there
+        # blocks of 7 positions (n·S of 80) or 8 (n·S of 72) would cross from
+        # the first shape's 12 positions into the second's if they did not stop
         monkeypatch.setattr(harness, "_BUDGET", 7 * 80 + 70)
-        counts = harness._count_rejections(grid, shapes, 0, 24)
-        alone = [harness._count_rejections(grid, [s], 0, 12) for s in shapes]
+        counts = harness._count_rejections(grid, shapes, 0, 12)
+        alone = [harness._count_rejections(grid, [s], 0, 6) for s in shapes]
         assert np.array_equal(counts, np.vstack(alone))
-        # a share that starts and stops inside the shapes counts the same
-        parts = [harness._count_rejections(grid, shapes, a, b) for a, b in ((0, 9), (9, 24))]
+        # shares that start and stop inside the shapes count the same
+        bounds = ((0, 3), (3, 9), (9, 12))
+        parts = [harness._count_rejections(grid, shapes, a, b) for a, b in bounds]
         assert np.array_equal(sum(parts), counts)
         assert counts[1].sum() > counts[0].sum() and counts[3].sum() > counts[2].sum()
 
@@ -260,8 +282,8 @@ class TestPipelineCalls:
             xi_values=(0.0, 0.5, 1.0, 2.0, 4.0),
             replicates=5,
         )
-        # blocks of 3 replicates (n·S = 80) span cells; 25 positions leave a
-        # remainder for every worker count below
+        # blocks of 3 positions (n·S = 80) span cells; 5 replicates leave a
+        # remainder at 2, 3 and 4 workers, and 7 workers cut one share each
         monkeypatch.setattr(harness, "_BUDGET", 3 * 80)
         monkeypatch.setattr(harness, "_SHARE_MIN", 1)
         reference = run_power(grid)
@@ -319,7 +341,6 @@ class TestPipelineCalls:
             replicates=6,
         )
         shapes = [replace(grid.base, n_per_group=s) for s in grid.group_schemes]
-        m = len(grid.xi_values)
         chunks = [max(1, harness._BUDGET // (c.n_subjects * c.n_points)) for c in shapes]
         assert chunks == [3, 3]
         reference = run_power(grid)
@@ -329,24 +350,22 @@ class TestPipelineCalls:
             for shape, chunk in zip(shapes, chunks)
             for r in range(0, 6, chunk)
         ]
-        # shares that end inside a chunk (a shape's 12 positions from 0 and
-        # from 12) count the same and draw each of their replicates once, a
-        # chunk per call, or one more replicate where a share starts inside one
+        # shares that end inside a chunk (a shape's 6 replicates from 0 and
+        # from 6) count the same and draw each of their replicates once, in
+        # chunks of whole replicates, each of `chunk` replicates but the last
         monkeypatch.setattr(harness, "_SHARE_MIN", 1)
-        for workers, bounds in ((2, [0, 26, 48]), (3, [0, 18, 33, 48])):
-            assert harness._share_bounds([80, 96], 24, workers) == bounds
+        for workers, bounds in ((2, [0, 6, 12]), (3, [0, 4, 8, 12])):
+            assert harness._share_bounds([4 * 80, 4 * 96], 6, workers) == bounds
             assert run_power(grid, workers=workers) == reference
             for a, b in zip(bounds, bounds[1:]):
                 drawn.clear()
                 harness._count_rejections(grid, shapes, a, b)
-                for k, shape in enumerate(shapes):
-                    lo, hi = max(a, 24 * k), min(b, 24 * k + 24)
-                    mine = [calls for s, calls in drawn if s == shape.n_per_group]
-                    needed = range((lo - 24 * k) // m, (hi - 1 - 24 * k) // m + 1)
-                    assert [r for calls in mine for r in calls] == list(needed)
-                    sizes = [len(calls) for calls in mine]
-                    assert all(chunks[k] <= size for size in sizes[:-1])
-                    assert all(0 < size <= chunks[k] + 1 for size in sizes)
+                expected = []
+                for k, (shape, chunk) in enumerate(zip(shapes, chunks)):
+                    lo, hi = max(a - 6 * k, 0), min(b - 6 * k, 6)
+                    for r in range(lo, hi, chunk):
+                        expected.append((shape.n_per_group, list(range(r, min(r + chunk, hi)))))
+                assert drawn == expected
 
     def test_one_unchecked_shift_call_per_run(self, monkeypatch):
         runs, shift = [], harness._shift
@@ -387,28 +406,36 @@ class TestPipelineCalls:
         # one per (scheme, grid size), none per shift
         assert checked == [(g, s) for g in grid.group_schemes for s in grid.n_points_values]
 
-    def test_shares_that_split_a_replicate_count_the_same(self, monkeypatch, tmp_path):
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(cut_runs())
+    def test_any_cut_of_whole_replicates_counts_the_same(self, run):
+        pairs, xi_values, replicates, budget, bounds = run
         grid = small_grid(
             base=replace(small_grid().base, mean_shape="linear"),
-            group_schemes=((5, 5), (3, 3, 4), (10, 10)),
-            xi_values=(0.0, 1.5, 3.0),
-            replicates=7,
-            preprocess_pve=0.9,
+            xi_values=xi_values,
+            replicates=replicates,
+            alpha=0.5,
         )
-        monkeypatch.setattr(harness, "_SHARE_MIN", 1)
-        reference = run_power(grid)
-        assert len({r.rejection_rate for r in reference}) > 2
-        log, starts = log_shares(monkeypatch, tmp_path), []
-        for workers in (2, 3, 7):
-            assert run_power(grid, workers=workers) == reference
-            shares = log.take()
-            assert len(shares) == workers and shares[0][0] == 0
-            starts += [start for start, _ in shares]
-        # the first two schemes take 21 positions each, replicate r of a
-        # scheme at offsets 3r..3r+2: some share starts inside a replicate
-        assert any(start % 21 % 3 for start in starts if start < 42)
-        alone = [run_power(replace(grid, xi_values=(xi,))) for xi in grid.xi_values]
-        assert reference == [rows[i] for i in range(6) for rows in alone]
+        shapes = [replace(grid.base, n_per_group=g, n_points=s) for g, s in pairs]
+        drawn, base_values = [], harness._base_values
+
+        def counted(config, chunk):
+            drawn.append((shapes.index(config), list(chunk)))
+            return base_values(config, chunk)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_BUDGET", budget)
+            mp.setattr(harness, "_base_values", counted)
+            whole = harness._count_rejections(grid, shapes, 0, bounds[-1])
+            parts = []
+            for a, b in zip(bounds, bounds[1:]):
+                drawn.clear()
+                parts.append(harness._count_rejections(grid, shapes, a, b))
+                # unit u is replicate u % R of shape u // R: each drawn once, in order
+                assert [(k, r) for k, chunk in drawn for r in chunk] == [
+                    divmod(u, replicates) for u in range(a, b)
+                ]
+        assert np.array_equal(sum(parts), whole)
 
 
 class TestRunPower:
@@ -511,9 +538,9 @@ class TestRunPower:
         monkeypatch.setattr(harness, "_SHARE_MIN", 1)
         grid = small_grid(replicates=8)
         assert len(grid.xi_values) == 2
-        # 2 shifts x 8 replicates are 16 positions of equal n·S: one share per
-        # process; this process counts the first, and the pool's workers − 1
-        # processes take one task each
+        # 8 replicates of equal cost at 2 shifts: one share per process; this
+        # process counts the first, and the pool's workers − 1 processes take
+        # one task each
         for workers in (2, 3):
             run_power(grid, workers=workers)
             assert opened[-1]["max_workers"] == workers - 1
@@ -527,22 +554,23 @@ class TestRunPower:
         assert len(opened) == 2
 
     def test_shares_balance_cost(self, monkeypatch, tmp_path):
-        # n·S of 80 and 800 per position: 30 cheap positions, then 30 dear ones
+        # 3 shifts of n·S 80 and 800 per replicate: 10 cheap replicates, then
+        # 10 dear ones
         grid = small_grid(
             group_schemes=((5, 5), (50, 50)), xi_values=(0.0, 1.0, 2.0), replicates=10
         )
-        reference, cost = run_power(grid), [80] * 30 + [800] * 30
+        reference, cost = run_power(grid), [240] * 10 + [2400] * 10
         monkeypatch.setattr(harness, "_SHARE_MIN", 1)
         log = log_shares(monkeypatch, tmp_path)
         for workers in (2, 3, 4):
             assert run_power(grid, workers=workers) == reference
             shares = log.take()
             assert [a for a, _ in shares[1:]] == [b for _, b in shares[:-1]]
-            assert len(shares) == workers and shares[0][0] == 0 and shares[-1][1] == 60
-            # each share is within one dear position of an equal split
+            assert len(shares) == workers and shares[0][0] == 0 and shares[-1][1] == 20
+            # each share is within one dear replicate of an equal split
             for a, b in shares:
-                assert abs(sum(cost[a:b]) * workers - sum(cost)) < 800 * workers
-        # n·S of 800, 800, 80, 80: no position's middle lies in the second
+                assert abs(sum(cost[a:b]) * workers - sum(cost)) < 2400 * workers
+        # n·S of 800, 800, 80, 80: no replicate's middle lies in the second
         # quarter of the run, so of four shares the second is empty and dropped
         grid = replace(
             grid, group_schemes=((50, 50), (5, 5)), xi_values=(0.0,), replicates=2
@@ -613,7 +641,7 @@ class TestRunPower:
         # the paper's 3 x 3 x 26 grid at 2000 replicates; the stub logs each
         # share's bounds and counts nothing
         grid = ExperimentGrid(base=SimConfig(n_per_group=(10, 10), n_points=40, seed=1))
-        positions = 9 * 26 * 2000
+        replicates = 9 * 2000
         n_s = sum(sum(g) * s for g in grid.group_schemes for s in grid.n_points_values)
         total = n_s * 26 * 2000
         log = log_shares(monkeypatch, tmp_path, count=False)
@@ -621,17 +649,18 @@ class TestRunPower:
             run_power(grid, workers=workers)
             shares = log.take()
             assert len(shares) == min(workers, total // harness._SHARE_MIN) == workers
-            assert shares[0][0] == 0 and shares[-1][1] == positions
+            assert shares[0][0] == 0 and shares[-1][1] == replicates
         # a floor of half the run caps it at two shares whatever workers says
         monkeypatch.setattr(harness, "_SHARE_MIN", total // 2)
         run_power(grid, workers=3)
         assert len(log.take()) == 2
 
     @staticmethod
-    def per_position_bounds(grid, workers):
-        """Share bounds by the formula over one n·S entry per position."""
-        shapes = [sum(g) * s for g in grid.group_schemes for s in grid.n_points_values]
-        cost = np.repeat(shapes, len(grid.xi_values) * grid.replicates)
+    def per_replicate_bounds(grid, workers):
+        """Share bounds by the formula over one m·n·S entry per replicate."""
+        m = len(grid.xi_values)
+        shapes = [m * sum(g) * s for g in grid.group_schemes for s in grid.n_points_values]
+        cost = np.repeat(shapes, grid.replicates)
         workers = max(1, min(workers, cost.size, int(cost.sum()) // harness._SHARE_MIN))
         twice_middles = 2 * cost.cumsum() - cost
         starts = np.searchsorted(twice_middles * workers, 2 * cost.sum() * np.arange(workers))
@@ -669,11 +698,11 @@ class TestRunPower:
         log = log_shares(monkeypatch, tmp_path, count=False)
         for workers in (1, 2, 3, 4):
             run_power(grid, workers=workers)
-            bounds = self.per_position_bounds(grid, workers)
+            bounds = self.per_replicate_bounds(grid, workers)
             assert log.take() == list(zip(bounds[:-1], bounds[1:]))
 
-    def test_cut_builds_nothing_per_position(self, monkeypatch, tmp_path):
-        # 10^6 positions over two shapes; one int64 per position would be 7.6 MiB
+    def test_cut_builds_nothing_per_replicate(self, monkeypatch, tmp_path):
+        # 10^6 replicates over two shapes; one int64 per replicate would be 7.6 MiB
         grid = small_grid(group_schemes=((5, 5), (6, 6)), xi_values=(0.0,), replicates=500_000)
         log = log_shares(monkeypatch, tmp_path, count=False)
         tracemalloc.start()

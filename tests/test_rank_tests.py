@@ -698,6 +698,21 @@ class TestDoublyRanked:
                 doubly_ranked_test(curves, config)
         assert calls == {"smoothings": 0, "ranked_datasets": 0}
 
+    def test_only_a_curve_set_and_a_config_record_are_taken(self, monkeypatch):
+        values = np.random.default_rng(109).normal(size=(6, 3))
+        curves = make_curves(values, groups=[1, 1, 1, 2, 2, 2])
+        calls = count_pipeline_calls(monkeypatch)
+        # an empty mapping is not read as the defaults, nor a mapping of fields as a config
+        for config in ({}, {"summary": "average_rank"}, 0, "sufficient"):
+            with pytest.raises(InvalidInputError, match="^config must be a DoublyRankedConfig"):
+                doubly_ranked_test(curves, config)
+        for bad in (values, values.tolist(), None):
+            with pytest.raises(InvalidInputError, match="^curves must be a CurveSet"):
+                doubly_ranked_test(bad)
+        assert calls == {"smoothings": 0, "ranked_datasets": 0}
+        # None alone selects the defaults
+        assert doubly_ranked_test(curves, None) == doubly_ranked_test(curves, DoublyRankedConfig())
+
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             DoublyRankedConfig(preprocess_pve=0.0)
