@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -81,6 +83,10 @@ def _frozen(value, name: str, ndim: int) -> np.ndarray:
     return array
 
 
+_matrix = partial(_frozen, ndim=2)  # a matrix argument or field
+_vector = partial(_frozen, ndim=1)  # a vector argument or field
+
+
 def _within(low, high, ends: str = "[]", check=_number, text: str | None = None):
     """Check of a value that passes `check` and lies between low and high.
 
@@ -104,12 +110,13 @@ def _within(low, high, ends: str = "[]", check=_number, text: str | None = None)
 _count = _within(1, math.inf, "[)", _integer)  # a size or a count
 
 
-def _list(check):
-    """Check of a nonempty list or tuple (not a string) whose items each pass `check`."""
+def _list(check, empty: bool = False):
+    """Check of a list or tuple (not a string) of items passing `check`, nonempty unless `empty`."""
+    kind = "list" if empty else "nonempty list"
 
     def parse(value, name: str) -> tuple:
-        if not isinstance(value, (list, tuple)) or not value:
-            raise InvalidInputError(f"{name} must be a nonempty list, got {value!r}")
+        if not isinstance(value, (list, tuple)) or not (value or empty):
+            raise InvalidInputError(f"{name} must be a {kind}, got {value!r}")
         return tuple(check(item, name) for item in value)
 
     return parse
@@ -140,7 +147,41 @@ def _optional(check):
     return lambda value, name: None if value is None else check(value, name)
 
 
+def _record(kind):
+    """Check of an instance of the record type `kind`, a subclass's included."""
+
+    def parse(value, name: str):
+        if not isinstance(value, kind):
+            raise InvalidInputError(f"{name} must be a {kind.__name__}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _path(value, name: str) -> str:
+    """value as a str path if it is a str or an os.PathLike naming one.
+
+    An int is refused rather than opened as a file descriptor, which the
+    caller's `with open(...)` would then close; bytes and None are refused
+    too.
+    """
+    path = os.fspath(value) if isinstance(value, os.PathLike) else value
+    if not isinstance(path, str):
+        raise InvalidInputError(f"{name} must be a str or os.PathLike path, got {value!r}")
+    return path
+
+
 def _check_fields(obj, **checks) -> None:
-    """Replace each named field of a frozen dataclass by its checked value."""
+    """Replace each named field of a frozen dataclass by its checked value.
+
+    This and `_trusted` are the only code that sets a record's fields.
+    """
     for name, check in checks.items():
         object.__setattr__(obj, name, check(getattr(obj, name), name))
+
+
+def _trusted(cls, fields: dict):
+    """A cls record of already checked field values, not checked again."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record

@@ -51,7 +51,8 @@ import numpy as np
 
 from ._version import __version__
 from .errors import (
-    InvalidInputError, _check_fields, _count, _groups, _list, _member, _number, _optional, _within
+    InvalidInputError, _check_fields, _count, _groups, _list, _member, _number, _optional, _path,
+    _record, _trusted, _within
 )
 from .preprocess import _check_pve
 from .rank_tests import DoublyRankedConfig, _doubly_ranked_scores, _score_block
@@ -118,9 +119,7 @@ class ExperimentGrid:
     preprocess_pve: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.base, SimConfig):
-            raise InvalidInputError(f"base must be a SimConfig, got {self.base!r}")
-        _check_fields(self, **_GRID_CHECKS)
+        _check_fields(self, base=_record(SimConfig), **_GRID_CHECKS)
 
 
 # The check of each CellSpec field: a result row's cell columns, in file order
@@ -182,10 +181,22 @@ class CellSpec:
 
 @dataclass(frozen=True)
 class CellResult:
+    """One cell's rejection rate over its replicates and its Monte Carlo standard error.
+
+    Each number passes the check of its results-file column, in which
+    replicates_used is "replicates".
+    """
+
     cell: CellSpec
     rejection_rate: float
     replicates_used: int
     mc_stderr: float
+
+    def __post_init__(self) -> None:
+        _check_fields(
+            self, cell=_record(CellSpec), rejection_rate=_RESULT["rejection_rate"],
+            replicates_used=_RESULT["replicates"], mc_stderr=_RESULT["mc_stderr"]
+        )
 
 
 # Curve values a replicate block may hold, and score values a test batch
@@ -290,19 +301,13 @@ def _share_bounds(costs: Sequence[int], per_shape: int, workers: int) -> list[in
     return sorted({*starts, units})
 
 
-def _trusted(cls, fields: dict):
-    """A cls record of already checked field values, not checked again."""
-    record = object.__new__(cls)
-    record.__dict__.update(fields)
-    return record
-
-
 def run_type1(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     """Null rejection rates: every cell runs with the shift scale at zero.
 
     Rows are ordered by group scheme, then grid size, then summary. All
     summaries in a cell are evaluated on the same simulated datasets.
     """
+    grid = _record(ExperimentGrid)(grid, "grid")
     return run_power(replace(grid, xi_values=(0.0,)), workers)
 
 
@@ -322,6 +327,7 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     rows are built from the counts and the checked grid without checking
     their fields again.
     """
+    grid = _record(ExperimentGrid)(grid, "grid")
     workers = _count(workers, "workers")
     if workers > _MAX_WORKERS:
         raise InvalidInputError(f"workers must be at most {_MAX_WORKERS}, got {workers}")
@@ -425,6 +431,8 @@ def write_results(results: Sequence[CellResult], path: str | os.PathLike) -> Non
     a list. An unset preprocess_pve is an empty CSV field or a JSONL null.
     Empty result lists produce a header-only CSV or an empty JSONL file.
     """
+    results = _list(_record(CellResult), empty=True)(results, "results")
+    path = _path(path, "path")
     format = _results_format(path)
     records = [_result_record(r) for r in results]
     with open(path, "w", newline="") as fh:
@@ -451,6 +459,7 @@ def read_results(path: str | os.PathLike) -> list[CellResult]:
     header lacking result columns (even with no rows), raises
     InvalidInputError naming the file and line.
     """
+    path = _path(path, "path")
     format = _results_format(path)
     results: list[CellResult] = []
     line_no = 1  # a CSV header that fails to parse is line 1
@@ -513,8 +522,10 @@ def grid_from_dict(spec: dict) -> ExperimentGrid:
     The keys are those of _GRID_KEYS; only the seed is required, and "xi"
     may also be a range {"start", "stop", "step"}. Each value goes through
     its field's check, so a value of the wrong type or form raises
-    InvalidInputError naming its key.
+    InvalidInputError naming its key; a spec that is not a dict raises it
+    naming spec.
     """
+    spec = _record(dict)(spec, "spec")
     if "seed" not in spec:
         raise InvalidInputError("grid config must set a seed")
     unknown = set(spec) - set(_GRID_KEYS)
@@ -537,6 +548,7 @@ def grid_from_dict(spec: dict) -> ExperimentGrid:
 
 def _read_config(path: str | os.PathLike) -> dict:
     """The JSON object of a grid config file, its values not yet checked."""
+    path = _path(path, "path")
     with open(path, encoding="utf-8-sig") as fh:
         try:
             spec = json.load(fh)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _path, _record
 from .ranking import CurveSet
 
 __all__ = ["CsvFormatError", "CurveTableInfo", "read_curves_csv", "write_curves_csv"]
@@ -317,6 +317,7 @@ def read_curves_csv(path: str | os.PathLike) -> tuple[CurveSet, CurveTableInfo]:
     that pass can take it, and by the csv module otherwise, with the same
     result either way.
     """
+    path = _path(path, "path")
     try:
         # utf-8-sig drops the byte-order mark that Excel writes before the header
         with open(path, "rb") as fh:
@@ -338,6 +339,8 @@ def write_curves_csv(curves: CurveSet, path: str | os.PathLike) -> None:
     Column headers carry the grid values with full precision, so reading
     the file back reproduces the grid exactly.
     """
+    curves = _record(CurveSet)(curves, "curves")
+    path = _path(path, "path")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "group"] + [repr(float(s)) for s in curves.grid])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, _check_fields, _count, _frozen, _within
+from .errors import InvalidInputError, _check_fields, _count, _matrix, _record, _vector, _within
 from .ranking import CurveSet
 
 __all__ = ["FpcaResult", "fpca_smooth"]
@@ -40,17 +40,17 @@ class FpcaResult:
     pve_achieved: float
 
     def __post_init__(self) -> None:
-        _check_fields(self, components_kept=_count, pve_achieved=_check_pve)
-        smoothed = _frozen(self.smoothed, "smoothed", 2)
-        mean_curve = _frozen(self.mean_curve, "mean_curve", 1)
-        if mean_curve.shape != smoothed.shape[1:]:
+        _check_fields(
+            self, components_kept=_count, pve_achieved=_check_pve, smoothed=_matrix,
+            mean_curve=_vector
+        )
+        shape = self.smoothed.shape
+        if self.mean_curve.shape != shape[1:]:
             raise InvalidInputError("mean_curve must hold one value per column of smoothed")
-        if self.components_kept > min(smoothed.shape):
+        if self.components_kept > min(shape):
             raise InvalidInputError(
-                f"components_kept must be at most min(smoothed.shape) = {min(smoothed.shape)}"
+                f"components_kept must be at most min(smoothed.shape) = {min(shape)}"
             )
-        object.__setattr__(self, "smoothed", smoothed)
-        object.__setattr__(self, "mean_curve", mean_curve)
 
 
 def fpca_smooth(curves: CurveSet, pve: float) -> FpcaResult:
@@ -61,6 +61,7 @@ def fpca_smooth(curves: CurveSet, pve: float) -> FpcaResult:
     of centered variance, so the squared Frobenius error of the smoothed
     matrix equals that share of the total.
     """
+    curves = _record(CurveSet)(curves, "curves")
     smoothed, kept, achieved = _fpca(curves.values, _check_pve(pve, "pve"))
     return FpcaResult(smoothed, curves.values.mean(axis=0), kept, achieved)
 

@@ -29,12 +29,13 @@ from .errors import (
     _boolean,
     _check_fields,
     _count,
-    _frozen,
     _groups,
     _integer,
     _member,
     _number,
     _optional,
+    _record,
+    _vector,
     _within,
 )
 from .preprocess import _check_pve, _fpca
@@ -157,7 +158,7 @@ def _pooled_samples(samples: dict) -> tuple[list[int], np.ndarray, np.ndarray]:
 
     samples maps each group's argument name to its observations.
     """
-    arrays = [_frozen(a, name, 1) for name, a in samples.items()]
+    arrays = [_vector(a, name) for name, a in samples.items()]
     sizes = [a.size for a in arrays]
     return sizes, np.concatenate(arrays)[None, :], _group_labels(sizes)
 
@@ -441,8 +442,6 @@ def doubly_ranked_test(
     column, since a subject's summary is then just its rank. Only a None
     config selects the defaults.
     """
+    curves = _record(CurveSet)(curves, "curves")
     config = DoublyRankedConfig() if config is None else config
-    for value, name, kind in (curves, "curves", CurveSet), (config, "config", DoublyRankedConfig):
-        if not isinstance(value, kind):
-            raise InvalidInputError(f"{name} must be a {kind.__name__}, got {value!r}")
-    return _test_curves(curves, config)[0]
+    return _test_curves(curves, _record(DoublyRankedConfig)(config, "config"))[0]

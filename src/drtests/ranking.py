@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, _frozen
+from .errors import InvalidInputError, _check_fields, _matrix, _record, _trusted, _vector
 
 __all__ = ["CurveSet", "RankCurves", "rank_curves"]
 
@@ -39,32 +39,27 @@ class CurveSet:
     groups: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        values = _frozen(self.values, "values", 2)
-        grid = _frozen(self.grid, "grid", 1)
-        groups = _frozen(self.groups, "groups", 1)
-
-        n, s = values.shape
+        _check_fields(self, values=_matrix, grid=_vector, groups=_vector)
+        n, s = self.values.shape
         if n < 2:
             raise InvalidInputError(f"need at least 2 subjects, got {n}")
-        if grid.shape != (s,):
+        if self.grid.shape != (s,):
             raise InvalidInputError(
-                f"grid length {grid.size} does not match {s} value columns"
+                f"grid length {self.grid.size} does not match {s} value columns"
             )
-        if not (grid[1:] > grid[:-1]).all():
+        if not (self.grid[1:] > self.grid[:-1]).all():
             raise InvalidInputError("grid must be strictly increasing")
-        if groups.shape != (n,):
+        if self.groups.shape != (n,):
             raise InvalidInputError(
-                f"got {groups.size} group labels for {n} subjects"
+                f"got {self.groups.size} group labels for {n} subjects"
             )
         # sized by the distinct labels, not by their values
-        present = np.unique(groups)
+        present = np.unique(self.groups)
         if present.size < 2 or not np.array_equal(present, np.arange(1, present.size + 1)):
             raise InvalidInputError(
                 "group labels must be integers 1..G with G >= 2 and every "
                 f"label present; saw {present.tolist()}"
             )
-        for name, array in (("values", values), ("grid", grid), ("groups", groups)):
-            object.__setattr__(self, name, array)
 
     @property
     def n_subjects(self) -> int:
@@ -99,12 +94,11 @@ class RankCurves:
     ranks: np.ndarray
 
     def __post_init__(self) -> None:
-        ranks = _frozen(self.ranks, "ranks", 2)
-        if not np.array_equal(_midranks(ranks, axis=0), ranks):
+        _check_fields(self, ranks=_matrix)
+        if not np.array_equal(_midranks(self.ranks, axis=0), self.ranks):
             raise InvalidInputError(
                 "ranks must be mid-ranks of each column, a matrix that ranking leaves unchanged"
             )
-        object.__setattr__(self, "ranks", ranks)
 
 
 def _group_labels(sizes) -> np.ndarray:
@@ -172,6 +166,11 @@ def _midranks(values: np.ndarray, axis: int) -> np.ndarray:
 
 
 def rank_curves(curves: CurveSet) -> RankCurves:
-    """Rank subjects within each occasion, ignoring group labels."""
+    """Rank subjects within each occasion, ignoring group labels.
+
+    The record is built from the mid-ranks computed here, frozen by the
+    matrix check without ranking them again to check them.
+    """
+    curves = _record(CurveSet)(curves, "curves")
     ranks = _midranks(curves.values, axis=0)
-    return RankCurves(ranks)
+    return _trusted(RankCurves, {"ranks": _matrix(ranks, "ranks")})

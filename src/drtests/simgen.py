@@ -23,7 +23,9 @@ from typing import Iterator
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import InvalidInputError, _check_fields, _count, _groups, _integer, _member, _within
+from .errors import (
+    InvalidInputError, _check_fields, _count, _groups, _integer, _member, _record, _within
+)
 from .ranking import CurveSet, _group_labels
 
 __all__ = [
@@ -130,7 +132,11 @@ class SimConfig:
 def _basis(n_basis: int, s: np.ndarray) -> np.ndarray:
     """Basis curves sqrt(2) sin[(k-0.5) pi s] / [(k-0.5) pi], k x len(s)."""
     freq = (np.arange(1, n_basis + 1) - 0.5) * np.pi
-    return (np.sqrt(2.0) / freq)[:, None] * np.sin(np.outer(freq, s))
+    # built in the one k x len(s) array, so a cold basis needs only its own size
+    basis = np.outer(freq, s)
+    np.sin(basis, out=basis)
+    basis *= (np.sqrt(2.0) / freq)[:, None]
+    return basis
 
 
 def _grid(n_points: int) -> np.ndarray:
@@ -253,6 +259,7 @@ def generate_dataset(config: SimConfig, replicate: int = 0) -> CurveSet:
     are their basis product in BLAS, whose last bits can change with the
     number of BLAS threads.
     """
+    config = _record(SimConfig)(config, "config")
     replicate = _uint128(replicate, "replicate index")
     (values,) = _base_values(config, [replicate])
     values[config.n_per_group[0] :] += _shift(config, [config.xi])

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, _check_fields, _frozen, _member
+from .errors import InvalidInputError, _check_fields, _member, _record, _vector
 from .orderstat import _log_odds
 from .ranking import RankCurves, _sort_order
 
@@ -58,12 +58,10 @@ class SummaryScores:
     kind: SummaryKind
 
     def __post_init__(self) -> None:
-        _check_fields(self, kind=_member(SummaryKind))
-        scores = _frozen(self.scores, "scores", 1)
-        lo, hi = _SUMMARIES[self.kind][1](scores.size)
-        if not np.all((scores >= lo) & (scores <= hi)):
+        _check_fields(self, kind=_member(SummaryKind), scores=_vector)
+        lo, hi = _SUMMARIES[self.kind][1](self.scores.size)
+        if not np.all((self.scores >= lo) & (self.scores <= hi)):
             raise InvalidInputError(f"{self.kind.value} scores must lie in [{lo}, {hi}]")
-        object.__setattr__(self, "scores", scores)
 
 
 # Tie-free term rows are kept for blocks of at most this many values (1 MiB
@@ -124,11 +122,13 @@ def _block_scores(values: np.ndarray, kinds: Sequence[SummaryKind]) -> list[np.n
 
 def sufficient_summary(ranks: RankCurves) -> SummaryScores:
     """Average the rank sufficient statistic over each subject's occasions."""
+    ranks = _record(RankCurves)(ranks, "ranks")
     scores = _block_scores(ranks.ranks[None], [SummaryKind.SUFFICIENT])[0][0]
     return SummaryScores(scores, SummaryKind.SUFFICIENT)
 
 
 def average_rank_summary(ranks: RankCurves) -> SummaryScores:
     """Average each subject's ranks over occasions."""
+    ranks = _record(RankCurves)(ranks, "ranks")
     scores = _block_scores(ranks.ranks[None], [SummaryKind.AVERAGE_RANK])[0][0]
     return SummaryScores(scores, SummaryKind.AVERAGE_RANK)

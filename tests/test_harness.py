@@ -870,6 +870,36 @@ class TestResultsIo:
         assert text[0].startswith("coeff_dist,")
         assert read_results(path) == []
 
+    def test_every_row_must_be_a_cell_result(self, tmp_path):
+        # checked before the file is opened, so a refused list writes nothing
+        path = tmp_path / "out.csv"
+        rows = self.sample_results()
+        for bad in ([*rows, {}], (rows[0], None), [rows[0].cell]):
+            with pytest.raises(InvalidInputError, match="^results must be a CellResult, got "):
+                write_results(bad, path)
+        assert not path.exists()
+        write_results(tuple(rows), path)
+        assert read_results(path) == rows
+
+    def test_cell_result_checks_its_fields(self):
+        row = self.sample_results()[0]
+        fields = dict(
+            cell=row.cell, rejection_rate=0.25, replicates_used=40, mc_stderr=0.01
+        )
+        assert CellResult(**fields) == replace(row, rejection_rate=0.25, mc_stderr=0.01)
+        for name, bad, message in (
+            ("cell", None, "must be a CellSpec, got None"),
+            ("cell", {}, "must be a CellSpec"),
+            ("rejection_rate", 1.5, r"must lie in \[0, 1\]"),
+            ("rejection_rate", "0.5", "must be a number"),
+            ("replicates_used", 0, r"must lie in \[1, inf\)"),
+            ("replicates_used", 2.5, "must be an integer"),
+            ("mc_stderr", -1.0, r"must lie in \[0, inf\)"),
+            ("mc_stderr", float("nan"), "must be finite"),
+        ):
+            with pytest.raises(InvalidInputError, match=f"^{name} {message}"):
+                CellResult(**{**fields, name: bad})
+
     def test_version_and_seed_recorded(self, tmp_path):
         from drtests import __version__
 
@@ -1026,6 +1056,12 @@ class TestGridConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidInputError):
             grid_from_dict({"seed": 1, "replciates": 10})
+
+    def test_spec_must_be_a_dict(self):
+        # not read as missing keys, nor a string's letters as unknown keys
+        for spec in (None, 5, [], "seed", [("seed", 1)]):
+            with pytest.raises(InvalidInputError, match="^spec must be a dict, got "):
+                grid_from_dict(spec)
 
     def test_wrong_typed_values_rejected(self):
         for key, value in (

@@ -1,10 +1,19 @@
 import ast
+import builtins
+import dataclasses
 import importlib
+import inspect
+import os
 import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import drtests
+from drtests import DoublyRankedConfig, InvalidInputError
+from tests.helpers import make_curves
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -96,3 +105,133 @@ class TestPublicApi:
         # errors._frozen holds the package's one nonempty, finite rule; io
         # keeps its own call so that it can name the bad row and column
         assert finiteness_callers() == {"errors.py", "io.py"}
+
+
+def boundary_parameters():
+    """(function name, parameter, "record" or "path") for each public function
+    parameter annotated with a record type or a path.
+
+    The package's annotations are strings (postponed evaluation), so a
+    parameter is a record when its annotation names an exported dataclass
+    and a path when it names os.PathLike.
+    """
+    records = {
+        name for name in drtests.__all__ if dataclasses.is_dataclass(getattr(drtests, name))
+    }
+    found = []
+    for name in drtests.__all__:
+        function = getattr(drtests, name)
+        if not inspect.isfunction(function):
+            continue
+        for param in inspect.signature(function).parameters.values():
+            words = set(re.findall(r"\w+", str(param.annotation)))
+            if "PathLike" in words:
+                found.append((name, param.name, "path"))
+            elif words & records:
+                found.append((name, param.name, "record"))
+    return found
+
+
+BOUNDARY = boundary_parameters()
+# The valid value of each record argument that a call passes beside the
+# one refused; a function that takes a new record type adds it here
+VALID_RECORDS = {
+    "CurveSet": lambda: make_curves([[1.0], [2.0], [3.0], [4.0]]),
+    "DoublyRankedConfig": DoublyRankedConfig,
+    "CellResult": list,
+}
+# The value of each other argument that has no default
+VALID_OTHERS = {"pve": 0.9}
+NOT_RECORDS = [{}, None, np.zeros((2, 2))]
+# Each record argument with each value it refuses: None is refused unless
+# the annotation allows it, as it does where None selects the defaults
+RECORD_CALLS = [
+    pytest.param(name, refused, bad, id=f"{name}-{refused}-{type(bad).__name__}")
+    for name, refused, kind in BOUNDARY
+    if kind == "record"
+    for bad in NOT_RECORDS
+    if bad is not None
+    or "None" not in str(inspect.signature(getattr(drtests, name)).parameters[refused])
+]
+PATH_ARGUMENTS = [(name, refused) for name, refused, kind in BOUNDARY if kind == "path"]
+NOT_PATHS = [3, True, b"out.csv", None]
+
+
+def arguments(name, refused, bad, tmp_path) -> dict:
+    """Arguments of the public function name, with bad as its argument refused.
+
+    Every other record or path argument gets a valid value, a path into
+    tmp_path; any other argument keeps its default.
+    """
+    kwargs = {}
+    for param in inspect.signature(getattr(drtests, name)).parameters.values():
+        words = re.findall(r"\w+", str(param.annotation))
+        if param.name == refused:
+            kwargs[param.name] = bad
+        elif "PathLike" in words:
+            kwargs[param.name] = str(tmp_path / "out.csv")
+        elif kinds := [w for w in words if w in VALID_RECORDS]:
+            kwargs[param.name] = VALID_RECORDS[kinds[0]]()
+        elif param.default is inspect.Parameter.empty:
+            kwargs[param.name] = VALID_OTHERS[param.name]
+    return kwargs
+
+
+def assert_refused(name, refused, bad, tmp_path):
+    """The call raises InvalidInputError naming refused, and opens no file."""
+
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"{name} opened {args[0]!r}")
+
+    kwargs = arguments(name, refused, bad, tmp_path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builtins, "open", no_open)
+        with pytest.raises(InvalidInputError, match=f"^{refused} must be a "):
+            getattr(drtests, name)(**kwargs)
+    assert list(tmp_path.iterdir()) == []
+
+
+class TestBoundarySweep:
+    """Every public record or path argument is checked before any work."""
+
+    def test_finds_every_record_and_path_argument(self):
+        expected = {
+            ("generate_dataset", "config", "record"),
+            ("run_power", "grid", "record"),
+            ("run_type1", "grid", "record"),
+            ("rank_curves", "curves", "record"),
+            ("fpca_smooth", "curves", "record"),
+            ("write_curves_csv", "curves", "record"),
+            ("write_curves_csv", "path", "path"),
+            ("sufficient_summary", "ranks", "record"),
+            ("average_rank_summary", "ranks", "record"),
+            ("write_results", "results", "record"),
+            ("write_results", "path", "path"),
+            ("doubly_ranked_test", "curves", "record"),
+            ("doubly_ranked_test", "config", "record"),
+            ("read_curves_csv", "path", "path"),
+            ("read_results", "path", "path"),
+            ("load_grid", "path", "path"),
+        }
+        assert expected <= set(BOUNDARY)
+
+    @pytest.mark.parametrize("name, refused, bad", RECORD_CALLS)
+    def test_refuses_what_is_not_the_record(self, name, refused, bad, tmp_path):
+        assert_refused(name, refused, bad, tmp_path)
+
+    @pytest.mark.parametrize("name, refused", PATH_ARGUMENTS)
+    @pytest.mark.parametrize("bad", NOT_PATHS, ids=["int", "bool", "bytes", "none"])
+    def test_refuses_what_is_not_a_path(self, name, refused, bad, tmp_path):
+        assert_refused(name, refused, bad, tmp_path)
+
+    @pytest.mark.parametrize("name, refused", PATH_ARGUMENTS)
+    def test_leaves_a_passed_descriptor_open(self, name, refused, tmp_path):
+        # a regular file's descriptor, so that a read could not block
+        fd = os.open(tmp_path / "held", os.O_RDWR | os.O_CREAT)
+        try:
+            with pytest.raises(InvalidInputError, match=f"^{refused} must be a "):
+                getattr(drtests, name)(**arguments(name, refused, fd, tmp_path))
+            os.fstat(fd)
+            assert os.path.getsize(tmp_path / "held") == 0
+        finally:
+            os.close(fd)

@@ -165,6 +165,25 @@ class TestRankCurves:
         # 99.9% quantile of chi-square with 5 df is 20.5
         assert chi2 < 20.5
 
+    @pytest.mark.parametrize("decimals", [None, 0], ids=["tie_free", "tied"])
+    def test_sorts_once(self, monkeypatch, decimals):
+        # the record is built from the mid-ranks computed, not ranked again to check them
+        values = np.random.default_rng(43).normal(size=(9, 5))
+        if decimals is not None:
+            values = np.round(values, decimals)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sort_order(*args)
+
+        sort_order = ranking._sort_order
+        monkeypatch.setattr(ranking, "_sort_order", counted)
+        rc = rank_curves(make_curves(values))
+        assert len(calls) == 1
+        assert np.array_equal(rc.ranks, rankdata(values, axis=0))
+        assert rc.ranks.dtype == np.float64 and not rc.ranks.flags.writeable
+
     def test_validation_rejects_bad_matrix(self):
         with pytest.raises(InvalidInputError):
             RankCurves(ranks=[[1.0, 1.0], [2.0, 3.0]])

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,27 @@ class TestEigenCurve:
             for k in range(1, 31)
         )
         assert eigen_curve(coeffs, [s])[0] == pytest.approx(direct, rel=1e-12)
+
+
+class TestBasis:
+    @pytest.mark.parametrize("k, s", [(1, 1), (5, 2), (20, 40), (200, 120), (1000, 360)])
+    def test_bytes_match_the_product_formula(self, k, s):
+        grid = _grid(s)
+        freq = (np.arange(1, k + 1) - 0.5) * np.pi
+        formula = (np.sqrt(2.0) / freq)[:, None] * np.sin(np.outer(freq, grid))
+        assert _basis(k, grid).tobytes() == formula.tobytes()
+
+    def test_is_built_at_its_own_size(self):
+        # one K x S array (2 880 000 bytes here), not a second temporary beside it
+        grid = _grid(360)
+        tracemalloc.start()
+        try:
+            basis = _basis(1000, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.nbytes == 2_880_000
+        assert peak <= 1.1 * basis.nbytes
 
 
 class TestMeanFn:
