@@ -6,26 +6,28 @@ counter-based substreams and records the fraction of doubly ranked tests
 rejecting at level alpha. A run is its shapes: one checked SimConfig per
 (group scheme, grid size), whose m cells are the grid's m shift scales.
 They share replicate r's draws (common random numbers): only the shift
-added to groups 2..G tells them apart. The unit of a run is one (shape,
-replicate), tested at all m shifts: shape k holds units k·R .. k·R + R - 1.
-workers is the most processes a run may use, not a number it must use:
-the units are cut into contiguous shares of about equal total m·n·S, at
-most one per worker and at most one per 2^18 curve values (a fixed floor,
-not a setting), so a run of fewer than 2^19 values is one share and
-counts in the calling process. The calling process counts the first
-share itself; with k >= 2 shares, one pool of k - 1 processes opened for
-the run takes one task for each other share meanwhile. A share draws
-each of a shape's replicates once, in chunks of whole replicates of up to
-2^15 curve values (a fixed memory budget, not a setting): one
-`_base_values` call (one re-pointed generator, one noise filter call) per
-chunk. It runs a chunk's (replicate, shift) positions, replicate-major,
-in blocks of as many positions as a chunk holds replicates (one per block
-for a shape whose n·S exceeds the budget). A block gathers its positions
-from the chunk with one index and is ranked and summarized in one pass. Its score rows join a batch of whole blocks of at most 2^15 score
-values per summary (so a shape of n subjects wider than the budget is
-still tested 2^15 // n positions at a time); a full batch, or the last of
-a shape's range, is tested in one call per summary, and each row's
-rejection is credited to its cell.
+added to groups 2..G tells them apart. workers is the most processes a
+run may use, not a number it must use: a run of R replicates is cut into
+k = min(workers, R, total m·n·S // 2^18) shares (at least one; 2^18 curve
+values is a fixed floor, not a setting), share j the replicates
+[R·j // k, R·(j + 1) // k) of every shape at all m shifts. So two shares
+differ in cost by at most one replicate of each shape, and a run of fewer
+than 2^19 values is one share and counts in the calling process. The
+calling process counts the first share itself; with k >= 2 shares, one
+pool of k - 1 processes opened for the run takes one task for each other
+share meanwhile. A share draws each of a shape's replicates once, in
+chunks of whole replicates of up to 2^15 curve values (a fixed memory
+budget, not a setting): one `_base_values` call (one re-pointed
+generator, one noise filter call) per chunk. It runs a chunk's
+(replicate, shift) positions, replicate-major, in blocks of as many
+positions as a chunk holds replicates (one per block for a shape whose
+n·S exceeds the budget). A block gathers its positions from the chunk
+with one index and is ranked and summarized in one pass. Its score rows
+join a batch of whole blocks of at most 2^15 score values per summary
+(so a shape of n subjects wider than the budget is still tested
+2^15 // n positions at a time); a full batch, or the last of a shape's
+range, is tested in one call per summary, and each row's rejection is
+credited to its cell.
 Because substream r depends only on (seed, r) and a re-pointed generator
 is in the state a new one for r starts in, the filter treats each curve
 on its own, the shifted values are the same IEEE sums wherever they are
@@ -210,7 +212,7 @@ _BUDGET = 1 << 15
 # of counting on one processor): a forked process costs about 12 ms to
 # open and join, and its first share pays a copy-on-write warm-up, so a run
 # of fewer than twice this many values counts faster in the calling
-# process alone. A run cuts at most total n·S // _SHARE_MIN shares.
+# process alone. A run cuts at most total m·n·S // _SHARE_MIN shares.
 _SHARE_MIN = 1 << 18
 
 # The test every replicate runs: its defaults, built and checked once
@@ -220,12 +222,11 @@ _TEST = DoublyRankedConfig()
 def _count_rejections(
     grid: ExperimentGrid, shapes: Sequence[SimConfig], start: int, stop: int
 ) -> np.ndarray:
-    """Rejection counts per (cell, summary) over run units start..stop.
+    """Rejection counts per (cell, summary) over replicates start..stop - 1 of every shape.
 
-    With m = len(grid.xi_values) and R = grid.replicates, shape k owns the
-    cells k·m .. k·m + m - 1 and the units [k·R, (k + 1)·R): unit k·R + r
-    is its replicate r, tested at all m shifts. A row rejects when
-    p <= alpha. Per shape, the range's replicates are drawn in chunks of
+    With m = len(grid.xi_values), shape k owns the cells k·m .. k·m + m - 1,
+    and each of its replicates in the range is tested at all m shifts. A
+    row rejects when p <= alpha. Per shape, the range is drawn in chunks of
     step = max(1, _BUDGET // (n·S)) whole replicates, one `_base_values`
     call each, and the shape's m shifts come from one `_shift` call. A
     chunk's positions, replicate-major (position o is replicate o // m at
@@ -239,23 +240,20 @@ def _count_rejections(
     range, is tested with one `_score_block` call per summary and credited
     with one `np.bincount`. No CurveSet or TestResult is built.
     """
-    m, reps = len(grid.xi_values), grid.replicates
+    m = len(grid.xi_values)
     counts = np.zeros((len(shapes) * m, len(grid.summaries)), dtype=np.int64)
     for k, config in enumerate(shapes):
-        lo, hi = max(start - k * reps, 0), min(stop - k * reps, reps)
-        if lo >= hi:
-            continue
         n, own = config.n_subjects, counts[k * m : (k + 1) * m]
         step = max(1, _BUDGET // (n * config.n_points))
         # whole blocks of score rows per batch, no more than the range holds
-        rows = min((hi - lo) * m, step * max(1, _BUDGET // (n * step)))
+        rows = min((stop - start) * m, step * max(1, _BUDGET // (n * step)))
         batch = np.empty((len(grid.summaries), rows, n))
         batch_cells = np.empty(rows, dtype=np.intp)
         filled = 0
         shifts = _shift(config, grid.xi_values)
         split, labels = config.n_per_group[0], _group_labels(config.n_per_group)
-        for r in range(lo, hi, step):
-            chunk = range(r, min(r + step, hi))
+        for r in range(start, stop, step):
+            chunk = range(r, min(r + step, stop))
             drawn = _base_values(config, chunk)
             for begin in range(chunk.start * m, chunk.stop * m, step):
                 end = min(begin + step, chunk.stop * m)
@@ -266,39 +264,13 @@ def _count_rejections(
                 batch[:, filled : filled + cells.size] = scores
                 batch_cells[filled : filled + cells.size] = cells
                 filled += cells.size
-                if filled < rows and end < hi * m:
+                if filled < rows and end < stop * m:
                     continue
                 for j, block in enumerate(batch[:, :filled]):
                     p = _score_block(block, labels, _TEST).p_value
                     own[:, j] += np.bincount(batch_cells[:filled][p <= grid.alpha], minlength=m)
                 filled = 0
     return counts
-
-
-def _share_bounds(costs: Sequence[int], per_shape: int, workers: int) -> list[int]:
-    """Share bounds of a run whose shape k holds per_shape replicates of cost costs[k].
-
-    A replicate's cost is the curve values it is tested on. There are at
-    most `workers` shares and at most one per _SHARE_MIN curve values. A
-    replicate of a shape joins share floor(workers · mid / total cost), mid
-    the middle of its cost in the run, so mixed shapes load processes
-    evenly; empty shares are dropped. Each share's first replicate is found
-    per shape in Python integers: nothing is built per replicate.
-    """
-    units, total = len(costs) * per_shape, sum(costs) * per_shape
-    workers = max(1, min(workers, units, total // _SHARE_MIN))
-    starts, before, k = [], 0, 0  # before: the cost of the shapes ahead of shape k
-    for target in range(0, 2 * total * workers, 2 * total):
-        # share target // (2 · total) starts at the first replicate whose doubled
-        # middle, 2 · before + (2o + 1) · costs[k] at offset o, times workers reaches target
-        while k < len(costs) and workers * (2 * before + (2 * per_shape - 1) * costs[k]) < target:
-            before += costs[k] * per_shape
-            k += 1
-        if k == len(costs):
-            break
-        offset = -(-(target - workers * (2 * before + costs[k])) // (2 * workers * costs[k]))
-        starts.append(k * per_shape + max(0, offset))
-    return sorted({*starts, units})
 
 
 def run_type1(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
@@ -318,14 +290,15 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     shift scale in grid order, so each power curve occupies consecutive
     rows. workers is the most processes the run may use, this one
     included, and must be an integer from 1 to max(64, os.cpu_count()).
-    The run is cut into contiguous shares of (shape, replicate) units,
-    each tested at every shift, of about equal m·n·S, at most one per
-    worker and at most one per _SHARE_MIN curve values, so a run of fewer
-    than 2 · _SHARE_MIN values counts in this process and opens no pool.
-    This process counts the first share while one pool of k - 1 processes
-    counts the other k - 1, then adds their counts to its own. The result
-    rows are built from the counts and the checked grid without checking
-    their fields again.
+    The replicates are cut into k = max(1, min(workers, R, total //
+    _SHARE_MIN)) contiguous ranges [R·j // k, R·(j + 1) // k), where R is
+    grid.replicates and total the run's m·n·S curve values; share j
+    counts range j of every shape. So a run uses at most R processes, and
+    a run of fewer than 2 · _SHARE_MIN values counts in this process and
+    opens no pool. This process counts the first share while one pool of
+    k - 1 processes counts the other k - 1, then adds their counts to its
+    own. The result rows are built from the counts and the checked grid
+    without checking their fields again.
     """
     grid = _record(ExperimentGrid)(grid, "grid")
     workers = _count(workers, "workers")
@@ -336,22 +309,23 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
         for scheme in grid.group_schemes
         for n_points in grid.n_points_values
     ]
-    m = len(grid.xi_values)
-    costs = [m * c.n_subjects * c.n_points for c in shapes]
-    bounds = _share_bounds(costs, grid.replicates, workers)
+    m, reps = len(grid.xi_values), grid.replicates
+    total = reps * m * sum(c.n_subjects * c.n_points for c in shapes)
+    shares = max(1, min(workers, reps, total // _SHARE_MIN))
+    bounds = [reps * j // shares for j in range(shares + 1)]
     count = partial(_count_rejections, grid, shapes)
-    if len(bounds) == 2:
-        cell_counts = count(*bounds)
+    if shares == 1:
+        cell_counts = count(0, reps)
     else:
         if grid.base.noise is NoiseKind.AR1:
             _ar1_filter()  # imported once here, so the forked processes inherit it
         # map submits every task before this process counts share 0
-        with ProcessPoolExecutor(max_workers=len(bounds) - 2) as pool:
+        with ProcessPoolExecutor(max_workers=shares - 1) as pool:
             rest = pool.map(count, bounds[1:-1], bounds[2:])
-            cell_counts = count(bounds[0], bounds[1]) + sum(rest)
+            cell_counts = count(0, bounds[1]) + sum(rest)
 
-    rates = cell_counts / grid.replicates
-    stderrs = np.sqrt(rates * (1.0 - rates) / grid.replicates)
+    rates = cell_counts / reps
+    stderrs = np.sqrt(rates * (1.0 - rates) / reps)
     rates, stderrs, rows = rates.tolist(), stderrs.tolist(), []
     for k, config in enumerate(shapes):
         # the checked fields of the shape's rows, all but their summary and xi
@@ -365,7 +339,7 @@ def run_power(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
                 result = {
                     "cell": _trusted(CellSpec, {**spec, "xi": xi}),
                     "rejection_rate": rates[k * m + i][j],
-                    "replicates_used": grid.replicates,
+                    "replicates_used": reps,
                     "mc_stderr": stderrs[k * m + i][j],
                 }
                 rows.append(_trusted(CellResult, result))

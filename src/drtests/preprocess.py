@@ -56,7 +56,9 @@ class FpcaResult:
 def fpca_smooth(curves: CurveSet, pve: float) -> FpcaResult:
     """Reconstruct curves from the fewest components reaching `pve`.
 
-    pve must lie in (0, 1]. pve=1.0 returns the input exactly. The
+    pve must lie in (0, 1]. pve=1.0 returns the input exactly, as does any
+    pve whose kept components carry the whole variance (pve_achieved 1.0),
+    so no rounding of a reconstruction breaks ties in the data. The
     reconstruction discards exactly the trailing (1 - pve_achieved) share
     of centered variance, so the squared Frobenius error of the smoothed
     matrix equals that share of the total.
@@ -89,5 +91,9 @@ def _fpca(x: np.ndarray, pve: float) -> tuple[np.ndarray, int, float]:
     ratio = np.cumsum(s**2)
     ratio /= ratio[-1]
     kept = min(int(np.searchsorted(ratio, pve, side="left")) + 1, s.size)
+    if ratio[kept - 1] == 1.0:
+        # the kept components carry the whole variance: a reconstruction would
+        # only add rounding, which can break ties, so return the input untouched
+        return x, kept, 1.0
     smoothed = mean_curve + (u[:, :kept] * s[:kept]) @ vt[:kept]
     return np.ldexp(smoothed, exponent, out=smoothed), kept, float(ratio[kept - 1])

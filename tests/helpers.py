@@ -82,9 +82,10 @@ def count_pipeline_calls(monkeypatch):
 class ShareLog:
     """Stands in for `harness._count_rejections` and logs every share counted.
 
-    Each call appends its share's bounds and process id to a file, so the
-    shares counted in pool processes are logged as well as the one counted
-    by the calling process; the log pickles with the task the pool sends.
+    Each call appends its share's replicate bounds (start, stop) and its
+    process id to a file, so the shares counted in pool processes are
+    logged as well as the one counted by the calling process; the log
+    pickles with the task the pool sends.
     With count=False a share counts nothing and returns zero counts, so a
     run of any size only logs its cut.
     """
@@ -101,7 +102,7 @@ class ShareLog:
         return np.zeros((cells, len(grid.summaries)), dtype=np.int64)
 
     def take(self):
-        """The (start, stop) shares logged since the last take, in run order.
+        """The (start, stop) replicate ranges logged since the last take, in run order.
 
         Checks that the share at position 0 was counted by this process and
         every other share by another one.

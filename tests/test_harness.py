@@ -109,7 +109,7 @@ class TestRunType1:
 
 @st.composite
 def cut_runs(draw):
-    """Small shapes and shifts, replicates, a budget, and a cut of the run into ranges."""
+    """Small shapes and shifts, replicates, a budget, and a cut of the replicates into ranges."""
     pairs = draw(
         st.lists(
             st.tuples(st.sampled_from([(2, 2), (3, 2), (2, 2, 3)]), st.integers(1, 5)),
@@ -121,9 +121,8 @@ def cut_runs(draw):
     xi_values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=1, max_size=4))
     replicates = draw(st.integers(1, 8))
     budget = draw(st.one_of(st.just(1), st.integers(2, 60), st.just(10**9)))
-    units = len(pairs) * replicates
-    cuts = draw(st.lists(st.booleans(), min_size=units - 1, max_size=units - 1))
-    bounds = [0, *(u for u, cut in enumerate(cuts, start=1) if cut), units]
+    cuts = draw(st.lists(st.booleans(), min_size=replicates - 1, max_size=replicates - 1))
+    bounds = [0, *(r for r, cut in enumerate(cuts, start=1) if cut), replicates]
     return pairs, tuple(xi_values), replicates, budget, bounds
 
 
@@ -151,7 +150,7 @@ class TestPipelineCalls:
         )
         shapes = [replace(grid.base, n_per_group=s) for s in grid.group_schemes]
         # one share of both shapes' 6 replicates at 2 shifts: (cells, summaries) counts
-        counts = harness._count_rejections(grid, shapes, 0, 12)
+        counts = harness._count_rejections(grid, shapes, 0, 6)
         assert counts.shape == (4, 2) and counts.dtype == np.int64
         assert built == {"CurveSet": 0, "TestResult": 0}
         # the counters do see the one-off path
@@ -223,7 +222,7 @@ class TestPipelineCalls:
             replicates=6,
         )
         shapes = [replace(grid.base, n_per_group=scheme) for scheme in grid.group_schemes]
-        reference = harness._count_rejections(grid, shapes, 0, 12)
+        reference = harness._count_rejections(grid, shapes, 0, 6)
         tested, score_block = [], harness._score_block
 
         def counted(scores, labels, config):
@@ -234,19 +233,19 @@ class TestPipelineCalls:
         # n·S of 80 and 96 exceed the budget, so each curve block is one
         # position, and a batch holds 50 // n of them: 5 (n = 10) or 4 (n = 12)
         monkeypatch.setattr(harness, "_BUDGET", 50)
-        counts = harness._count_rejections(grid, shapes, 0, 12)
+        counts = harness._count_rejections(grid, shapes, 0, 6)
         assert np.array_equal(counts, reference) and 0 < counts.sum() < counts.size * 6
         # one call per summary per batch, not one per position
         per_batch = [5] * 4 + [4] + [4] * 6
         size = [10] * 5 + [12] * 6
         assert tested == [(n, rows) for n, rows in zip(size, per_batch) for _ in range(2)]
         # shares that end inside a batch count the same in their processes:
-        # of the 3 shares of 6 replicates at 4 shifts, the first stops at
-        # replicate 4, position 16 of the first shape, inside its batch 15..19
+        # of the 3 shares of replicates 0..1, 2..3 and 4..5 at 4 shifts, the
+        # first stops at position 8 of the first shape, inside its batch 5..9
         monkeypatch.setattr(harness, "_score_block", score_block)
         monkeypatch.setattr(harness, "_SHARE_MIN", 1)
-        assert harness._share_bounds([4 * 80, 4 * 96], 6, 2) == [0, 6, 12]
-        assert harness._share_bounds([4 * 80, 4 * 96], 6, 3) == [0, 4, 8, 12]
+        parts = [harness._count_rejections(grid, shapes, a, a + 2) for a in (0, 2, 4)]
+        assert np.array_equal(sum(parts), reference)
         serial = run_power(grid)
         for workers in (2, 3):
             assert run_power(grid, workers=workers) == serial
@@ -267,11 +266,11 @@ class TestPipelineCalls:
         # blocks of 7 positions (n·S of 80) or 8 (n·S of 72) would cross from
         # the first shape's 12 positions into the second's if they did not stop
         monkeypatch.setattr(harness, "_BUDGET", 7 * 80 + 70)
-        counts = harness._count_rejections(grid, shapes, 0, 12)
+        counts = harness._count_rejections(grid, shapes, 0, 6)
         alone = [harness._count_rejections(grid, [s], 0, 6) for s in shapes]
         assert np.array_equal(counts, np.vstack(alone))
-        # shares that start and stop inside the shapes count the same
-        bounds = ((0, 3), (3, 9), (9, 12))
+        # shares that start and stop inside a shape's blocks count the same
+        bounds = ((0, 2), (2, 5), (5, 6))
         parts = [harness._count_rejections(grid, shapes, a, b) for a, b in bounds]
         assert np.array_equal(sum(parts), counts)
         assert counts[1].sum() > counts[0].sum() and counts[3].sum() > counts[2].sum()
@@ -350,22 +349,22 @@ class TestPipelineCalls:
             for shape, chunk in zip(shapes, chunks)
             for r in range(0, 6, chunk)
         ]
-        # shares that end inside a chunk (a shape's 6 replicates from 0 and
-        # from 6) count the same and draw each of their replicates once, in
-        # chunks of whole replicates, each of `chunk` replicates but the last
+        # shares that end inside a chunk (replicates 0..1 of 0..2) or start
+        # inside one (2..3) count the same and draw each of their replicates
+        # once, in chunks of whole replicates, each of `chunk` replicates but
+        # the last
         monkeypatch.setattr(harness, "_SHARE_MIN", 1)
-        for workers, bounds in ((2, [0, 6, 12]), (3, [0, 4, 8, 12])):
-            assert harness._share_bounds([4 * 80, 4 * 96], 6, workers) == bounds
+        for workers in (2, 3):
             assert run_power(grid, workers=workers) == reference
+            bounds = [6 * j // workers for j in range(workers + 1)]
             for a, b in zip(bounds, bounds[1:]):
                 drawn.clear()
                 harness._count_rejections(grid, shapes, a, b)
-                expected = []
-                for k, (shape, chunk) in enumerate(zip(shapes, chunks)):
-                    lo, hi = max(a - 6 * k, 0), min(b - 6 * k, 6)
-                    for r in range(lo, hi, chunk):
-                        expected.append((shape.n_per_group, list(range(r, min(r + chunk, hi)))))
-                assert drawn == expected
+                assert drawn == [
+                    (shape.n_per_group, list(range(r, min(r + chunk, b))))
+                    for shape, chunk in zip(shapes, chunks)
+                    for r in range(a, b, chunk)
+                ]
 
     def test_one_unchecked_shift_call_per_run(self, monkeypatch):
         runs, shift = [], harness._shift
@@ -426,14 +425,14 @@ class TestPipelineCalls:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "_BUDGET", budget)
             mp.setattr(harness, "_base_values", counted)
-            whole = harness._count_rejections(grid, shapes, 0, bounds[-1])
+            whole = harness._count_rejections(grid, shapes, 0, replicates)
             parts = []
             for a, b in zip(bounds, bounds[1:]):
                 drawn.clear()
                 parts.append(harness._count_rejections(grid, shapes, a, b))
-                # unit u is replicate u % R of shape u // R: each drawn once, in order
+                # replicates a..b - 1 of every shape, each drawn once, shape by shape
                 assert [(k, r) for k, chunk in drawn for r in chunk] == [
-                    divmod(u, replicates) for u in range(a, b)
+                    (k, r) for k in range(len(shapes)) for r in range(a, b)
                 ]
         assert np.array_equal(sum(parts), whole)
 
@@ -553,49 +552,19 @@ class TestRunPower:
         run_power(small_grid(replicates=1, xi_values=(0.0,)), workers=2)
         assert len(opened) == 2
 
-    def test_shares_balance_cost(self, monkeypatch, tmp_path):
-        # 3 shifts of n·S 80 and 800 per replicate: 10 cheap replicates, then
-        # 10 dear ones
+    def test_a_run_uses_at_most_one_process_per_replicate(self, monkeypatch):
+        # two shapes of 2 replicates: 2 shares at 4 workers, one counted here
+        # and one in a pool of a single process
         grid = small_grid(
-            group_schemes=((5, 5), (50, 50)), xi_values=(0.0, 1.0, 2.0), replicates=10
+            base=replace(small_grid().base, mean_shape="linear"),
+            group_schemes=((5, 5), (3, 3, 4)),
+            replicates=2,
         )
-        reference, cost = run_power(grid), [240] * 10 + [2400] * 10
+        serial = run_power(grid)
         monkeypatch.setattr(harness, "_SHARE_MIN", 1)
-        log = log_shares(monkeypatch, tmp_path)
-        for workers in (2, 3, 4):
-            assert run_power(grid, workers=workers) == reference
-            shares = log.take()
-            assert [a for a, _ in shares[1:]] == [b for _, b in shares[:-1]]
-            assert len(shares) == workers and shares[0][0] == 0 and shares[-1][1] == 20
-            # each share is within one dear replicate of an equal split
-            for a, b in shares:
-                assert abs(sum(cost[a:b]) * workers - sum(cost)) < 2400 * workers
-        # n·S of 800, 800, 80, 80: no replicate's middle lies in the second
-        # quarter of the run, so of four shares the second is empty and dropped
-        grid = replace(
-            grid, group_schemes=((50, 50), (5, 5)), xi_values=(0.0,), replicates=2
-        )
-        one = run_power(grid)
-        assert log.take() == [(0, 4)]
-        assert run_power(grid, workers=4) == one
-        assert log.take() == [(0, 1), (1, 2), (2, 4)]
-
-    def test_a_share_past_the_last_position_is_dropped(self, monkeypatch, tmp_path):
-        # n·S of 4, 20, 20 and 100: the last position's middle, 94 of 144,
-        # lies in the second third of the run, so of three shares the third
-        # holds no position and is dropped
-        grid = small_grid(
-            group_schemes=((2, 2), (10, 10)),
-            n_points_values=(1, 5),
-            xi_values=(0.0,),
-            replicates=1,
-        )
-        reference = run_power(grid)
-        monkeypatch.setattr(harness, "_SHARE_MIN", 1)
-        assert harness._share_bounds([4, 20, 20, 100], 1, 3) == [0, 3, 4]
-        log = log_shares(monkeypatch, tmp_path)
-        assert run_power(grid, workers=3) == reference
-        assert log.take() == [(0, 3), (3, 4)]
+        opened, tasks = count_pools(monkeypatch)
+        assert run_power(grid, workers=4) == serial
+        assert opened == [{"max_workers": 1}] and len(tasks) == 1
 
     def test_small_run_counts_in_this_process(self, monkeypatch):
         # the perfbench power_pool grid at two processors: 104 positions of
@@ -641,7 +610,6 @@ class TestRunPower:
         # the paper's 3 x 3 x 26 grid at 2000 replicates; the stub logs each
         # share's bounds and counts nothing
         grid = ExperimentGrid(base=SimConfig(n_per_group=(10, 10), n_points=40, seed=1))
-        replicates = 9 * 2000
         n_s = sum(sum(g) * s for g in grid.group_schemes for s in grid.n_points_values)
         total = n_s * 26 * 2000
         log = log_shares(monkeypatch, tmp_path, count=False)
@@ -649,60 +617,68 @@ class TestRunPower:
             run_power(grid, workers=workers)
             shares = log.take()
             assert len(shares) == min(workers, total // harness._SHARE_MIN) == workers
-            assert shares[0][0] == 0 and shares[-1][1] == replicates
+            bounds = [2000 * j // workers for j in range(workers + 1)]
+            assert shares == list(zip(bounds, bounds[1:]))
         # a floor of half the run caps it at two shares whatever workers says
         monkeypatch.setattr(harness, "_SHARE_MIN", total // 2)
         run_power(grid, workers=3)
         assert len(log.take()) == 2
 
-    @staticmethod
-    def per_replicate_bounds(grid, workers):
-        """Share bounds by the formula over one m·n·S entry per replicate."""
-        m = len(grid.xi_values)
-        shapes = [m * sum(g) * s for g in grid.group_schemes for s in grid.n_points_values]
-        cost = np.repeat(shapes, grid.replicates)
-        workers = max(1, min(workers, cost.size, int(cost.sum()) // harness._SHARE_MIN))
-        twice_middles = 2 * cost.cumsum() - cost
-        starts = np.searchsorted(twice_middles * workers, 2 * cost.sum() * np.arange(workers))
-        return np.unique([*starts, cost.size]).tolist()
-
     @pytest.mark.parametrize(
         "factors, floor",
         [
-            # n·S of 80 and 800; then 4000, 800, 400, 80, 400 and 80
+            # n·S of 80 and 800 at 3 shifts
             (dict(group_schemes=((5, 5), (50, 50)), xi_values=(0.0, 1.0, 2.0), replicates=10), 1),
+            # n·S of 4000, 800, 400, 80, 400 and 80, at 7 replicates: no cut of
+            # 2 or more is even
             (
                 dict(
                     group_schemes=((50, 50), (5, 5), (3, 3, 4)),
                     n_points_values=(40, 8),
                     xi_values=(0.0,),
-                    replicates=3,
+                    replicates=7,
                 ),
                 1,
             ),
-            # the paper's 3 x 3 x 26 grid at 2000 replicates and the shipped floor
+            # 4560 curve values per replicate: 240 replicates hold 4 times the
+            # shipped floor, so it cuts one share per worker
             (
                 dict(
-                    n_points_values=(40, 120, 360),
-                    group_schemes=((10, 10), (25, 25), (50, 50)),
-                    xi_values=harness._DEFAULT_XI,
-                    replicates=2000,
+                    n_points_values=(40,),
+                    group_schemes=((10, 10), (6, 6, 6)),
+                    xi_values=(0.0, 0.5, 1.0),
+                    replicates=240,
                 ),
                 harness._SHARE_MIN,
             ),
+            # a run of 2 replicates at the shipped floor counts in this process
+            (dict(group_schemes=((5, 5), (50, 50)), replicates=2), harness._SHARE_MIN),
         ],
+        ids=["mixed-shapes", "odd-replicates", "shipped-floor", "one-share"],
     )
-    def test_cut_matches_the_per_position_formula(self, monkeypatch, tmp_path, factors, floor):
-        grid = small_grid(**factors)
+    def test_shares_are_replicate_ranges_of_every_shape(
+        self, monkeypatch, tmp_path, factors, floor
+    ):
+        grid = small_grid(base=replace(small_grid().base, mean_shape="linear"), **factors)
+        reps, m = grid.replicates, len(grid.xi_values)
+        # the curve values of one replicate of every shape at every shift, and of the run
+        one = m * sum(sum(g) * s for g in grid.group_schemes for s in grid.n_points_values)
+        total = reps * one
+        reference = run_power(grid)
         monkeypatch.setattr(harness, "_SHARE_MIN", floor)
-        log = log_shares(monkeypatch, tmp_path, count=False)
+        log = log_shares(monkeypatch, tmp_path)
         for workers in (1, 2, 3, 4):
-            run_power(grid, workers=workers)
-            bounds = self.per_replicate_bounds(grid, workers)
-            assert log.take() == list(zip(bounds[:-1], bounds[1:]))
+            assert run_power(grid, workers=workers) == reference
+            k = max(1, min(workers, reps, total // floor))
+            shares = log.take()
+            assert shares == [(reps * j // k, reps * (j + 1) // k) for j in range(k)]
+            # each share is within one replicate of every shape of total / k
+            for a, b in shares:
+                assert abs((b - a) * one * k - total) < one * k
+        assert 0 < sum(r.rejection_rate for r in reference) < len(reference)
 
     def test_cut_builds_nothing_per_replicate(self, monkeypatch, tmp_path):
-        # 10^6 replicates over two shapes; one int64 per replicate would be 7.6 MiB
+        # 500 000 replicates of two shapes; one int64 per replicate would be 3.8 MiB
         grid = small_grid(group_schemes=((5, 5), (6, 6)), xi_values=(0.0,), replicates=500_000)
         log = log_shares(monkeypatch, tmp_path, count=False)
         tracemalloc.start()
@@ -711,7 +687,7 @@ class TestRunPower:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert log.take() == [(0, 1_000_000)]
+        assert log.take() == [(0, 500_000)]
         assert peak < 1 << 20
 
     def test_floor_leaves_counts_unchanged(self, monkeypatch, tmp_path):

@@ -27,12 +27,21 @@ class TestFpcaSmooth:
         assert np.allclose(res.smoothed, values, atol=1e-10)
         assert res.pve_achieved == pytest.approx(1.0, abs=1e-12)
 
-    def test_full_pve_returns_input_exactly(self):
-        rng = np.random.default_rng(113)
-        values = rng.normal(size=(7, 9))
+    @pytest.mark.parametrize(
+        "values, pve",
+        [
+            (np.random.default_rng(113).normal(size=(7, 9)), 1.0),
+            # tied one-occasion curves: the one component kept at 0.99 carries
+            # the whole variance, so nothing is truncated
+            (np.round(np.random.default_rng(1).normal(size=(12, 1)), 1), 0.99),
+        ],
+        ids=["untied", "tied-one-occasion"],
+    )
+    def test_full_pve_returns_input_exactly(self, values, pve):
         curves = make_curves(values)
-        res = fpca_smooth(curves, pve=1.0)
+        res = fpca_smooth(curves, pve=pve)
         assert np.array_equal(res.smoothed, values)
+        assert res.pve_achieved == 1.0
 
     def test_simulated_curves_small_reconstruction_error(self):
         config = SimConfig(

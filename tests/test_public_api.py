@@ -2,6 +2,7 @@ import ast
 import builtins
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -29,15 +30,50 @@ def module_exports():
     return out
 
 
-def perfbench_imports():
-    """Names the benchmark imports from drtests, leaving out submodules."""
-    submodules = {info.name for info in pkgutil.iter_modules(drtests.__path__)}
-    names = set()
-    for path in PERFBENCH.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and node.module == "drtests":
-                names.update(alias.name for alias in node.names)
-    return names - submodules
+def is_module(name):
+    """Whether name is an importable module."""
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ModuleNotFoundError:  # a parent of name is missing or is not a package
+        return False
+
+
+def perfbench_names():
+    """(script, module, name) for each name a benchmark script takes from drtests.
+
+    A script takes a name by `from drtests[.module] import name`, or by
+    reading it as an attribute of a drtests module it imported:
+    `drtests.__version__` after `import drtests`, `cli.main` after
+    `from drtests import cli`.
+    """
+    taken = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}  # the name a script binds to each drtests module, and that module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                # "import drtests.x" binds drtests, "import drtests.x as y" binds drtests.x
+                modules.update(
+                    (alias.asname, alias.name) if alias.asname else ("drtests", "drtests")
+                    for alias in node.names
+                    if alias.name.split(".")[0] == "drtests"
+                )
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("drtests"):
+                for alias in node.names:
+                    taken.append((path.name, node.module, alias.name))
+                    if is_module(f"{node.module}.{alias.name}"):
+                        modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                taken.append((path.name, modules[node.value.id], node.attr))
+    return taken
+
+
+def resolves(module, name):
+    """Whether module exists and has name, as an attribute or a submodule."""
+    if not is_module(module):
+        return False
+    return hasattr(importlib.import_module(module), name) or is_module(f"{module}.{name}")
 
 
 def unused_imports(path):
@@ -79,9 +115,18 @@ class TestPublicApi:
         assert sorted(drtests.__all__) == sorted(["__version__", *union])
 
     def test_keeps_what_perfbench_imports(self):
-        imported = perfbench_imports()
+        taken = perfbench_names()
+        # the names it imports from the package, leaving out submodules, are exports
+        submodules = {info.name for info in pkgutil.iter_modules(drtests.__path__)}
+        imported = {name for _, module, name in taken if module == "drtests"} - submodules
         assert imported, "no drtests import found under perfbench/"
         assert imported <= set(drtests.__all__)
+        # the benchmark runs the package in its own checkout, so a name it
+        # takes that the package drops fails here rather than in a benchmark
+        # run: submodules and the attributes read from them too
+        read = {("worker.py", "drtests", "__version__"), ("worker.py", "drtests.cli", "main")}
+        assert read <= set(taken)
+        assert [t for t in taken if not resolves(*t[1:])] == []
 
     def test_no_module_imports_a_name_it_never_uses(self):
         # the package __init__ imports its modules' names to re-export them

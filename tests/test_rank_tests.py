@@ -668,13 +668,22 @@ class TestDoublyRanked:
         )
         assert suff.group_sizes == avg.group_sizes == (7, 7)
 
-    def test_preprocess_full_variance_is_identity(self):
-        rng = np.random.default_rng(101)
-        values = rng.normal(size=(10, 8))
+    @pytest.mark.parametrize(
+        "values, pve",
+        [
+            (np.random.default_rng(101).normal(size=(10, 8)), 1.0),
+            # one occasion, values tied at one decimal: the one component kept
+            # at 0.99 carries the whole variance, so a reconstruction's
+            # rounding must not break the ties
+            (np.round(np.random.default_rng(1).normal(size=(12, 1)), 1), 0.99),
+        ],
+        ids=["untied", "tied-one-occasion"],
+    )
+    def test_preprocess_full_variance_is_identity(self, values, pve):
         curves = make_curves(values)
         plain = doubly_ranked_test(curves)
         smoothed = doubly_ranked_test(
-            curves, DoublyRankedConfig(preprocess_pve=1.0)
+            curves, DoublyRankedConfig(preprocess_pve=pve)
         )
         assert plain == smoothed
 
